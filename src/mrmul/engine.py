@@ -222,6 +222,22 @@ def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
         return [f.result() for f in futures]
 
 
+def _sorted_keys(groups, stage):
+    """The group keys in ascending order. Keys that cannot be ordered against
+    each other raise a JobError naming one of them."""
+    try:
+        return sorted(groups)
+    except TypeError as exc:
+        first = bad = next(iter(groups))
+        for key in groups:
+            try:
+                first < key  # raises for the first key unorderable against the first
+            except TypeError:
+                bad = key
+                break
+        raise JobError(stage, bad, exc) from exc
+
+
 def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
     """Execute one job; returns key-sorted output and stage metrics.
 
@@ -259,7 +275,7 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
             if bucket is None:
                 bucket = groups[key] = []
             bucket.append((blob, src_worker, value))
-    ordered_keys = sorted(groups)
+    ordered_keys = _sorted_keys(groups, f"{spec.name}/shuffle")
     cross_worker_bytes = 0
     worker_keys = [[] for _ in range(nw)]
     records_per_worker = [0] * nw

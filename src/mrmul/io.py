@@ -12,6 +12,7 @@ Edge list: one "src TAB dst" pair of 0-based node ids per line.
 
 from __future__ import annotations
 
+import math
 
 from .sparse import SparseMatrix
 
@@ -87,6 +88,8 @@ def read_matrix(path) -> SparseMatrix:
                     val = float(v)
                 except ValueError:
                     raise ParseError(path, lineno, f"bad entry {tok!r}") from None
+                if not math.isfinite(val):
+                    raise ParseError(path, lineno, f"non-finite value in {tok!r}")
                 if not 0 <= col < cols:
                     raise ParseError(path, lineno, f"column index {col} outside 0..{cols - 1}")
                 if col <= prev_col:

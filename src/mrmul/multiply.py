@@ -261,6 +261,37 @@ def _block_matmul(blk: _Block):
     return indptr, uniq % bw, sums, tot
 
 
+def _row_block(M: SparseMatrix, lo, hi):
+    """CSR of rows [lo, hi) of M with indptr rebased to 0, plus lo."""
+    p_lo, p_hi = M.indptr[lo], M.indptr[hi]
+    return M.indptr[lo:hi + 1] - p_lo, M.indices[p_lo:p_hi], M.values[p_lo:p_hi], lo
+
+
+def _cut_columns(indptr, cols, vals, split: _Splitter):
+    """Cut a CSR row block at the column bounds of `split`. Yields
+    (column block, local row per entry, block-local cols, vals) for each
+    column block holding an entry, entries in row-major order."""
+    if cols.size == 0:
+        return
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    part = split.block_of(cols)
+    order = np.argsort(part, kind="stable")
+    for sel in np.split(order, np.flatnonzero(np.diff(part[order])) + 1):
+        b = int(part[sel[0]])
+        yield b, rows[sel], cols[sel] - split.starts[b], vals[sel]
+
+
+def _indptr(counts):
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+
+
+def _unpack(blobs):
+    """Arrays of a shipped sub-block: int64 index arrays, then float64 values."""
+    *index_blobs, val_blob = blobs
+    return ([np.frombuffer(b, dtype=np.int64) for b in index_blobs]
+            + [np.frombuffer(val_blob, dtype=np.float64)])
+
+
 def _assemble(rows, cols, row_payloads):
     """Build a SparseMatrix from (row index, col bytes, value bytes) triples
     arriving in ascending row order."""
@@ -289,75 +320,46 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     schema.validate_for(A, B)
 
     m, n, k = schema.m, schema.n, schema.k
+    asplit = _Splitter(A.rows, m)
     isplit = _Splitter(A.cols, n)
     csplit = _Splitter(B.cols, k)
-    inner_starts = isplit.starts
-    col_starts = csplit.starts
-    a_rows_total = A.rows
-    b_rows_total = B.rows
     ops = Accumulator()
 
-    # Emission keys are plain (alpha, beta, gamma) tuples: equal and
-    # hash-compatible with BlockKey, but ~3x cheaper to serialize, which
-    # matters at one record per row piece per duplicate.
+    # Input records are row blocks: A cut by alpha, B by gamma. Each emits one
+    # CSR sub-block per non-empty column block, duplicated once per block it
+    # pairs with. Keys are plain (alpha, beta, gamma) tuples: equal and
+    # hash-compatible with BlockKey, but cheaper to serialize.
     def partition_mapper(rec):
-        tag, idx, cols, vals = rec
+        tag, blk, indptr, cols, vals, first_row = rec
         out = []
         if tag == "A":
-            alpha = idx * m // a_rows_total
-            cuts = np.searchsorted(cols, inner_starts)
-            for gamma in range(n):
-                lo, hi = cuts[gamma], cuts[gamma + 1]
-                if lo == hi:
-                    continue
-                payload = ("A", idx, cols[lo:hi].tobytes(), vals[lo:hi].tobytes())
-                for beta in range(k):
-                    out.append(((alpha, beta, gamma), payload))
+            for gamma, rows, lcols, lvals in _cut_columns(indptr, cols, vals, isplit):
+                row_ids, counts = np.unique(rows, return_counts=True)
+                payload = ("A", (row_ids + first_row).tobytes(), _indptr(counts).tobytes(),
+                           lcols.tobytes(), lvals.tobytes())
+                out += [((blk, beta, gamma), payload) for beta in range(k)]
             ops.add(cols.size * k)
         else:
-            gamma = idx * n // b_rows_total
-            cuts = np.searchsorted(cols, col_starts)
-            for beta in range(k):
-                lo, hi = cuts[beta], cuts[beta + 1]
-                if lo == hi:
-                    continue
-                payload = ("B", idx, cols[lo:hi].tobytes(), vals[lo:hi].tobytes())
-                for alpha in range(m):
-                    out.append(((alpha, beta, gamma), payload))
+            gw = indptr.size - 1
+            for beta, rows, lcols, lvals in _cut_columns(indptr, cols, vals, csplit):
+                b_indptr = _indptr(np.bincount(rows, minlength=gw))
+                payload = ("B", b_indptr.tobytes(), lcols.tobytes(), lvals.tobytes())
+                out += [((alpha, beta, blk), payload) for alpha in range(m)]
             ops.add(cols.size * m)
         return out
 
+    # A key receives at most one A and one B sub-block; both arrive with
+    # block-local column indices.
     def partition_reducer(key, pieces):
+        ops.add(sum(len(p[-2]) for p in pieces) >> 3)  # column entries received
+        by_tag = {p[0]: p[1:] for p in pieces}
+        if len(by_tag) < 2:
+            return []
         alpha, beta, gamma = key
         glo, ghi = isplit.range(gamma)
         blo, bhi = csplit.range(beta)
-        a_pieces, b_pieces = [], []
-        scalars = 0
-        for tag, idx, cb, vb in pieces:
-            scalars += len(cb)
-            (a_pieces if tag == "A" else b_pieces).append((idx, cb, vb))
-        ops.add(scalars // 8)
-        if not a_pieces or not b_pieces:
-            return []
-        gw, bw = ghi - glo, bhi - blo
-
-        a_pieces.sort(key=lambda t: t[0])
-        row_ids = np.array([i for i, _, _ in a_pieces], dtype=np.int64)
-        sizes = np.array([len(cb) for _, cb, _ in a_pieces], dtype=np.int64) >> 3
-        a_indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        a_cols = np.frombuffer(b"".join(cb for _, cb, _ in a_pieces), dtype=np.int64) - glo
-        a_vals = np.frombuffer(b"".join(vb for _, _, vb in a_pieces), dtype=np.float64)
-
-        b_pieces.sort(key=lambda t: t[0])
-        counts = np.zeros(gw, dtype=np.int64)
-        for idx, cb, _ in b_pieces:
-            counts[idx - glo] = len(cb) >> 3
-        b_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        b_cols = np.frombuffer(b"".join(cb for _, cb, _ in b_pieces), dtype=np.int64) - blo
-        b_vals = np.frombuffer(b"".join(vb for _, _, vb in b_pieces), dtype=np.float64)
-
-        return [(key, _Block(alpha, beta, gamma, row_ids, a_indptr, a_cols, a_vals,
-                             b_indptr, b_cols, b_vals, gw, bw, blo))]
+        return [(key, _Block(alpha, beta, gamma, *_unpack(by_tag["A"]), *_unpack(by_tag["B"]),
+                             ghi - glo, bhi - blo, blo))]
 
     def summation_mapper(rec):
         key, blk = rec
@@ -390,12 +392,13 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         np.add.at(sums, inv, cat_vals)  # in-order accumulation per column
         return [(key, (ucols.tobytes(), sums.tobytes()))]
 
-    records = [("A", i, c, v) for i, c, v in A.iter_rows() if c.size]
-    records += [("B", j, c, v) for j, c, v in B.iter_rows() if c.size]
+    records = [("A", alpha, *_row_block(A, *asplit.range(alpha))) for alpha in range(m)]
+    records += [("B", gamma, *_row_block(B, *isplit.range(gamma))) for gamma in range(n)]
 
-    # Partitioning is record slicing and serialization: GIL-bound, so threads
-    # only thrash there. Summation tasks run in parallel when the per-block
-    # multiply work is chunky enough to profit.
+    # Partition tasks are a few row-block cuts plus record serialization,
+    # mostly Python-level, so threads would only add GIL handoffs. Summation
+    # tasks run in parallel when the per-block multiply work is chunky enough
+    # to profit.
     total_products = int(np.diff(B.indptr)[A.indices].sum()) if A.nnz else 0
     blocks = m * n * k
     if total_products * _DENSE_WORK_FACTOR >= A.rows * A.cols * B.cols:

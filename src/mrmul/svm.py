@@ -39,10 +39,10 @@ class SvmProblem:
             raise ValueError(f"{len(self.y)} labels for {self.T.rows} examples")
         if not np.all(np.isin(self.y.values, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if self.C < 0:
-            raise ValueError("C must be >= 0")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        if not (np.isfinite(self.C) and self.C >= 0):
+            raise ValueError(f"C must be finite and >= 0, got {self.C}")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrmul.cli import main, parse_schema, parse_sparsity
-from mrmul.io import read_matrix, write_matrix
+from mrmul.io import ParseError, read_matrix, write_matrix
 from mrmul.multiply import PartitionSchema
 
 from conftest import random_sparse
@@ -51,6 +51,22 @@ class TestGenerate:
             run_cli("generate", "--m", 32, "--n", 16, "--delta", "0.2",
                     "--seed", 9, "--out", out)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReadMatrix:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 2 3\n0\t0:1.5\n1\t0:2.0 1:{value}\n")
+        with pytest.raises(ParseError, match=rf"m\.txt:3: non-finite value") as exc:
+            read_matrix(path)
+        assert exc.value.lineno == 3
+
+    def test_multiply_with_non_finite_input_exits_nonzero(self, tmp_path, capsys):
+        af = tmp_path / "a.txt"
+        af.write_text("1 1 1\n0\t0:nan\n")
+        assert run_cli("multiply", "--a", af, "--b", af, "--out", tmp_path / "c.txt") != 0
+        assert "a.txt:2" in capsys.readouterr().err
 
 
 class TestMultiply:
@@ -154,6 +170,17 @@ class TestSvm:
                        "--query", data, "--out", scores) == 0
         values = [float(x) for x in scores.read_text().split()]
         assert np.sign(values).tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("flag,value", [("--eta", "nan"), ("--eta", "inf"),
+                                            ("--c", "nan"), ("--c", "inf")])
+    def test_non_finite_step_or_bound_rejected(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "toy.svm"
+        data.write_text("+1 0:1.0\n-1 0:-1.0\n")
+        prefix = tmp_path / "svm_"
+        assert run_cli("svm-train", "--data", data, flag, value, "--iters", 5,
+                       "--out-prefix", prefix) != 0
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "svm_alpha.txt").exists()
 
     def test_objective_history_written(self, tmp_path):
         data = tmp_path / "toy.svm"

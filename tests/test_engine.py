@@ -160,6 +160,15 @@ class TestRunJob:
         with pytest.raises(JobError):
             run_job(spec, [1])
 
+    def test_unorderable_keys_rejected(self):
+        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
+                       shard_fn=lambda key: 0, workers=2, name="mixed")
+        with pytest.raises(JobError) as exc:
+            run_job(spec, [1, "a", 2])
+        assert exc.value.stage == "mixed/shuffle"
+        assert exc.value.key == "a"
+        assert isinstance(exc.value.cause, TypeError)
+
     def test_scalar_ops_accumulator(self):
         ops = Accumulator()
 

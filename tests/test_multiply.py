@@ -132,6 +132,24 @@ class TestPartitionMultiply:
             partition_multiply(A, A, PartitionSchema(1, 1, 1),
                                ShardFunction("naive", 2), workers=4)
 
+    def test_partition_ships_one_record_per_sub_block(self):
+        A = random_sparse(60, 50, 0.15, seed=81)
+        B = random_sparse(50, 70, 0.15, seed=82)
+        m, n, k = 5, 3, 4
+        _, metrics = partition_multiply(A, B, PartitionSchema(m, n, k), "rand", 2)
+
+        def nonempty_blocks(M, row_parts, col_parts):
+            i, j = np.nonzero(M.to_dense())
+            return len(set(zip(i * row_parts // M.rows, j * col_parts // M.cols)))
+
+        a_blocks = nonempty_blocks(A, m, n)
+        b_blocks = nonempty_blocks(B, n, k)
+        records = sum(metrics[0].records_per_worker)
+        assert records == a_blocks * k + b_blocks * m <= 2 * m * n * k
+        # the work count does not depend on how the partition stage batches
+        # its records: this is the total of the row-piece implementation
+        assert sum(x.scalar_ops for x in metrics) == 16942
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_random_schema_property(self, data):
