@@ -143,15 +143,28 @@ def cmd_svm_train(args):
 
 def cmd_svm_predict(args):
     T, y = read_svm_file(args.data)
-    alphas = [float(line) for line in Path(args.alpha).read_text().split()]
+    alphas = []
+    with open(args.alpha, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                alpha = float(line)
+            except ValueError:
+                raise mio.ParseError(args.alpha, lineno, f"bad alpha {line.strip()!r}") from None
+            if not (np.isfinite(alpha) and alpha >= 0):
+                raise mio.ParseError(args.alpha, lineno,
+                                     f"alpha must be finite and >= 0, got {line.strip()}")
+            alphas.append(alpha)
     if len(alphas) != T.rows:
         print(f"error: {args.alpha} has {len(alphas)} values for {T.rows} "
               f"examples in {args.data}", file=sys.stderr)
         return 1
     from .sparse import DenseVector
-    from .svm import SvmState, svm_build_kernel
-    prob = SvmProblem(T, y, C=max(max(alphas, default=0.0), 1.0))
-    state = SvmState(DenseVector(np.array(alphas)), svm_build_kernel(T, workers=args.workers))
+    from .svm import SvmState
+    # prediction reads only the alphas, the labels and the examples
+    state = SvmState(DenseVector(np.array(alphas)), None)
+    prob = SvmProblem(T, y)
     Q, _ = read_svm_file(args.query, cols=T.cols)
     scores = svm_predict(state, prob, Q, args.workers)
     _write_vector(args.out, scores.values)

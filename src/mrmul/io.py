@@ -4,8 +4,8 @@ Row format:
     <rows> <cols> <nnz>
     <row_index>TAB<col>:<value> <col>:<value> ...
 One line per nonempty row, row indices strictly ascending, column indices
-strictly ascending, values written in shortest round-trip decimal so that
-read(write(M)) == M bit-exactly.
+strictly ascending, values finite and nonzero, written in shortest round-trip
+decimal so that read(write(M)) == M bit-exactly.
 
 Edge list: one "src TAB dst" pair of 0-based node ids per line.
 """
@@ -90,6 +90,8 @@ def read_matrix(path) -> SparseMatrix:
                     raise ParseError(path, lineno, f"bad entry {tok!r}") from None
                 if not math.isfinite(val):
                     raise ParseError(path, lineno, f"non-finite value in {tok!r}")
+                if val == 0.0:
+                    raise ParseError(path, lineno, f"explicit zero in {tok!r}")
                 if not 0 <= col < cols:
                     raise ParseError(path, lineno, f"column index {col} outside 0..{cols - 1}")
                 if col <= prev_col:

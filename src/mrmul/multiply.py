@@ -8,13 +8,15 @@ output row, ascending gamma, so results are bit-identical for any worker
 count and shard choice.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
-operand replicated to every worker through the broadcast store; rows of the
-large operand never shuffle.
+operand replicated to every worker through the broadcast store. The large
+operand is cut into one contiguous row block per worker; each block's product
+is one record, shipped to the worker that computed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -425,34 +427,38 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
 def broadcast_multiply(A: SparseMatrix, B_small: DenseMatrix, workers: int = 1) -> SparseMatrix:
     """Row-wise product: row i of the result is row i of A times B_small.
 
-    A's rows are split across workers; B_small is broadcast once per call and
-    never shuffled.
+    A is cut into one contiguous row block per worker, and each block is one
+    input record; B_small is broadcast once per call and never shuffled. A
+    block's map task ships one record, its dense product, to its own worker.
     """
     if A.cols != B_small.rows:
         raise ValueError(
             f"shape mismatch: {A.rows}x{A.cols} times {B_small.rows}x{B_small.cols}")
     store = BroadcastStore()
     broadcast(store, "rhs", B_small.values)
-    n_rows = A.rows
+    split = _Splitter(A.rows, min(workers, A.rows))
 
+    # each row's product is formed from that row alone, so the bits do not
+    # depend on how the rows are blocked, nor on the worker count
     def mapper(rec):
-        i, cols, vals = rec
+        b, indptr, cols, vals, _ = rec
         rhs = store.get("rhs")
-        out_row = vals @ rhs[cols]
-        nz = np.flatnonzero(out_row)
-        if nz.size == 0:
-            return []
-        return [(i, (nz.astype(np.int64).tobytes(), out_row[nz].tobytes()))]
+        out = np.zeros((indptr.size - 1, rhs.shape[1]))
+        bounds = indptr.tolist()
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo < hi:
+                out[r] = vals[lo:hi] @ rhs[cols[lo:hi]]
+        return [(b, out)]
 
     def reducer(key, values):
         return [(key, values[0])]
 
     per_row_work = (A.nnz // A.rows) * B_small.cols
-    spec = JobSpec(mapper, reducer, shard_fn=lambda i: i * workers // n_rows,
-                   workers=workers, name="broadcast-multiply",
+    spec = JobSpec(mapper, reducer, shard_fn=lambda b: b,
+                   workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
                    parallel=per_row_work >= 4096, reduce_parallel=False)
-    out, _ = run_job(spec, [(i, c, v) for i, c, v in A.iter_rows() if c.size])
-    return _assemble(A.rows, B_small.cols, ((i, cb, vb) for i, (cb, vb) in out))
+    out, _ = run_job(spec, [(b, *_row_block(A, *split.range(b))) for b in range(split.parts)])
+    return SparseMatrix.from_dense(np.vstack([block for _, block in out]))
 
 
 def suggest_schema(rows_a, cols_a, cols_b, nnz_a, nnz_b, workers,

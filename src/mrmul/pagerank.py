@@ -7,7 +7,8 @@ Each iteration computes
     pi <- d * (P pi) + (1 - d)/N
 
 where P pi runs through broadcast_multiply: the current vector is broadcast
-to every worker and each worker forms the dot products of its rows of P.
+to every worker, each worker forms the dot products of its one contiguous
+block of P's rows, and ships the block's products as one record.
 """
 
 from __future__ import annotations
@@ -107,11 +108,7 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
     teleport = (1.0 - d) / N
     iterations = 0
     for _ in range(max_iters):
-        col = broadcast_multiply(prob.P, DenseMatrix(pi.reshape(-1, 1)), workers)
-        flow = np.zeros(N)
-        for i, cols, vals in col.iter_rows():
-            if cols.size:
-                flow[i] = vals[0]
+        flow = broadcast_multiply(prob.P, DenseMatrix(pi.reshape(-1, 1)), workers).to_dense()[:, 0]
         pi_next = d * flow + teleport
         iterations += 1
         if abs(pi_next.sum() - 1.0) > _PROBABILITY_TOL:

@@ -149,10 +149,6 @@ class SparseMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
-    def iter_rows(self):
-        for i in range(self.rows):
-            yield i, *self.row(i)
-
     def row_nonzero_counts(self):
         return np.diff(self.indptr)
 

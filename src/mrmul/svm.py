@@ -47,10 +47,11 @@ class SvmProblem:
 
 @dataclass
 class SvmState:
-    """Dual variables, the Gram matrix, and the objective history."""
+    """Dual variables, the Gram matrix (None when the state only predicts),
+    and the objective history."""
 
     alpha: DenseVector
-    K: SparseMatrix
+    K: SparseMatrix | None
     objective_history: list = field(default_factory=list)
 
 
@@ -69,21 +70,11 @@ def svm_build_kernel(T: SparseMatrix, schema=None, workers: int = 1) -> SparseMa
     return K
 
 
-def _kernel_dot(K: SparseMatrix, coeff: np.ndarray, workers: int) -> np.ndarray:
-    """K @ coeff computed row-by-row against the broadcast coefficient vector."""
-    col = broadcast_multiply(K, DenseMatrix(coeff.reshape(-1, 1)), workers)
-    out = np.zeros(K.rows)
-    for i, cols, vals in col.iter_rows():
-        if cols.size:
-            out[i] = vals[0]
-    return out
-
-
 def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVector:
     """Ascent direction g_i = eta * (1 - y_i * sum_j y_j alpha_j K_ij)."""
     y = prob.y.values
     d = y * state.alpha.values
-    kd = _kernel_dot(state.K, d, workers)
+    kd = broadcast_multiply(state.K, DenseMatrix(d.reshape(-1, 1)), workers).to_dense()[:, 0]
     return DenseVector(prob.eta * (1.0 - y * kd))
 
 
@@ -116,17 +107,9 @@ def svm_predict(state: SvmState, prob: SvmProblem, Q: SparseMatrix,
         raise ValueError(f"query width {Q.cols} != training width {prob.T.cols}")
     d = prob.y.values * state.alpha.values
     # w = Tt d, then scores = Q w: two row-local products.
-    w_col = broadcast_multiply(transpose(prob.T), DenseMatrix(d.reshape(-1, 1)), workers)
-    w = np.zeros(prob.T.cols)
-    for i, cols, vals in w_col.iter_rows():
-        if cols.size:
-            w[i] = vals[0]
-    scores = broadcast_multiply(Q, DenseMatrix(w.reshape(-1, 1)), workers)
-    out = np.zeros(Q.rows)
-    for i, cols, vals in scores.iter_rows():
-        if cols.size:
-            out[i] = vals[0]
-    return DenseVector(out)
+    w = broadcast_multiply(transpose(prob.T), DenseMatrix(d.reshape(-1, 1)), workers)
+    scores = broadcast_multiply(Q, DenseMatrix(w.to_dense()), workers)
+    return DenseVector(scores.to_dense()[:, 0])
 
 
 def accuracy(scores: DenseVector, y: DenseVector) -> float:

@@ -62,6 +62,14 @@ class TestReadMatrix:
             read_matrix(path)
         assert exc.value.lineno == 3
 
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+    def test_explicit_zero_rejected(self, tmp_path, value):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 2 3\n0\t0:1.5\n1\t0:2.0 1:{value}\n")
+        with pytest.raises(ParseError, match=rf"m\.txt:3: explicit zero") as exc:
+            read_matrix(path)
+        assert exc.value.lineno == 3
+
     def test_multiply_with_non_finite_input_exits_nonzero(self, tmp_path, capsys):
         af = tmp_path / "a.txt"
         af.write_text("1 1 1\n0\t0:nan\n")
@@ -170,6 +178,21 @@ class TestSvm:
                        "--query", data, "--out", scores) == 0
         values = [float(x) for x in scores.read_text().split()]
         assert np.sign(values).tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("alphas,lineno", [("0.5\nnan\n", 2), ("nan\n0.5\n", 1),
+                                              ("0.5\n-0.25\n", 2)])
+    def test_bad_alpha_rejected(self, tmp_path, capsys, alphas, lineno):
+        data = tmp_path / "toy.svm"
+        data.write_text("+1 0:1.0\n-1 0:-1.0\n")
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text(alphas)
+        scores = tmp_path / "scores.txt"
+        assert run_cli("svm-predict", "--data", data, "--alpha", alpha,
+                       "--query", data, "--out", scores) != 0
+        err = capsys.readouterr().err
+        assert f"alpha.txt:{lineno}: alpha must be finite and >= 0" in err
+        assert "--c" not in err and "C must" not in err
+        assert not scores.exists()
 
     @pytest.mark.parametrize("flag,value", [("--eta", "nan"), ("--eta", "inf"),
                                             ("--c", "nan"), ("--c", "inf")])

@@ -282,11 +282,36 @@ class TestBroadcastMultiply:
         np.testing.assert_allclose(R.to_dense(), expected, atol=1e-12)
 
     def test_worker_invariance(self):
-        A = random_sparse(33, 9, 0.4, seed=20)
         B = DenseMatrix(np.arange(18, dtype=float).reshape(9, 2) + 1)
-        base = broadcast_multiply(A, B, 1)
-        for w in (2, 4, 8):
-            assert broadcast_multiply(A, B, w) == base
+        holes = random_sparse(33, 9, 0.4, seed=20).to_dense()
+        holes[[0, 7, 8, 20, 31, 32]] = 0.0  # empty rows, the last two trailing
+        for A in (random_sparse(33, 9, 0.4, seed=20), SparseMatrix.from_dense(holes),
+                  random_sparse(3, 9, 0.4, seed=21)):  # fewer rows than workers
+            base = broadcast_multiply(A, B, 1)
+            for w in (2, 4, 8):
+                assert broadcast_multiply(A, B, w) == base
+
+    @pytest.mark.parametrize("rows,workers", [(33, 1), (33, 2), (33, 8), (3, 8)])
+    def test_ships_one_record_per_row_block(self, monkeypatch, rows, workers):
+        import mrmul.multiply as mm
+        real_run_job, metrics = mm.run_job, []
+
+        def recording_run_job(spec, records):
+            out, m = real_run_job(spec, records)
+            metrics.append(m)
+            return out, m
+
+        monkeypatch.setattr(mm, "run_job", recording_run_job)
+        A = random_sparse(rows, 9, 0.4, seed=22)
+        B = DenseMatrix(np.arange(18, dtype=float).reshape(9, 2) + 1)
+        R = broadcast_multiply(A, B, workers)
+        (m,) = metrics
+        blocks = min(workers, rows)
+        assert m.stage == "broadcast-multiply"
+        # one record per block, shuffled to the worker that computed it
+        assert m.records_per_worker == [1] * blocks + [0] * (workers - blocks)
+        assert m.cross_worker_bytes == 0
+        np.testing.assert_allclose(R.to_dense(), A.to_dense() @ B.values, atol=1e-12)
 
     def test_shape_mismatch(self):
         A = random_sparse(4, 5, 0.5, seed=1)
