@@ -85,6 +85,13 @@ def _write_vector(path, values):
             fh.write(f"{float(v)!r}\n")
 
 
+def _require_finite(outputs):
+    """Refuse to write any of (path, values) when one holds nan or inf."""
+    for path, values in outputs:
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite values in the result for {path}; nothing written")
+
+
 def cmd_generate(args):
     params = GeneratorParams(args.m, args.n, args.delta, args.seed)
     M = generate_random(params, args.workers)
@@ -101,6 +108,7 @@ def cmd_multiply(args):
               f"{args.b} ({B.rows}x{B.cols}): inner dimensions differ", file=sys.stderr)
         return 1
     C, metrics = partition_multiply(A, B, args.schema, args.shard, args.workers)
+    _require_finite([(args.out, C.values)])
     mio.write_matrix(C, args.out)
     if args.metrics:
         with open(args.metrics, "w", encoding="ascii") as fh:
@@ -116,6 +124,8 @@ def cmd_nmf(args):
     timings = []
     state = run_nmf(A, args.k, args.iters, args.workers, args.seed, timing_sink=timings)
     prefix = args.out_prefix
+    _require_finite([(f"{prefix}W.txt", state.W.values), (f"{prefix}H.txt", state.H.values),
+                     (f"{prefix}divergence.csv", state.divergence_history)])
     mio.write_matrix(state.W, f"{prefix}W.txt")
     mio.write_matrix(state.H, f"{prefix}H.txt")
     _write_history(f"{prefix}divergence.csv", state.divergence_history)
@@ -133,6 +143,8 @@ def cmd_svm_train(args):
     prob = SvmProblem(T, y, C=args.c, eta=args.eta)
     state = svm_train(prob, args.iters, args.workers)
     prefix = args.out_prefix
+    _require_finite([(f"{prefix}alpha.txt", state.alpha.values),
+                     (f"{prefix}objective.csv", state.objective_history)])
     _write_vector(f"{prefix}alpha.txt", state.alpha.values)
     _write_history(f"{prefix}objective.csv", state.objective_history)
     scores = svm_predict(state, prob, T, args.workers)
@@ -167,6 +179,7 @@ def cmd_svm_predict(args):
     prob = SvmProblem(T, y)
     Q, _ = read_svm_file(args.query, cols=T.cols)
     scores = svm_predict(state, prob, Q, args.workers)
+    _require_finite([(args.out, scores.values)])
     _write_vector(args.out, scores.values)
     print(f"wrote {args.out}: {len(scores)} scores")
     return 0

@@ -10,7 +10,8 @@ count and shard choice.
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
 operand is cut into one contiguous row block per worker; each block's product
-is one record, shipped to the worker that computed it.
+is one segmented sum over its rows, shipped as one record to the worker that
+computed it. Each row is still formed from that row's products alone.
 """
 
 from __future__ import annotations
@@ -178,12 +179,26 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 # output size; keeps huge sparse expansions off the argsort path.
 _DENSE_WORK_FACTOR = 20
 _DENSE_BYTES_CAP = 48 << 20
-# Bound on the product-expansion scratch of the sparse path; bigger blocks are
-# processed in row batches (rows are independent, so results are unchanged).
+# Bound on the product-expansion scratch of the sparse path and of the
+# broadcast kernel; bigger blocks are processed in row batches (rows are
+# independent, so results are unchanged).
 _SPARSE_BATCH_PRODUCTS = 2 << 20
 # A summation task must be at least this chunky (products per block) before
 # real thread parallelism pays for the GIL handoffs it causes.
 _PARALLEL_MIN_BLOCK_WORK = 16384
+
+
+def _row_batches(row_end):
+    """Cut rows into consecutive [lo, hi) batches whose scratch stays within
+    _SPARSE_BATCH_PRODUCTS; row_end[r] is the scratch through the end of row
+    r. A row larger than the bound is a batch of its own."""
+    lo, n = 0, row_end.size
+    while lo < n:
+        base = row_end[lo - 1] if lo else 0
+        hi = int(np.searchsorted(row_end, base + _SPARSE_BATCH_PRODUCTS, side="right"))
+        hi = min(max(hi, lo + 1), n)
+        yield lo, hi
+        lo = hi
 
 
 def _expand_rows(blk, b_row_nnz, lo_row, hi_row, bw):
@@ -246,18 +261,9 @@ def _block_matmul(blk: _Block):
     else:
         cum = np.concatenate(([0], np.cumsum(len_k)))
         row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
-        parts_u, parts_s = [], []
-        lo = 0
-        while lo < nr:
-            base = cum[blk.a_indptr[lo]]
-            hi = int(np.searchsorted(row_end, base + _SPARSE_BATCH_PRODUCTS, side="left")) + 1
-            hi = min(max(hi, lo + 1), nr)
-            u, s = _expand_rows(blk, b_row_nnz, lo, hi, bw)
-            parts_u.append(u)
-            parts_s.append(s)
-            lo = hi
-        uniq = np.concatenate(parts_u)
-        sums = np.concatenate(parts_s)
+        parts = [_expand_rows(blk, b_row_nnz, lo, hi, bw) for lo, hi in _row_batches(row_end)]
+        uniq = np.concatenate([u for u, _ in parts])
+        sums = np.concatenate([s for _, s in parts])
     out_rows = uniq // bw
     indptr = np.concatenate(([0], np.cumsum(np.bincount(out_rows, minlength=nr)))).astype(np.int64)
     return indptr, uniq % bw, sums, tot
@@ -438,16 +444,19 @@ def broadcast_multiply(A: SparseMatrix, B_small: DenseMatrix, workers: int = 1) 
     broadcast(store, "rhs", B_small.values)
     split = _Splitter(A.rows, min(workers, A.rows))
 
-    # each row's product is formed from that row alone, so the bits do not
-    # depend on how the rows are blocked, nor on the worker count
+    # One segmented sum per batch of non-empty rows. Each row's value is a sum
+    # over that row's own products alone, taken in column order, so the bits
+    # do not depend on how rows are blocked or batched, nor on the worker count.
     def mapper(rec):
         b, indptr, cols, vals, _ = rec
         rhs = store.get("rhs")
         out = np.zeros((indptr.size - 1, rhs.shape[1]))
-        bounds = indptr.tolist()
-        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if lo < hi:
-                out[r] = vals[lo:hi] @ rhs[cols[lo:hi]]
+        rows = np.flatnonzero(np.diff(indptr))
+        starts = indptr[rows]
+        for lo, hi in _row_batches(indptr[rows + 1] * rhs.shape[1]):
+            p_lo, p_hi = starts[lo], indptr[rows[hi - 1] + 1]
+            prod = vals[p_lo:p_hi, None] * rhs[cols[p_lo:p_hi]]
+            out[rows[lo:hi]] = np.add.reduceat(prod, starts[lo:hi] - p_lo, axis=0)
         return [(b, out)]
 
     def reducer(key, values):

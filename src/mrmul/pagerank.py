@@ -14,6 +14,7 @@ block of P's rows, and ships the block's products as one record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,31 +57,28 @@ def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
     """Build the transition matrix from (src, dst) links.
 
     Duplicate edges collapse to one link; a node with no outlinks becomes a
-    uniform column so every column sums to one.
+    uniform column so every column sums to one. An edge outside 0..N-1 is
+    rejected, naming the first such edge in input order.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= d <= 1.0:
         raise ValueError("damping factor must lie in [0, 1]")
-    seen = set()
-    uniq = []
-    for src, dst in edges:
-        if not (0 <= src < N and 0 <= dst < N):
-            raise ValueError(f"edge ({src}, {dst}) outside 0..{N - 1}")
-        if (src, dst) not in seen:
-            seen.add((src, dst))
-            uniq.append((src, dst))
-    outdeg = np.zeros(N, dtype=np.int64)
-    for src, _ in uniq:
-        outdeg[src] += 1
+    try:
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        bad = pairs[((pairs < 0) | (pairs >= N)).any(axis=1)]
+    except OverflowError:  # an id beyond int64: find the first bad edge in Python
+        bad = [e for e in edges if not (0 <= e[0] < N and 0 <= e[1] < N)]
+    if len(bad):
+        src, dst = bad[0]
+        raise ValueError(f"edge ({int(src)}, {int(dst)}) outside 0..{N - 1}")
+    src, dst = np.divmod(np.unique(pairs[:, 0] * N + pairs[:, 1]), N)
+    outdeg = np.bincount(src, minlength=N)
 
-    rows_ids = [dst for _, dst in uniq]
-    cols_ids = [src for src, _ in uniq]
-    vals = [1.0 / outdeg[src] for src, _ in uniq]
-    for j in np.flatnonzero(outdeg == 0):
-        rows_ids.extend(range(N))
-        cols_ids.extend([int(j)] * N)
-        vals.extend([1.0 / N] * N)
+    dangling = np.flatnonzero(outdeg == 0)
+    rows_ids = np.concatenate((dst, np.tile(np.arange(N), dangling.size)))
+    cols_ids = np.concatenate((src, np.repeat(dangling, N)))
+    vals = np.concatenate((1.0 / outdeg[src], np.full(dangling.size * N, 1.0 / N)))
     P = SparseMatrix.from_coo(N, N, rows_ids, cols_ids, vals)
 
     sums = _column_sums(P)

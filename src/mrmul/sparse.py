@@ -262,31 +262,23 @@ def transpose(M: SparseMatrix) -> SparseMatrix:
                         copy=False, validate=False)
 
 
+def _keys(M):
+    """Row-major position row * cols + col of each stored entry, ascending."""
+    return np.repeat(np.arange(M.rows, dtype=np.int64) * M.cols, np.diff(M.indptr)) + M.indices
+
+
 def _ew_sparse(H, X, Y, eps):
-    indptr = np.zeros(H.rows + 1, dtype=np.int64)
-    cols_parts = []
-    vals_parts = []
-    for i in range(H.rows):
-        hc, hv = H.row(i)
-        xc, xv = X.row(i)
-        common, hi, xi = np.intersect1d(hc, xc, assume_unique=True, return_indices=True)
-        indptr[i + 1] = indptr[i]
-        if common.size == 0:
-            continue
-        yc, yv = Y.row(i)
-        if yc.size:
-            pos = np.searchsorted(yc, common)
-            pos_c = np.minimum(pos, yc.size - 1)
-            yvals = np.where((pos < yc.size) & (yc[pos_c] == common), yv[pos_c], 0.0)
-        else:
-            yvals = np.zeros(common.size)
-        out = hv[hi] * xv[xi] / (yvals + eps)
-        indptr[i + 1] = indptr[i] + common.size
-        cols_parts.append(common)
-        vals_parts.append(out)
-    indices = np.concatenate(cols_parts) if cols_parts else _EMPTY_I64
-    values = np.concatenate(vals_parts) if vals_parts else _EMPTY_F64
-    return SparseMatrix(H.rows, H.cols, indptr, indices, values, copy=False)
+    common, hi, xi = np.intersect1d(_keys(H), _keys(X), assume_unique=True,
+                                    return_indices=True)
+    # a sentinel key past every position gives a miss in Y the value 0.0
+    yk = np.append(_keys(Y), H.rows * H.cols)
+    yv = np.append(Y.values, 0.0)
+    pos = np.searchsorted(yk, common)
+    yvals = np.where(yk[pos] == common, yv[pos], 0.0)
+    out = H.values[hi] * X.values[xi] / (yvals + eps)
+    rows, cols = np.divmod(common, H.cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=H.rows))))
+    return SparseMatrix(H.rows, H.cols, indptr, cols, out, copy=False)
 
 
 def elementwise_update(H, X, Y, eps=0.0):

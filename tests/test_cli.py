@@ -77,6 +77,51 @@ class TestReadMatrix:
         assert "a.txt:2" in capsys.readouterr().err
 
 
+class TestNonFiniteResult:
+    """Finite inputs whose results overflow: the command fails before it
+    writes anything."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_svm_train_with_huge_feature(self, tmp_path, capsys):
+        data = tmp_path / "big.svm"
+        data.write_text("+1 0:1e200\n-1 0:-1.0\n")
+        assert run_cli("svm-train", "--data", data, "--iters", 5,
+                       "--out-prefix", tmp_path / "svm_") == 1
+        assert "error: non-finite values in the result for" in capsys.readouterr().err
+        assert not list(tmp_path.glob("svm_*"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nmf_with_huge_values(self, tmp_path, capsys):
+        af = tmp_path / "a.txt"
+        af.write_text("2 2 4\n0\t0:1e300 1:1e300\n1\t0:1e300 1:1e300\n")
+        prefix = tmp_path / "nmf_"
+        assert run_cli("nmf", "--input", af, "--k", 1, "--iters", 3, "--out-prefix", prefix) == 1
+        err = capsys.readouterr().err
+        assert f"error: non-finite values in the result for {prefix}W.txt" in err
+        assert not list(tmp_path.glob("nmf_*"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_multiply_overflow(self, tmp_path, capsys):
+        af = tmp_path / "a.txt"
+        af.write_text("1 1 1\n0\t0:1e200\n")
+        out = tmp_path / "c.txt"
+        assert run_cli("multiply", "--a", af, "--b", af, "--out", out) == 1
+        assert f"error: non-finite values in the result for {out}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_svm_predict_overflow(self, tmp_path, capsys):
+        data = tmp_path / "big.svm"
+        data.write_text("+1 0:1e200\n-1 0:-1.0\n")
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.5\n0.5\n")
+        scores = tmp_path / "scores.txt"
+        assert run_cli("svm-predict", "--data", data, "--alpha", alpha,
+                       "--query", data, "--out", scores) == 1
+        assert f"error: non-finite values in the result for {scores}" in capsys.readouterr().err
+        assert not scores.exists()
+
+
 class TestMultiply:
     def test_identity_canonical_rewrite(self, tmp_path):
         B = random_sparse(8, 8, 0.4, seed=2)

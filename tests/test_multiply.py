@@ -319,6 +319,53 @@ class TestBroadcastMultiply:
             broadcast_multiply(A, DenseMatrix(np.eye(4)), 1)
 
 
+def _csr_bytes(M):
+    return M.indptr.tobytes(), M.indices.tobytes(), M.values.tobytes()
+
+
+@st.composite
+def broadcast_operands(draw):
+    """A with rows of 0, 1, 9 and 140 entries (beyond the 128-wide pairwise
+    blocks of numpy's summation), optionally empty first and last rows, and
+    a dense right-hand side of width 1, 3 or 8."""
+    cols = 150
+    counts = draw(st.lists(st.sampled_from([0, 1, 9, 140]), min_size=1, max_size=12))
+    counts = ([0] if draw(st.booleans()) else []) + counts + ([0] if draw(st.booleans()) else [])
+    width = draw(st.sampled_from([1, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((len(counts), cols))
+    for r, c in enumerate(counts):
+        dense[r, rng.choice(cols, size=c, replace=False)] = rng.uniform(-1.0, 1.0, size=c)
+    return SparseMatrix.from_dense(dense), DenseMatrix(rng.uniform(-1.0, 1.0, (cols, width)))
+
+
+class TestBroadcastKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(broadcast_operands())
+    def test_byte_identical_across_workers(self, operands):
+        A, B = operands
+        base = broadcast_multiply(A, B, 1)
+        for w in (2, 3, 8):
+            assert _csr_bytes(broadcast_multiply(A, B, w)) == _csr_bytes(base)
+        # each row is the segmented sum of that row's own products, alone
+        out = base.to_dense()
+        for r in range(A.rows):
+            cols, vals = A.row(r)
+            if cols.size:
+                alone = np.add.reduceat(vals[:, None] * B.values[cols], [0], axis=0)[0]
+                assert out[r].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(out, A.to_dense() @ B.values, rtol=1e-12, atol=1e-12)
+
+    def test_row_batches_bit_identical(self, monkeypatch):
+        import mrmul.multiply as mm
+        A = random_sparse(40, 40, 0.2, seed=63)
+        B = DenseMatrix(np.random.default_rng(64).random((40, 3)))
+        whole = broadcast_multiply(A, B, 2)
+        # about 24 scratch values per row against a bound of 64: many batches
+        monkeypatch.setattr(mm, "_SPARSE_BATCH_PRODUCTS", 64)
+        assert _csr_bytes(broadcast_multiply(A, B, 2)) == _csr_bytes(whole)
+
+
 class TestSuggestSchema:
     def test_single_worker_tiny(self):
         assert suggest_schema(3, 3, 3, 5, 5, 1) == PartitionSchema(1, 1, 1)

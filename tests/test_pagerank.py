@@ -59,6 +59,37 @@ class TestBuild:
             pagerank_build([(0, 1)], 1.5, 2)
 
 
+class TestBuildArrays:
+    def test_hand_graph_exact_arrays(self):
+        # 0 -> 1, 2 (0 -> 1 twice), 1 -> 3, 2 -> 0, 1, 4; nodes 3 and 4 dangle
+        edges = [(0, 1), (2, 0), (0, 2), (1, 3), (2, 1), (0, 1), (2, 4)]
+        prob = pagerank_build(edges, 0.85, 5)
+        third, fifth = 1 / 3, 1 / 5
+        assert prob.outdeg.tolist() == [2, 1, 3, 0, 0]
+        assert prob.P.indptr.tolist() == [0, 3, 7, 10, 13, 16]
+        assert prob.P.indices.tolist() == [2, 3, 4, 0, 2, 3, 4, 0, 3, 4, 1, 3, 4, 2, 3, 4]
+        assert prob.P.values.tolist() == [third, fifth, fifth,
+                                          0.5, third, fifth, fifth,
+                                          0.5, fifth, fifth,
+                                          1.0, fifth, fifth,
+                                          third, fifth, fifth]
+
+    @pytest.mark.parametrize("edges,first_bad", [
+        ([(0, 1), (5, 0), (1, 2), (3, 1)], "(5, 0)"),
+        ([(0, 1), (1, -1), (2**70, 0)], "(1, -1)"),
+        ([(0, 1), (0, 2**70), (4, 0)], f"(0, {2**70})"),
+    ])
+    def test_first_bad_edge_in_input_order_reported(self, edges, first_bad):
+        with pytest.raises(ValueError) as exc:
+            pagerank_build(edges, 0.85, 3)
+        assert str(exc.value) == f"edge {first_bad} outside 0..2"
+
+    def test_no_edges_gives_uniform_matrix(self):
+        prob = pagerank_build([], 0.85, 3)
+        assert prob.outdeg.tolist() == [0, 0, 0]
+        assert prob.P.to_dense().tolist() == [[1 / 3] * 3] * 3
+
+
 class TestPagerank:
     def test_two_node_cycle_undamped(self):
         prob = pagerank_build([(0, 1), (1, 0)], 1.0, 2)
