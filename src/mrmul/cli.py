@@ -19,11 +19,12 @@ import numpy as np
 from . import io as mio
 from .bench import BenchConfig, run_scaling
 from .engine import METRICS_CSV_HEADER
+from .io import read_svm_file
 from .multiply import PartitionSchema, partition_multiply
 from .nmf import run_nmf
 from .pagerank import pagerank, pagerank_build
 from .sparse import GeneratorParams, generate_random
-from .svm import SvmProblem, accuracy, read_svm_file, svm_predict, svm_train
+from .svm import SvmProblem, accuracy, svm_predict, svm_train
 
 __all__ = ["main"]
 
@@ -187,10 +188,12 @@ def cmd_svm_predict(args):
 
 def cmd_pagerank(args):
     edges = mio.read_edges(args.edges)
-    n = args.nodes if args.nodes else (max((max(s, t) for s, t in edges), default=-1) + 1)
-    if n < 1:
-        print("error: empty graph and no --nodes given", file=sys.stderr)
-        return 1
+    n = args.nodes
+    if n is None:
+        n = max((max(s, t) for s, t in edges), default=-1) + 1
+        if n < 1:
+            print("error: empty graph and no --nodes given", file=sys.stderr)
+            return 1
     prob = pagerank_build(edges, args.damping, n)
     residuals = []
     pi, iters = pagerank(prob, args.tol, args.max_iters, args.workers, residual_sink=residuals)

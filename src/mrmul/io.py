@@ -1,4 +1,4 @@
-"""Deterministic text formats: row-format matrices and edge lists.
+"""Deterministic text formats: row-format matrices, SVM examples and edge lists.
 
 Row format:
     <rows> <cols> <nnz>
@@ -7,6 +7,12 @@ One line per nonempty row, row indices strictly ascending, column indices
 strictly ascending, values finite and nonzero, written in shortest round-trip
 decimal so that read(write(M)) == M bit-exactly.
 
+SVM examples (LIBSVM's layout with 0-based indices):
+    <label> <index>:<value> <index>:<value> ...
+One line per example; the label is finite and the entries follow the row
+format's rules. The matrix width is the largest index + 1, or the width the
+caller gives (a query file must stay inside its training width).
+
 Edge list: one "src TAB dst" pair of 0-based node ids per line.
 """
 
@@ -14,9 +20,16 @@ from __future__ import annotations
 
 import math
 
-from .sparse import SparseMatrix
+import numpy as np
 
-__all__ = ["ParseError", "read_matrix", "write_matrix", "read_edges", "write_edges"]
+from .sparse import DenseVector, SparseMatrix
+
+__all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges",
+           "write_edges"]
+
+# Widest matrix an int64 column index can address: the bound on SVM indices
+# when the caller gives no width.
+_MAX_COLS = np.iinfo(np.int64).max
 
 
 class ParseError(ValueError):
@@ -40,6 +53,34 @@ def write_matrix(M: SparseMatrix, path) -> None:
             fh.write(f"{i}\t{pairs}\n")
 
 
+def _read_entries(tokens, width, indices, values, path, lineno):
+    """Append one row's `col:value` tokens to the flat CSR lists, rejecting
+    any entry that is not an integer column in 0..width-1, strictly above the
+    row's previous column, with a finite nonzero float value."""
+    prev_col = -1
+    for tok in tokens:
+        c, colon, v = tok.partition(":")
+        if not colon:
+            raise ParseError(path, lineno, f"bad entry {tok!r}, expected col:value")
+        try:
+            col = int(c)
+            val = float(v)
+        except ValueError:
+            raise ParseError(path, lineno, f"bad entry {tok!r}") from None
+        if not math.isfinite(val):
+            raise ParseError(path, lineno, f"non-finite value in {tok!r}")
+        if val == 0.0:
+            raise ParseError(path, lineno, f"explicit zero in {tok!r}")
+        if not 0 <= col < width:
+            raise ParseError(path, lineno, f"column index {col} outside 0..{width - 1}")
+        if col <= prev_col:
+            raise ParseError(
+                path, lineno, f"column index {col} not strictly ascending (after {prev_col})")
+        prev_col = col
+        indices.append(col)
+        values.append(val)
+
+
 def read_matrix(path) -> SparseMatrix:
     """Parse a row-format matrix file, rejecting malformed or inconsistent input."""
     with open(path, "r", encoding="ascii") as fh:
@@ -58,8 +99,8 @@ def read_matrix(path) -> SparseMatrix:
         if nnz < 0:
             raise ParseError(path, 1, "negative nnz in header")
 
-        row_entries = [[] for _ in range(rows)]
-        seen = 0
+        counts = [0] * rows
+        indices, values = [], []
         prev_row = -1
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -77,33 +118,52 @@ def read_matrix(path) -> SparseMatrix:
             if i <= prev_row:
                 raise ParseError(path, lineno, f"row index {i} not strictly ascending")
             prev_row = i
-            entries = row_entries[i]
-            prev_col = -1
-            for tok in rest.split():
-                c, colon, v = tok.partition(":")
-                if not colon:
-                    raise ParseError(path, lineno, f"bad entry {tok!r}, expected col:value")
-                try:
-                    col = int(c)
-                    val = float(v)
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad entry {tok!r}") from None
-                if not math.isfinite(val):
-                    raise ParseError(path, lineno, f"non-finite value in {tok!r}")
-                if val == 0.0:
-                    raise ParseError(path, lineno, f"explicit zero in {tok!r}")
-                if not 0 <= col < cols:
-                    raise ParseError(path, lineno, f"column index {col} outside 0..{cols - 1}")
-                if col <= prev_col:
-                    raise ParseError(
-                        path, lineno,
-                        f"column index {col} not strictly ascending (after {prev_col})")
-                prev_col = col
-                entries.append((col, val))
-                seen += 1
-        if seen != nnz:
-            raise ParseError(path, 1, f"header declares nnz={nnz} but file has {seen} entries")
-    return SparseMatrix.from_rows(rows, cols, row_entries)
+            start = len(indices)
+            _read_entries(rest.split(), cols, indices, values, path, lineno)
+            counts[i] = len(indices) - start
+        if len(indices) != nnz:
+            raise ParseError(path, 1, f"header declares nnz={nnz} but file has {len(indices)} entries")
+    return SparseMatrix(rows, cols, np.concatenate(([0], np.cumsum(counts))), indices, values)
+
+
+def read_svm_file(path, cols=None):
+    """Parse label-prefixed sparse examples: '<label> <index>:<value> ...'.
+
+    Labels must be finite; they may be -1/+1 already or any two distinct
+    values, which are mapped to -1 (smaller) and +1 (larger). Features follow
+    the row format's entry rules. Given `cols` (a query read against its
+    training width), an index at or past it is rejected. Returns (T, y).
+    """
+    bound = _MAX_COLS if cols is None else cols
+    labels, indptr, indices, values = [], [0], [], []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            toks = line.split()
+            if not toks:
+                continue
+            try:
+                label = float(toks[0])
+            except ValueError:
+                raise ParseError(path, lineno, f"bad label {toks[0]!r}") from None
+            if not math.isfinite(label):
+                raise ParseError(path, lineno, f"non-finite label {toks[0]!r}")
+            labels.append(label)
+            _read_entries(toks[1:], bound, indices, values, path, lineno)
+            indptr.append(len(indices))
+    if not labels:
+        raise ParseError(path, 1, "no examples in file")
+    width = cols if cols is not None else max(indices, default=-1) + 1
+    if width < 1:
+        raise ParseError(path, 1, "no features in file")
+
+    y = np.array(labels)
+    uniq = np.unique(y)
+    if not set(uniq.tolist()) <= {-1.0, 1.0}:
+        if len(uniq) != 2:
+            raise ParseError(path, 1, f"expected two label values, found {len(uniq)}")
+        y = np.where(y == uniq[0], -1.0, 1.0)
+    T = SparseMatrix(len(labels), width, indptr, indices, values)
+    return T, DenseVector(y)
 
 
 def write_edges(edges, path) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .multiply import PartitionSchema, broadcast_multiply, partition_multiply
 from .sparse import DenseMatrix, GeneratorParams, SparseMatrix, elementwise_update, generate_random, transpose
 
-__all__ = ["NmfState", "NmfSchemas", "nmf_init", "nmf_step", "nmf_divergence", "run_nmf",
+__all__ = ["NmfState", "nmf_init", "nmf_step", "nmf_divergence", "run_nmf",
            "COMPONENT_X", "COMPONENT_Y", "COMPONENT_H"]
 
 DIVISION_EPS = 1e-12
@@ -50,33 +50,10 @@ class NmfState:
             raise ValueError("factors must be nonnegative")
 
 
-@dataclass(frozen=True)
-class NmfSchemas:
-    """Partition schemas for the four large products of one update."""
-
-    wta: PartitionSchema
-    wtw: PartitionSchema
-    aht: PartitionSchema
-    hht: PartitionSchema
-
-
 # Fixed split count so schemas (and therefore the floating-point summation
 # grouping) never depend on the worker count; blocks are spread over workers
 # by the rand shard instead.
 _SPLIT = 8
-
-
-def default_schemas(A: SparseMatrix, k: int) -> NmfSchemas:
-    # Split the long dimensions only; k stays whole so no schema ever cuts
-    # across the short edge of the factors.
-    rows_split = min(_SPLIT, A.rows)
-    cols_split = min(_SPLIT, A.cols)
-    return NmfSchemas(
-        wta=PartitionSchema(1, rows_split, cols_split),
-        wtw=PartitionSchema(1, rows_split, 1),
-        aht=PartitionSchema(rows_split, cols_split, 1),
-        hht=PartitionSchema(1, cols_split, 1),
-    )
 
 
 def nmf_init(A: SparseMatrix, k: int, seed: int = 0) -> NmfState:
@@ -101,19 +78,22 @@ def _small_dense(M: SparseMatrix, transposed=False) -> DenseMatrix:
     return DenseMatrix(d.T if transposed else d)
 
 
-def nmf_step(A: SparseMatrix, state: NmfState, schemas: NmfSchemas | None = None,
-             workers: int = 1, eps: float = DIVISION_EPS, timing_sink=None) -> NmfState:
+def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DIVISION_EPS,
+             timing_sink=None) -> NmfState:
     """One full multiplicative update (H then W); appends the new divergence."""
     if A.rows != state.W.rows or A.cols != state.H.cols:
         raise ValueError("A inconsistent with factor shapes")
-    cfg = schemas or default_schemas(A, state.k)
     W, H = state.W, state.H
+    # Split the long dimensions only; k stays whole so no schema ever cuts
+    # across the short edge of the factors.
+    rows_split = min(_SPLIT, A.rows)
+    cols_split = min(_SPLIT, A.cols)
 
     t0 = time.perf_counter()
     Wt = transpose(W)
-    X, _ = partition_multiply(Wt, A, cfg.wta, "rand", workers)
+    X, _ = partition_multiply(Wt, A, PartitionSchema(1, rows_split, cols_split), "rand", workers)
     t1 = time.perf_counter()
-    Cww, _ = partition_multiply(Wt, W, cfg.wtw, "rand", workers)
+    Cww, _ = partition_multiply(Wt, W, PartitionSchema(1, rows_split, 1), "rand", workers)
     # Y = (Wt W) H computed transposed: rows of Ht times the small square,
     # so every worker only ever reads whole rows.
     Yt = broadcast_multiply(transpose(H), _small_dense(Cww, transposed=True), workers)
@@ -123,8 +103,8 @@ def nmf_step(A: SparseMatrix, state: NmfState, schemas: NmfSchemas | None = None
     t3 = time.perf_counter()
 
     Ht = transpose(H_new)
-    Xw, _ = partition_multiply(A, Ht, cfg.aht, "rand", workers)
-    Chh, _ = partition_multiply(H_new, Ht, cfg.hht, "rand", workers)
+    Xw, _ = partition_multiply(A, Ht, PartitionSchema(rows_split, cols_split, 1), "rand", workers)
+    Chh, _ = partition_multiply(H_new, Ht, PartitionSchema(1, cols_split, 1), "rand", workers)
     Yw = broadcast_multiply(W, _small_dense(Chh), workers)
     W_new = elementwise_update(W, Xw, Yw, eps)
 
@@ -138,9 +118,11 @@ def nmf_step(A: SparseMatrix, state: NmfState, schemas: NmfSchemas | None = None
 
 
 def run_nmf(A: SparseMatrix, k: int, iters: int, workers: int = 1, seed: int = 0,
-            schemas: NmfSchemas | None = None, timing_sink=None) -> NmfState:
+            timing_sink=None) -> NmfState:
     """Factorize A with `iters` multiplicative updates from a seeded init."""
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
     state = nmf_init(A, k, seed)
     for _ in range(iters):
-        state = nmf_step(A, state, schemas, workers, timing_sink=timing_sink)
+        state = nmf_step(A, state, workers, timing_sink=timing_sink)
     return state

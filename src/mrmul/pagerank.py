@@ -97,6 +97,8 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     sums = _column_sums(prob.P)
     if sums.size and np.max(np.abs(sums - 1.0)) > _COLUMN_SUM_TOL:
         raise PagerankError("transition matrix is not column-stochastic")

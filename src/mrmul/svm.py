@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import read_svm_file
 from .multiply import PartitionSchema, broadcast_multiply, partition_multiply
 from .sparse import DenseMatrix, DenseVector, SparseMatrix, transpose
 
@@ -55,18 +56,15 @@ class SvmState:
     objective_history: list = field(default_factory=list)
 
 
-def svm_build_kernel(T: SparseMatrix, schema=None, workers: int = 1) -> SparseMatrix:
+def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> SparseMatrix:
     """Linear kernel K = T Tt; symmetric, diagonal holds squared row norms.
 
-    The default schema splits only the example dimension (never the features,
-    which form the inner dimension) and is independent of the worker count so
-    the kernel is bit-identical however many workers run the build.
+    The schema splits only the example dimension (never the features, which
+    form the inner dimension) and is independent of the worker count so the
+    kernel is bit-identical however many workers run the build.
     """
-    Tt = transpose(T)
-    if schema is None:
-        side = min(8, T.rows)
-        schema = PartitionSchema(side, 1, side)
-    K, _ = partition_multiply(T, Tt, schema, "rand", workers)
+    side = min(8, T.rows)
+    K, _ = partition_multiply(T, transpose(T), PartitionSchema(side, 1, side), "rand", workers)
     return K
 
 
@@ -83,11 +81,11 @@ def svm_objective(alpha: np.ndarray, y: np.ndarray, K_dense: np.ndarray) -> floa
     return float(alpha.sum() - 0.5 * q @ (K_dense @ q))
 
 
-def svm_train(prob: SvmProblem, iters: int, workers: int = 1, schema=None) -> SvmState:
+def svm_train(prob: SvmProblem, iters: int, workers: int = 1) -> SvmState:
     """Projected gradient ascent from alpha = 0, clipping into [0, C] each step."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    K = svm_build_kernel(prob.T, schema, workers)
+    K = svm_build_kernel(prob.T, workers)
     K_dense = K.to_dense()
     alpha = np.zeros(prob.T.rows)
     state = SvmState(DenseVector(alpha), K, [svm_objective(alpha, prob.y.values, K_dense)])
@@ -116,61 +114,3 @@ def accuracy(scores: DenseVector, y: DenseVector) -> float:
     """Fraction of sign agreements; a zero score counts as the negative class."""
     pred = np.where(scores.values > 0, 1.0, -1.0)
     return float(np.mean(pred == y.values))
-
-
-def read_svm_file(path, cols=None):
-    """Parse label-prefixed sparse examples: '<label> <index>:<value> ...'.
-
-    Labels may be -1/+1 already or any two distinct values, which are mapped
-    to -1 (smaller) and +1 (larger). Returns (T, y).
-    """
-    from .io import ParseError
-
-    labels = []
-    rows = []
-    max_col = -1
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split()
-            try:
-                labels.append(float(toks[0]))
-            except ValueError:
-                raise ParseError(path, lineno, f"bad label {toks[0]!r}") from None
-            entries = []
-            prev = -1
-            for tok in toks[1:]:
-                c, colon, v = tok.partition(":")
-                if not colon:
-                    raise ParseError(path, lineno, f"bad feature {tok!r}, expected index:value")
-                try:
-                    col = int(c)
-                    val = float(v)
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad feature {tok!r}") from None
-                if col <= prev:
-                    raise ParseError(path, lineno, f"feature index {col} not ascending")
-                prev = col
-                entries.append((col, val))
-            if entries:
-                max_col = max(max_col, entries[-1][0])
-            rows.append(entries)
-    if not rows:
-        raise ParseError(path, 1, "no examples in file")
-    width = cols if cols is not None else max_col + 1
-    if max_col >= width:
-        raise ParseError(path, 1, f"feature index {max_col} exceeds width {width}")
-    if width < 1:
-        raise ParseError(path, 1, "no features in file")
-
-    uniq = sorted(set(labels))
-    if set(uniq) <= {-1.0, 1.0}:
-        y = labels
-    elif len(uniq) == 2:
-        y = [-1.0 if v == uniq[0] else 1.0 for v in labels]
-    else:
-        raise ParseError(path, 1, f"expected two label values, found {len(uniq)}")
-    T = SparseMatrix.from_rows(len(rows), width, rows)
-    return T, DenseVector(y)

@@ -322,3 +322,31 @@ class TestConfigFile:
                        "--m", 2, "--n", 2, "--delta", "1",
                        "--out", tmp_path / "x.txt") == 1
         assert "config" in capsys.readouterr().err
+
+
+class TestImpossibleFlags:
+    """A solver flag outside its range fails before any output is written."""
+
+    def test_nmf_negative_iters(self, tmp_path, capsys):
+        af = tmp_path / "a.txt"
+        af.write_text("2 2 3\n0\t0:1.0 1:2.0\n1\t1:3.0\n")
+        assert run_cli("nmf", "--input", af, "--k", 1, "--iters", -1,
+                       "--out-prefix", tmp_path / "nmf_") == 1
+        assert "iters must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("nmf_*"))
+
+    def test_pagerank_negative_max_iters(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t0\n")
+        assert run_cli("pagerank", "--edges", edges, "--max-iters", -3,
+                       "--out-prefix", tmp_path / "pr_") == 1
+        assert "max_iters must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pr_*"))
+
+    def test_pagerank_zero_nodes(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t0\n")
+        assert run_cli("pagerank", "--edges", edges, "--nodes", 0,
+                       "--out-prefix", tmp_path / "pr_") == 1
+        assert "N must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pr_*"))

@@ -1,3 +1,4 @@
+import pickle
 import threading
 
 import numpy as np
@@ -328,3 +329,39 @@ class TestMetricsCsv:
         assert parts[0] == "wordcount"
         assert parts[-1] == "2"
         assert len(parts) == 7
+
+
+class TestRunJobProperty:
+    """run_job against the sequential reference: map every record, group by
+    key, keys ascending, each group's values in serialized order, reduce."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=40),
+           workers=st.integers(1, 8), fanout=st.integers(0, 3), keys=st.integers(1, 12),
+           parallel=st.booleans(), pinned=st.booleans())
+    def test_matches_sequential_reference(self, data, records, workers, fanout, keys,
+                                          parallel, pinned):
+        shard = data.draw(st.lists(st.integers(0, workers - 1), min_size=keys, max_size=keys))
+        place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
+
+        def mapper(rec):
+            return [((rec * 7 + j) % keys, (rec, j, -rec * 0.5)) for j in range(rec % (fanout + 1))]
+
+        def reducer(key, values):
+            return [(key, len(values)), (key, tuple(values))]
+
+        spec = JobSpec(mapper, reducer, shard.__getitem__, workers=workers, parallel=parallel,
+                       map_affinity=place.__getitem__ if pinned else None)
+        out, metrics = run_job(spec, records)
+
+        emitted = [kv for rec in records for kv in mapper(rec)]
+        groups = {}
+        for key, value in emitted:
+            groups.setdefault(key, []).append(value)
+        expected = []
+        for key in sorted(groups):
+            ordered = sorted(groups[key], key=lambda v: pickle.dumps((key, v), protocol=5))
+            expected.extend(reducer(key, ordered))
+        assert out == expected
+        assert sum(metrics.records_per_worker) == len(emitted)
+        assert metrics.shuffle_bytes == sum(len(serialize_record(k, v)) for k, v in emitted)

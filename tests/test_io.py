@@ -1,0 +1,162 @@
+"""The two sparse readers: SVM example files rejected at the offending line,
+and fuzzed valid files that must parse back exactly and, with one token
+corrupted, fail with a ParseError naming that token's line."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrmul.cli import main
+from mrmul.io import ParseError, read_matrix, read_svm_file, write_matrix
+from mrmul.sparse import SparseMatrix
+
+GOOD_LINES = ["+1 0:1.0 2:2.0", "-1 1:1.5"]
+
+
+def run_cli(*args):
+    return main([str(a) for a in args])
+
+
+class TestSvmFileRejects:
+    """Each bad third line fails at line 3 with the diagnostic beside it,
+    and svm-train writes nothing."""
+
+    BAD_LINES = {
+        "nan value": ("+1 0:0.5 1:nan", "non-finite value in '1:nan'"),
+        "inf value": ("+1 0:0.5 1:inf", "non-finite value in '1:inf'"),
+        "explicit zero": ("+1 0:0.0", "explicit zero in '0:0.0'"),
+        "negative index": ("+1 -1:1.0", "column index -1 outside"),
+        "nan label": ("nan 0:1.0", "non-finite label 'nan'"),
+        "inf label": ("-inf 0:1.0", "non-finite label '-inf'"),
+    }
+
+    @pytest.fixture(params=sorted(BAD_LINES))
+    def bad_file(self, request, tmp_path):
+        line, message = self.BAD_LINES[request.param]
+        path = tmp_path / "bad.svm"
+        path.write_text("\n".join(GOOD_LINES + [line]) + "\n")
+        return path, f"bad.svm:3: {message}"
+
+    def test_parse_error_names_the_line(self, bad_file):
+        path, message = bad_file
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            read_svm_file(path)
+        assert exc.value.lineno == 3
+
+    def test_svm_train_exits_nonzero_and_writes_nothing(self, bad_file, tmp_path, capsys):
+        path, message = bad_file
+        assert run_cli("svm-train", "--data", path, "--iters", 5,
+                       "--out-prefix", tmp_path / "svm_") == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("svm_*"))
+
+    @pytest.mark.parametrize("index", [3, 4, 99])
+    def test_query_index_past_training_width(self, tmp_path, capsys, index):
+        data = tmp_path / "train.svm"
+        data.write_text("\n".join(GOOD_LINES) + "\n")
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.5\n0.5\n")
+        query = tmp_path / "query.svm"
+        query.write_text(f"+1 0:1.0\n-1 1:1.0 {index}:2.0\n")
+        with pytest.raises(ParseError, match=rf"query\.svm:2: column index {index} outside 0\.\.2"):
+            read_svm_file(query, cols=3)
+        scores = tmp_path / "scores.txt"
+        assert run_cli("svm-predict", "--data", data, "--alpha", alpha,
+                       "--query", query, "--out", scores) == 1
+        assert "query.svm:2: " in capsys.readouterr().err
+        assert not scores.exists()
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+values = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+
+
+@st.composite
+def sparse_rows(draw, max_rows=6, max_cols=7):
+    """Per-row [(col, value), ...] lists with at least one entry overall."""
+    n = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    rows = [[(c, draw(values)) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))]
+            for _ in range(n)]
+    if not any(rows):
+        rows[draw(st.integers(0, n - 1))].append((draw(st.integers(0, cols - 1)), draw(values)))
+    return cols, rows
+
+
+CORRUPTIONS = ("nan", "inf", "zero", "x", "negative", "out of range", "repeat", "no colon")
+
+
+def corrupt(draw, token, prev, width):
+    """One corruption of a `col:value` token, returned with its kind; `prev`
+    is the row's previous token, or None for the row's first one."""
+    c, _, v = token.partition(":")
+    kind = draw(st.sampled_from([k for k in CORRUPTIONS if k != "repeat" or prev is not None]))
+    if kind in ("nan", "inf"):
+        return kind, f"{c}:{draw(st.sampled_from(['', '-', '+']))}{kind}"
+    if kind == "zero":
+        return kind, f"{c}:{draw(st.sampled_from(['0', '0.0', '-0.0']))}"
+    if kind == "x":
+        return kind, f"{c}:x"
+    if kind == "negative":
+        return kind, f"{-1 - int(c)}:{v}"
+    if kind == "out of range":
+        return kind, f"{width + draw(st.integers(0, 3))}:{v}"
+    if kind == "repeat":
+        return kind, f"{prev.partition(':')[0]}:{v}"
+    return kind, c + v
+
+
+class TestReadMatrixFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_and_one_corrupt_token(self, tmp_path_factory, data):
+        cols, rows = data.draw(sparse_rows())
+        M = SparseMatrix.from_rows(len(rows), cols, rows)
+        path = tmp_path_factory.mktemp("fuzz") / "m.txt"
+        write_matrix(M, path)
+        assert read_matrix(path) == M
+
+        lines = path.read_text().splitlines()
+        at = data.draw(st.integers(1, len(lines) - 1))  # a row line, never the header
+        head, _, rest = lines[at].partition("\t")
+        toks = rest.split()
+        j = data.draw(st.integers(0, len(toks) - 1))
+        _, toks[j] = corrupt(data.draw, toks[j], toks[j - 1] if j else None, cols)
+        lines[at] = f"{head}\t{' '.join(toks)}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_matrix(path)
+        assert exc.value.lineno == at + 1
+
+
+class TestReadSvmFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_and_one_corrupt_token(self, tmp_path_factory, data):
+        _, rows = data.draw(sparse_rows())
+        labels = data.draw(st.lists(st.sampled_from(["+1", "-1", "1", "-1.0"]),
+                                    min_size=len(rows), max_size=len(rows)))
+        lines = [" ".join([lab] + [f"{c}:{v!r}" for c, v in row])
+                 for lab, row in zip(labels, rows)]
+        path = tmp_path_factory.mktemp("fuzz") / "d.svm"
+        path.write_text("\n".join(lines) + "\n")
+        width = 1 + max(c for row in rows for c, _ in row)
+        T = SparseMatrix.from_rows(len(rows), width, rows)
+        for cols in (None, width):
+            back, y = read_svm_file(path, cols=cols)
+            assert back == T
+            assert y.values.tolist() == [float(lab) for lab in labels]
+
+        at = data.draw(st.sampled_from([i for i, row in enumerate(rows) if row]))
+        toks = lines[at].split()
+        j = data.draw(st.integers(1, len(toks) - 1))  # a feature, never the label
+        kind, toks[j] = corrupt(data.draw, toks[j], toks[j - 1] if j > 1 else None, width)
+        path.write_text("\n".join(lines[:at] + [" ".join(toks)] + lines[at + 1:]) + "\n")
+        # without a width, an index past the training width only widens T
+        for cols in (width,) if kind == "out of range" else (None, width):
+            with pytest.raises(ParseError) as exc:
+                read_svm_file(path, cols=cols)
+            assert exc.value.lineno == at + 1
