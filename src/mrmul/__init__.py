@@ -17,7 +17,6 @@ from .engine import (
 )
 from .io import ParseError, read_edges, read_matrix, write_edges, write_matrix
 from .multiply import (
-    BlockKey,
     PartitionSchema,
     ShardFunction,
     broadcast_multiply,

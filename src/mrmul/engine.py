@@ -138,13 +138,11 @@ class JobSpec:
     name: str = "job"
     ops: Accumulator | None = None
     map_affinity: Callable[[Any], int] | None = None
-    # Run tasks on real threads only when their work is coarse enough to
-    # amortize GIL handoffs; False executes tasks one at a time with the same
-    # worker placement, metrics, and output. reduce_parallel overrides the
-    # choice for the reduce phase (None inherits), since a job may have chunky
-    # map tasks but fine-grained reducers.
+    # Run map tasks on real threads only when their work is coarse enough to
+    # amortize GIL handoffs; False executes them one at a time with the same
+    # worker placement, metrics, and output. Reduce tasks always run one
+    # worker at a time: the reducers here are fine-grained merges.
     parallel: bool = True
-    reduce_parallel: bool | None = None
 
 
 @dataclass
@@ -291,10 +289,8 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
         groups[key] = [value for _, _, value in bucket]
     t2 = time.perf_counter()
 
-    reduce_out = _run_tasks(
-        _reduce_task, nw,
-        [(worker_keys[w], groups, spec.reducer, spec.name) for w in range(nw)],
-        spec.parallel if spec.reduce_parallel is None else spec.reduce_parallel)
+    reduce_out = [_reduce_task(w, worker_keys[w], groups, spec.reducer, spec.name)
+                  for w in range(nw)]
     by_key = {}
     for part in reduce_out:
         by_key.update(part)

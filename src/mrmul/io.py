@@ -27,8 +27,8 @@ from .sparse import DenseVector, SparseMatrix
 __all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges",
            "write_edges"]
 
-# Widest matrix an int64 column index can address: the bound on SVM indices
-# when the caller gives no width.
+# Widest matrix an int64 index can address: the bound on a matrix header's
+# shape, and on SVM indices when the caller gives no width.
 _MAX_COLS = np.iinfo(np.int64).max
 
 
@@ -94,8 +94,8 @@ def read_matrix(path) -> SparseMatrix:
             rows, cols, nnz = (int(p) for p in parts)
         except ValueError:
             raise ParseError(path, 1, f"non-integer header field in {header.strip()!r}") from None
-        if rows < 1 or cols < 1:
-            raise ParseError(path, 1, f"matrix shape must be positive, got {rows}x{cols}")
+        if not (1 <= rows <= _MAX_COLS and 1 <= cols <= _MAX_COLS):
+            raise ParseError(path, 1, f"matrix shape {rows}x{cols} outside 1..{_MAX_COLS}")
         if nnz < 0:
             raise ParseError(path, 1, "negative nnz in header")
 

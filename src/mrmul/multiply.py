@@ -10,8 +10,9 @@ count and shard choice.
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
 operand is cut into one contiguous row block per worker; each block's product
-is one segmented sum over its rows, shipped as one record to the worker that
-computed it. Each row is still formed from that row's products alone.
+is one segmented sum over its rows (a DenseMatrix block is cut the same way
+and multiplied by one row-independent einsum), shipped as one record to the
+worker that computed it. Each row is still formed from that row alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .engine import Accumulator, BroadcastStore, JobSpec, broadcast, run_job
 from .sparse import DenseMatrix, SparseMatrix
 
 __all__ = [
-    "BlockKey",
     "PartitionSchema",
     "ShardFunction",
     "shard_naive",
@@ -53,14 +53,6 @@ def _mix(*parts) -> int:
     for p in parts:
         h = splitmix64(h ^ splitmix64(int(p)))
     return h
-
-
-class BlockKey(NamedTuple):
-    """Identifies one block-multiplication task of the partition stage."""
-
-    alpha: int  # block-row of the output, in [0, m)
-    beta: int   # block-col of the output, in [0, k)
-    gamma: int  # inner summation index, in [0, n)
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,6 @@ class ShardFunction:
         if self.kind == "naive":
             return key[0] % self.p
         return _mix(_ROW_SALT, key[0], key[1]) % self.p
-
-    def __call__(self, key):
-        return self.block(key)
 
 
 class _Splitter:
@@ -335,8 +324,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
 
     # Input records are row blocks: A cut by alpha, B by gamma. Each emits one
     # CSR sub-block per non-empty column block, duplicated once per block it
-    # pairs with. Keys are plain (alpha, beta, gamma) tuples: equal and
-    # hash-compatible with BlockKey, but cheaper to serialize.
+    # pairs with. Keys are plain (alpha, beta, gamma) tuples: alpha is the
+    # output block-row, beta the output block-column, gamma the inner block.
     def partition_mapper(rec):
         tag, blk, indptr, cols, vals, first_row = rec
         out = []
@@ -405,8 +394,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
 
     # Partition tasks are a few row-block cuts plus record serialization,
     # mostly Python-level, so threads would only add GIL handoffs. Summation
-    # tasks run in parallel when the per-block multiply work is chunky enough
-    # to profit.
+    # map tasks run in parallel when the per-block multiply work is chunky
+    # enough to profit.
     total_products = int(np.diff(B.indptr)[A.indices].sum()) if A.nnz else 0
     blocks = m * n * k
     if total_products * _DENSE_WORK_FACTOR >= A.rows * A.cols * B.cols:
@@ -417,25 +406,24 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
                    workers=workers, name="partition", ops=ops, parallel=False)
     grouped, m1 = run_job(job1, records)
 
-    # block products are the chunky tasks; the per-row merges that follow are
-    # fine-grained and thrash across threads
     job2 = JobSpec(summation_mapper, summation_reducer, shard_fn=shard.row,
                    workers=workers, name="summation", ops=ops,
                    map_affinity=lambda rec: shard.block(rec.key),
-                   parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK,
-                   reduce_parallel=False)
+                   parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK)
     summed, m2 = run_job(job2, grouped)
 
     C = _assemble(A.rows, B.cols, ((i, cb, vb) for (alpha, i), (cb, vb) in summed))
     return C, [m1, m2]
 
 
-def broadcast_multiply(A: SparseMatrix, B_small: DenseMatrix, workers: int = 1) -> SparseMatrix:
+def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
+                       workers: int = 1) -> SparseMatrix | DenseMatrix:
     """Row-wise product: row i of the result is row i of A times B_small.
 
     A is cut into one contiguous row block per worker, and each block is one
     input record; B_small is broadcast once per call and never shuffled. A
     block's map task ships one record, its dense product, to its own worker.
+    The result has A's type.
     """
     if A.cols != B_small.rows:
         raise ValueError(
@@ -443,13 +431,18 @@ def broadcast_multiply(A: SparseMatrix, B_small: DenseMatrix, workers: int = 1) 
     store = BroadcastStore()
     broadcast(store, "rhs", B_small.values)
     split = _Splitter(A.rows, min(workers, A.rows))
+    dense = isinstance(A, DenseMatrix)
 
-    # One segmented sum per batch of non-empty rows. Each row's value is a sum
-    # over that row's own products alone, taken in column order, so the bits
-    # do not depend on how rows are blocked or batched, nor on the worker count.
+    # Each row is formed from that row and rhs alone, so its bits depend on
+    # neither the row blocking nor the worker count: a dense block is one
+    # einsum (a BLAS matmul may regroup a row's sum by the block's shape), a
+    # sparse one a segmented sum per batch of non-empty rows, in column order.
     def mapper(rec):
-        b, indptr, cols, vals, _ = rec
+        b, *block = rec
         rhs = store.get("rhs")
+        if dense:
+            return [(b, np.einsum("ij,jk->ik", block[0], rhs))]
+        indptr, cols, vals, _ = block
         out = np.zeros((indptr.size - 1, rhs.shape[1]))
         rows = np.flatnonzero(np.diff(indptr))
         starts = indptr[rows]
@@ -462,12 +455,14 @@ def broadcast_multiply(A: SparseMatrix, B_small: DenseMatrix, workers: int = 1) 
     def reducer(key, values):
         return [(key, values[0])]
 
-    per_row_work = (A.nnz // A.rows) * B_small.cols
+    cut = (lambda M, lo, hi: (M.values[lo:hi],)) if dense else _row_block
+    per_row_work = (A.cols if dense else A.nnz // A.rows) * B_small.cols
     spec = JobSpec(mapper, reducer, shard_fn=lambda b: b,
                    workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
-                   parallel=per_row_work >= 4096, reduce_parallel=False)
-    out, _ = run_job(spec, [(b, *_row_block(A, *split.range(b))) for b in range(split.parts)])
-    return SparseMatrix.from_dense(np.vstack([block for _, block in out]))
+                   parallel=per_row_work >= 4096)
+    out, _ = run_job(spec, [(b, *cut(A, *split.range(b))) for b in range(split.parts)])
+    C = np.vstack([block for _, block in out])
+    return DenseMatrix(C) if dense else SparseMatrix.from_dense(C)
 
 
 def suggest_schema(rows_a, cols_a, cols_b, nnz_a, nnz_b, workers,

@@ -198,6 +198,13 @@ class DenseMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self.values))
+
+    def to_dense(self):
+        return self.values.copy()
+
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented

@@ -6,9 +6,10 @@ The dual objective
 
 is maximized subject to the box 0 <= alpha_i <= C; the bias is held at zero so
 no equality constraint applies. The linear kernel matrix K = T Tt is built
-once with partition_multiply; each ascent step needs K (y .* alpha), which is
-row-local in K, so it runs through broadcast_multiply with the small vector
-broadcast to all workers.
+once with partition_multiply and held as a DenseMatrix (it is nearly full).
+Each ascent step's one product K (y .* alpha) is row-local in K, so it runs
+through broadcast_multiply with the small vector broadcast to all workers; it
+also gives the objective value before the step.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ class SvmState:
     and the objective history."""
 
     alpha: DenseVector
-    K: SparseMatrix | None
+    K: DenseMatrix | None
     objective_history: list = field(default_factory=list)
 
 
-def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> SparseMatrix:
-    """Linear kernel K = T Tt; symmetric, diagonal holds squared row norms.
+def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> DenseMatrix:
+    """Linear kernel K = T Tt, dense; symmetric, diagonal holds squared row norms.
 
     The schema splits only the example dimension (never the features, which
     form the inner dimension) and is independent of the worker count so the
@@ -65,7 +66,7 @@ def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> SparseMatrix:
     """
     side = min(8, T.rows)
     K, _ = partition_multiply(T, transpose(T), PartitionSchema(side, 1, side), "rand", workers)
-    return K
+    return DenseMatrix(K.to_dense())
 
 
 def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVector:
@@ -76,24 +77,24 @@ def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVe
     return DenseVector(prob.eta * (1.0 - y * kd))
 
 
-def svm_objective(alpha: np.ndarray, y: np.ndarray, K_dense: np.ndarray) -> float:
+def svm_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
     q = y * alpha
-    return float(alpha.sum() - 0.5 * q @ (K_dense @ q))
+    return float(alpha.sum() - 0.5 * q @ (K @ q))
 
 
 def svm_train(prob: SvmProblem, iters: int, workers: int = 1) -> SvmState:
-    """Projected gradient ascent from alpha = 0, clipping into [0, C] each step."""
+    """Projected gradient ascent from alpha = 0, clipping into [0, C] each step.
+    As y .* (K q) = 1 - g / eta, each gradient also gives W(alpha) =
+    sum(alpha) / 2 + alpha . g / (2 eta); one last gradient gives W(alpha_iters)."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    K = svm_build_kernel(prob.T, workers)
-    K_dense = K.to_dense()
-    alpha = np.zeros(prob.T.rows)
-    state = SvmState(DenseVector(alpha), K, [svm_objective(alpha, prob.y.values, K_dense)])
-    for _ in range(iters):
-        g = svm_gradient(state, prob, workers)
-        alpha = np.clip(state.alpha.values + g.values, 0.0, prob.C)
-        state.alpha = DenseVector(alpha)
-        state.objective_history.append(svm_objective(alpha, prob.y.values, K_dense))
+    state = SvmState(DenseVector(np.zeros(prob.T.rows)), svm_build_kernel(prob.T, workers))
+    for step in range(iters + 1):
+        alpha = state.alpha.values
+        g = svm_gradient(state, prob, workers).values
+        state.objective_history.append(float(alpha.sum() / 2 + alpha @ g / (2 * prob.eta)))
+        if step < iters:
+            state.alpha = DenseVector(np.clip(alpha + g, 0.0, prob.C))
     return state
 
 

@@ -199,12 +199,11 @@ class TestRunJob:
     def test_parallel_flags_do_not_change_results(self):
         records = list("abracadabra")
         outs = []
-        for parallel, reduce_parallel in [(True, None), (False, None),
-                                          (True, False), (False, True)]:
+        for parallel in (True, False):
             spec = JobSpec(lambda rec: [(rec, 1)],
                            lambda k, v: [(k, sum(v))],
                            lambda k: sum(k.encode()) % 3, workers=3,
-                           parallel=parallel, reduce_parallel=reduce_parallel)
+                           parallel=parallel)
             out, metrics = run_job(spec, records)
             outs.append((out, metrics.records_per_worker))
         assert all(o == outs[0] for o in outs[1:])

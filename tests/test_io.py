@@ -69,6 +69,33 @@ class TestSvmFileRejects:
         assert not scores.exists()
 
 
+class TestMatrixHeaderBounds:
+    """A header shape past int64 is rejected at line 1, not left to overflow
+    where the arrays are built."""
+
+    @pytest.mark.parametrize("header", ["1 9223372036854775808 1", "9223372036854775808 1 1",
+                                        "1 99999999999999999999 1"])
+    def test_header_past_int64_rejected(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n0\t0:1.0\n")
+        with pytest.raises(ParseError, match=rf"m\.txt:1: matrix shape .* outside 1\.\.{2**63 - 1}$"):
+            read_matrix(path)
+
+    def test_widest_int64_header_accepted(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 9223372036854775807 1\n0\t9223372036854775806:1.0\n")
+        M = read_matrix(path)
+        assert (M.rows, M.cols, M.indices.tolist()) == (1, 2**63 - 1, [2**63 - 2])
+
+    def test_multiply_exits_nonzero_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text("1 99999999999999999999 1\n0\t99999999999999999998:1.0\n")
+        out = tmp_path / "c.txt"
+        assert run_cli("multiply", "--a", path, "--b", path, "--out", out) == 1
+        assert f"a.txt:1: matrix shape 1x{10**20 - 1} outside 1..{2**63 - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 values = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)

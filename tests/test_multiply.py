@@ -291,8 +291,11 @@ class TestBroadcastMultiply:
             for w in (2, 4, 8):
                 assert broadcast_multiply(A, B, w) == base
 
-    @pytest.mark.parametrize("rows,workers", [(33, 1), (33, 2), (33, 8), (3, 8)])
-    def test_ships_one_record_per_row_block(self, monkeypatch, rows, workers):
+    @pytest.mark.parametrize(
+        "rows,workers,dense",
+        [(33, 1, False), (33, 2, False), (33, 8, False), (3, 8, False), (33, 2, True), (3, 8, True)],
+        ids=["33-1", "33-2", "33-8", "3-8", "33-2-dense", "3-8-dense"])
+    def test_ships_one_record_per_row_block(self, monkeypatch, rows, workers, dense):
         import mrmul.multiply as mm
         real_run_job, metrics = mm.run_job, []
 
@@ -303,8 +306,11 @@ class TestBroadcastMultiply:
 
         monkeypatch.setattr(mm, "run_job", recording_run_job)
         A = random_sparse(rows, 9, 0.4, seed=22)
+        if dense:
+            A = DenseMatrix(A.to_dense())
         B = DenseMatrix(np.arange(18, dtype=float).reshape(9, 2) + 1)
         R = broadcast_multiply(A, B, workers)
+        assert isinstance(R, type(A))
         (m,) = metrics
         blocks = min(workers, rows)
         assert m.stage == "broadcast-multiply"
@@ -320,14 +326,17 @@ class TestBroadcastMultiply:
 
 
 def _csr_bytes(M):
+    if isinstance(M, DenseMatrix):
+        return M.values.tobytes()
     return M.indptr.tobytes(), M.indices.tobytes(), M.values.tobytes()
 
 
 @st.composite
 def broadcast_operands(draw):
     """A with rows of 0, 1, 9 and 140 entries (beyond the 128-wide pairwise
-    blocks of numpy's summation), optionally empty first and last rows, and
-    a dense right-hand side of width 1, 3 or 8."""
+    blocks of numpy's summation), optionally empty first and last rows,
+    stored as a SparseMatrix or a DenseMatrix, and a dense right-hand side of
+    width 1, 3 or 8."""
     cols = 150
     counts = draw(st.lists(st.sampled_from([0, 1, 9, 140]), min_size=1, max_size=12))
     counts = ([0] if draw(st.booleans()) else []) + counts + ([0] if draw(st.booleans()) else [])
@@ -336,7 +345,8 @@ def broadcast_operands(draw):
     dense = np.zeros((len(counts), cols))
     for r, c in enumerate(counts):
         dense[r, rng.choice(cols, size=c, replace=False)] = rng.uniform(-1.0, 1.0, size=c)
-    return SparseMatrix.from_dense(dense), DenseMatrix(rng.uniform(-1.0, 1.0, (cols, width)))
+    A = DenseMatrix(dense) if draw(st.booleans()) else SparseMatrix.from_dense(dense)
+    return A, DenseMatrix(rng.uniform(-1.0, 1.0, (cols, width)))
 
 
 class TestBroadcastKernel:
@@ -347,13 +357,18 @@ class TestBroadcastKernel:
         base = broadcast_multiply(A, B, 1)
         for w in (2, 3, 8):
             assert _csr_bytes(broadcast_multiply(A, B, w)) == _csr_bytes(base)
-        # each row is the segmented sum of that row's own products, alone
+        # each row is that row's product computed alone: a segmented sum of
+        # its own products (sparse), or an einsum of the one row (dense)
         out = base.to_dense()
         for r in range(A.rows):
-            cols, vals = A.row(r)
-            if cols.size:
+            if isinstance(A, DenseMatrix):
+                alone = np.einsum("ij,jk->ik", A.values[r:r + 1], B.values)[0]
+            else:
+                cols, vals = A.row(r)
+                if not cols.size:
+                    continue
                 alone = np.add.reduceat(vals[:, None] * B.values[cols], [0], axis=0)[0]
-                assert out[r].tobytes() == alone.tobytes()
+            assert out[r].tobytes() == alone.tobytes()
         np.testing.assert_allclose(out, A.to_dense() @ B.values, rtol=1e-12, atol=1e-12)
 
     def test_row_batches_bit_identical(self, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrmul.io import ParseError
-from mrmul.sparse import DenseVector, SparseMatrix
+from mrmul.sparse import DenseMatrix, DenseVector, SparseMatrix
 from mrmul.svm import (
     SvmProblem,
     SvmState,
@@ -131,9 +131,33 @@ class TestTrain:
     def test_worker_invariance_bit_exact(self):
         prob = random_problem(11, l=18)
         base = svm_train(prob, 25, workers=1)
-        for w in (2, 4, 8):
+        for w in (2, 3, 4, 8):
             st = svm_train(prob, 25, workers=w)
-            assert np.array_equal(st.alpha.values, base.alpha.values)
+            assert st.alpha.values.tobytes() == base.alpha.values.tobytes()
+            assert st.objective_history == base.objective_history
+
+    @pytest.mark.parametrize("iters", [0, 1, 5, 25])
+    def test_history_ends_at_reference_objective(self, iters):
+        # each step's value comes from the gradient's product, not svm_objective
+        prob = random_problem(17, l=20)
+        state = svm_train(prob, iters)
+        assert len(state.objective_history) == iters + 1
+        ref = svm_objective(state.alpha.values, prob.y.values, state.K.to_dense())
+        assert state.objective_history[-1] == pytest.approx(ref, rel=1e-12)
+
+    def test_one_kernel_product_per_step(self, monkeypatch):
+        import mrmul.multiply as mm
+        real_run_job, stages = mm.run_job, []
+
+        def recording_run_job(spec, records):
+            stages.append(spec.name)
+            return real_run_job(spec, records)
+
+        monkeypatch.setattr(mm, "run_job", recording_run_job)
+        state = svm_train(random_problem(19, l=14), 25, workers=2)
+        assert isinstance(state.K, DenseMatrix)
+        # the kernel build, then one product of K per step plus one for W(alpha_25)
+        assert stages == ["partition", "summation"] + ["broadcast-multiply"] * 26
 
 
 class TestPredict:
