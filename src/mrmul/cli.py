@@ -23,7 +23,7 @@ from .io import read_svm_file
 from .multiply import PartitionSchema, partition_multiply
 from .nmf import run_nmf
 from .pagerank import pagerank, pagerank_build
-from .sparse import GeneratorParams, generate_random
+from .sparse import GeneratorParams, SparseMatrix, generate_random
 from .svm import SvmProblem, accuracy, svm_predict, svm_train
 
 __all__ = ["main"]
@@ -127,8 +127,8 @@ def cmd_nmf(args):
     prefix = args.out_prefix
     _require_finite([(f"{prefix}W.txt", state.W.values), (f"{prefix}H.txt", state.H.values),
                      (f"{prefix}divergence.csv", state.divergence_history)])
-    mio.write_matrix(state.W, f"{prefix}W.txt")
-    mio.write_matrix(state.H, f"{prefix}H.txt")
+    mio.write_matrix(SparseMatrix.from_dense(state.W.values), f"{prefix}W.txt")
+    mio.write_matrix(SparseMatrix.from_dense(state.H.values), f"{prefix}H.txt")
     _write_history(f"{prefix}divergence.csv", state.divergence_history)
     with open(f"{prefix}timings.csv", "w", encoding="ascii") as fh:
         fh.write("iter,component,ms\n")
@@ -151,6 +151,13 @@ def cmd_svm_train(args):
     scores = svm_predict(state, prob, T, args.workers)
     acc = accuracy(scores, y)
     print(f"training accuracy {acc:.4f} over {T.rows} examples")
+    # projected ascent with a small enough step never lowers the dual objective
+    fell = np.flatnonzero(np.diff(state.objective_history) < 0)
+    if fell.size:
+        i = int(fell[0]) + 1
+        print(f"warning: the dual objective fell at iteration {i} "
+              f"({state.objective_history[i - 1]!r} -> {state.objective_history[i]!r}); "
+              f"the ascent diverges, try a --eta smaller than {args.eta!r}", file=sys.stderr)
     return 0
 
 

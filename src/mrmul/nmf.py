@@ -1,15 +1,15 @@
-"""Gaussian NMF by multiplicative updates, composed from the two multiply models.
+"""Gaussian NMF by multiplicative updates, composed from the broadcast model.
 
 Each step updates H then W:
 
     H <- H .* (Wt A) ./ (Wt W H + eps)
     W <- W .* (A Ht) ./ (W H Ht + eps)
 
-The large products (Wt A, Wt W, A Ht, H Ht) run through partition_multiply
-with schemas that never split the short k dimension. The triple products go
-through broadcast_multiply: W H Ht is row-local in W directly, while Wt W H is
-computed transposed, row by row of Ht against the small square matrix, because
-the row-format layout only gives efficient access to whole rows.
+W (m x k) and H (k x n) are dense, and k is much smaller than m and n. Every
+product of a step has one thin operand of at most (m + n) k values, the
+paper's large x small case, so all six run through broadcast_multiply with
+that operand broadcast: Wt A as (At W)t, the Grams Wt W and H Ht, the triple
+products as (Wt W) H and W (H Ht), and A Ht. No product forms an m x n array.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiply import PartitionSchema, broadcast_multiply, partition_multiply
+# partition_multiply is no longer called here; the name stays bound because
+# perfbench/tracer.py patches it on this module.
+from .multiply import broadcast_multiply, partition_multiply  # noqa: F401
 from .sparse import DenseMatrix, GeneratorParams, SparseMatrix, elementwise_update, generate_random, transpose
 
 __all__ = ["NmfState", "nmf_init", "nmf_step", "nmf_divergence", "run_nmf",
@@ -31,51 +33,64 @@ COMPONENT_X = "X=WtA"
 COMPONENT_Y = "Y=WtWH"
 COMPONENT_H = "H=H.*X./Y"
 
+# Cells of W H formed at once by nmf_divergence: 1 << 18 float64 cells is 2 MB.
+_DIVERGENCE_BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class NmfState:
-    """Factor pair plus the reconstruction-error history."""
+    """Dense factor pair plus the reconstruction-error history. A
+    SparseMatrix factor is stored as its DenseMatrix."""
 
-    W: SparseMatrix
-    H: SparseMatrix
+    W: DenseMatrix
+    H: DenseMatrix
     k: int
     divergence_history: tuple = ()
 
     def __post_init__(self):
+        for name in ("W", "H"):
+            M = getattr(self, name)
+            if isinstance(M, SparseMatrix):
+                object.__setattr__(self, name, DenseMatrix(M.to_dense()))
         if self.k > min(self.W.rows, self.H.cols):
             raise ValueError(f"k={self.k} exceeds min(m, n)")
         if self.W.cols != self.k or self.H.rows != self.k:
             raise ValueError("factor shapes inconsistent with k")
-        if (self.W.nnz and self.W.values.min() < 0) or (self.H.nnz and self.H.values.min() < 0):
+        if self.W.values.min() < 0 or self.H.values.min() < 0:
             raise ValueError("factors must be nonnegative")
-
-
-# Fixed split count so schemas (and therefore the floating-point summation
-# grouping) never depend on the worker count; blocks are spread over workers
-# by the rand shard instead.
-_SPLIT = 8
 
 
 def nmf_init(A: SparseMatrix, k: int, seed: int = 0) -> NmfState:
     """Uniform random positive factors in (0, 1), deterministic in seed."""
     if not 1 <= k <= min(A.rows, A.cols):
         raise ValueError(f"k must lie in 1..min(m, n), got {k}")
-    W = generate_random(GeneratorParams(A.rows, k, 1.0, seed))
-    H = generate_random(GeneratorParams(k, A.cols, 1.0, seed + 1))
+    W = DenseMatrix(generate_random(GeneratorParams(A.rows, k, 1.0, seed)).to_dense())
+    H = DenseMatrix(generate_random(GeneratorParams(k, A.cols, 1.0, seed + 1)).to_dense())
     return NmfState(W, H, k, (nmf_divergence(A, W, H),))
 
 
-def nmf_divergence(A: SparseMatrix, W: SparseMatrix, H: SparseMatrix) -> float:
-    """Squared Frobenius reconstruction error of the factorization."""
+def nmf_divergence(A: SparseMatrix, W: DenseMatrix | SparseMatrix,
+                   H: DenseMatrix | SparseMatrix) -> float:
+    """Squared Frobenius reconstruction error of the factorization.
+
+    W H is formed a row block at a time, A's stored entries are subtracted
+    from it in place, and the block's squares are summed, so memory stays
+    bounded by the block. Summing every cell's square directly, not through
+    the expanded identity, keeps the value free of cancellation.
+    """
     if W.rows != A.rows or H.cols != A.cols or W.cols != H.rows:
         raise ValueError("shape mismatch")
-    diff = A.to_dense() - W.to_dense() @ H.to_dense()
-    return float(np.sum(diff * diff))
-
-
-def _small_dense(M: SparseMatrix, transposed=False) -> DenseMatrix:
-    d = M.to_dense()
-    return DenseMatrix(d.T if transposed else d)
+    Wd, Hd = W.to_dense(), H.to_dense()
+    step = max(1, _DIVERGENCE_BLOCK_CELLS // A.cols)
+    total = 0.0
+    for lo in range(0, A.rows, step):
+        hi = min(lo + step, A.rows)
+        R = Wd[lo:hi] @ Hd
+        p_lo, p_hi = A.indptr[lo], A.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))
+        R[rows, A.indices[p_lo:p_hi]] -= A.values[p_lo:p_hi]
+        total += float(np.sum(np.square(R, out=R)))
+    return total
 
 
 def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DIVISION_EPS,
@@ -84,28 +99,21 @@ def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DI
     if A.rows != state.W.rows or A.cols != state.H.cols:
         raise ValueError("A inconsistent with factor shapes")
     W, H = state.W, state.H
-    # Split the long dimensions only; k stays whole so no schema ever cuts
-    # across the short edge of the factors.
-    rows_split = min(_SPLIT, A.rows)
-    cols_split = min(_SPLIT, A.cols)
 
     t0 = time.perf_counter()
-    Wt = transpose(W)
-    X, _ = partition_multiply(Wt, A, PartitionSchema(1, rows_split, cols_split), "rand", workers)
+    # the two products with A on the left come back as m x k or n x k CSR
+    X = DenseMatrix(broadcast_multiply(transpose(A), W, workers).to_dense().T)
     t1 = time.perf_counter()
-    Cww, _ = partition_multiply(Wt, W, PartitionSchema(1, rows_split, 1), "rand", workers)
-    # Y = (Wt W) H computed transposed: rows of Ht times the small square,
-    # so every worker only ever reads whole rows.
-    Yt = broadcast_multiply(transpose(H), _small_dense(Cww, transposed=True), workers)
-    Y = transpose(Yt)
+    Cww = broadcast_multiply(DenseMatrix(W.values.T), W, workers)
+    Y = broadcast_multiply(Cww, H, workers)
     t2 = time.perf_counter()
     H_new = elementwise_update(H, X, Y, eps)
     t3 = time.perf_counter()
 
-    Ht = transpose(H_new)
-    Xw, _ = partition_multiply(A, Ht, PartitionSchema(rows_split, cols_split, 1), "rand", workers)
-    Chh, _ = partition_multiply(H_new, Ht, PartitionSchema(1, cols_split, 1), "rand", workers)
-    Yw = broadcast_multiply(W, _small_dense(Chh), workers)
+    Ht = DenseMatrix(H_new.values.T)
+    Xw = DenseMatrix(broadcast_multiply(A, Ht, workers).to_dense())
+    Chh = broadcast_multiply(H_new, Ht, workers)
+    Yw = broadcast_multiply(W, Chh, workers)
     W_new = elementwise_update(W, Xw, Yw, eps)
 
     div = nmf_divergence(A, W_new, H_new)

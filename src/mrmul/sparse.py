@@ -269,45 +269,17 @@ def transpose(M: SparseMatrix) -> SparseMatrix:
                         copy=False, validate=False)
 
 
-def _keys(M):
-    """Row-major position row * cols + col of each stored entry, ascending."""
-    return np.repeat(np.arange(M.rows, dtype=np.int64) * M.cols, np.diff(M.indptr)) + M.indices
-
-
-def _ew_sparse(H, X, Y, eps):
-    common, hi, xi = np.intersect1d(_keys(H), _keys(X), assume_unique=True,
-                                    return_indices=True)
-    # a sentinel key past every position gives a miss in Y the value 0.0
-    yk = np.append(_keys(Y), H.rows * H.cols)
-    yv = np.append(Y.values, 0.0)
-    pos = np.searchsorted(yk, common)
-    yvals = np.where(yk[pos] == common, yv[pos], 0.0)
-    out = H.values[hi] * X.values[xi] / (yvals + eps)
-    rows, cols = np.divmod(common, H.cols)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=H.rows))))
-    return SparseMatrix(H.rows, H.cols, indptr, cols, out, copy=False)
-
-
 def elementwise_update(H, X, Y, eps=0.0):
     """Multiplicative update step: out[i,j] = H[i,j] * X[i,j] / (Y[i,j] + eps).
 
-    All three operands must share shape and type (all sparse or all dense).
-    With nonnegative inputs the output is nonnegative; eps guards division
-    where Y has zeros.
+    All three operands must be DenseMatrix of one shape. With nonnegative
+    inputs the output is nonnegative; eps guards division where Y has zeros.
     """
-    if isinstance(H, SparseMatrix):
-        if not (isinstance(X, SparseMatrix) and isinstance(Y, SparseMatrix)):
-            raise TypeError("operands must all be SparseMatrix")
-        if H.shape != X.shape or H.shape != Y.shape:
-            raise ValueError(f"shape mismatch: {H.shape}, {X.shape}, {Y.shape}")
-        return _ew_sparse(H, X, Y, float(eps))
-    if isinstance(H, DenseMatrix):
-        if not (isinstance(X, DenseMatrix) and isinstance(Y, DenseMatrix)):
-            raise TypeError("operands must all be DenseMatrix")
-        if H.shape != X.shape or H.shape != Y.shape:
-            raise ValueError(f"shape mismatch: {H.shape}, {X.shape}, {Y.shape}")
-        return DenseMatrix(H.values * X.values / (Y.values + float(eps)))
-    raise TypeError(f"unsupported operand type {type(H).__name__}")
+    if not all(isinstance(M, DenseMatrix) for M in (H, X, Y)):
+        raise TypeError("operands must all be DenseMatrix")
+    if H.shape != X.shape or H.shape != Y.shape:
+        raise ValueError(f"shape mismatch: {H.shape}, {X.shape}, {Y.shape}")
+    return DenseMatrix(H.values * X.values / (Y.values + float(eps)))
 
 
 def _generate_row(seed, i, n, delta):

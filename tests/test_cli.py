@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from mrmul.io import ParseError, read_matrix, write_matrix
 from mrmul.multiply import PartitionSchema
 
 from conftest import random_sparse
+
+IRIS = os.path.join(os.path.dirname(__file__), "data", "iris_binary.svm")
 
 
 def run_cli(*args):
@@ -249,6 +253,19 @@ class TestSvm:
                        "--out-prefix", prefix) != 0
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "svm_alpha.txt").exists()
+
+    @pytest.mark.parametrize("eta,warns", [("0.001", True), ("1e-4", False)])
+    def test_falling_objective_warns(self, tmp_path, capsys, eta, warns):
+        prefix = tmp_path / "svm_"
+        assert run_cli("svm-train", "--data", IRIS, "--eta", eta, "--iters", 20,
+                       "--out-prefix", prefix) == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert err.startswith("warning: the dual objective fell at iteration 1 (0.0 -> -0.02")
+            assert err.endswith("try a --eta smaller than 0.001\n") and err.count("\n") == 1
+        else:
+            assert err == ""
+        assert (tmp_path / "svm_alpha.txt").exists()
 
     def test_objective_history_written(self, tmp_path):
         data = tmp_path / "toy.svm"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mrmul.nmf import (
     nmf_step,
     run_nmf,
 )
-from mrmul.sparse import SparseMatrix
+from mrmul.sparse import DenseMatrix, SparseMatrix
 
 from conftest import random_sparse
 
@@ -123,6 +125,37 @@ class TestStep:
         sink = []
         nmf_step(A, state, timing_sink=sink)
         assert [c for c, _ in sink] == ["X=WtA", "Y=WtWH", "H=H.*X./Y"]
+
+
+class TestStructure:
+    def test_six_broadcast_jobs_per_step(self, monkeypatch):
+        import mrmul.multiply as mm
+        real_run_job, jobs = mm.run_job, []
+
+        def recording_run_job(spec, records):
+            out, metrics = real_run_job(spec, records)
+            jobs.append((spec.name, metrics.cross_worker_bytes))
+            return out, metrics
+
+        A = random_sparse(30, 20, 0.4, seed=14)
+        state = nmf_init(A, 3, seed=0)
+        monkeypatch.setattr(mm, "run_job", recording_run_job)
+        state = nmf_step(A, state, workers=3)
+        # every product has a factor-sized operand, so none needs a partition job
+        assert jobs == [("broadcast-multiply", 0)] * 6
+        assert isinstance(state.W, DenseMatrix) and isinstance(state.H, DenseMatrix)
+
+    def test_step_memory_bounded_by_nnz_and_factors(self):
+        # one dense 4000 x 4000 array alone would take 122 MB
+        A = random_sparse(4000, 4000, 1e-3, seed=15)
+        state = nmf_init(A, 4, seed=0)
+        tracemalloc.start()
+        try:
+            nmf_step(A, state, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRun:

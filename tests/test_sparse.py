@@ -130,33 +130,37 @@ class TestTranspose:
         assert transpose(transpose(M)) == M
 
 
+def random_dense(rows, cols, seed):
+    return DenseMatrix(random_sparse(rows, cols, 1.0, seed).to_dense())
+
+
 class TestElementwiseUpdate:
     def test_scalar_case(self):
-        H = SparseMatrix.from_dense([[1.0]])
-        X = SparseMatrix.from_dense([[8.0]])
-        Y = SparseMatrix.from_dense([[4.0]])
+        H = DenseMatrix([[1.0]])
+        X = DenseMatrix([[8.0]])
+        Y = DenseMatrix([[4.0]])
         out = elementwise_update(H, X, Y, eps=0.0)
         assert out.to_dense()[0, 0] == 2.0
 
     def test_fixed_point_when_x_equals_y(self):
-        H = random_sparse(6, 8, 1.0, seed=1)
-        X = random_sparse(6, 8, 1.0, seed=2)
+        H = random_dense(6, 8, seed=1)
+        X = random_dense(6, 8, seed=2)
         out = elementwise_update(H, X, X, eps=0.0)
         np.testing.assert_allclose(out.to_dense(), H.to_dense(), rtol=1e-15)
 
     def test_zero_denominator_guarded(self):
-        H = SparseMatrix.from_dense([[3.0]])
-        X = SparseMatrix.from_dense([[2.0]])
-        Y = SparseMatrix.empty(1, 1)
+        H = DenseMatrix([[3.0]])
+        X = DenseMatrix([[2.0]])
+        Y = DenseMatrix([[0.0]])
         out = elementwise_update(H, X, Y, eps=1e-12)
         v = out.to_dense()[0, 0]
         assert np.isfinite(v) and v == 6.0 / 1e-12
 
     def test_product_identity(self):
         # out * Y == H * X entrywise when eps = 0 and Y positive
-        H = random_sparse(10, 10, 1.0, seed=5)
-        X = random_sparse(10, 10, 1.0, seed=6)
-        Y = random_sparse(10, 10, 1.0, seed=7)
+        H = random_dense(10, 10, seed=5)
+        X = random_dense(10, 10, seed=6)
+        Y = random_dense(10, 10, seed=7)
         out = elementwise_update(H, X, Y, eps=0.0)
         lhs = out.to_dense() * Y.to_dense()
         rhs = H.to_dense() * X.to_dense()
@@ -170,10 +174,15 @@ class TestElementwiseUpdate:
         np.testing.assert_allclose(out.values, [[2.0, 1.0]])
 
     def test_shape_mismatch(self):
-        H = SparseMatrix.empty(2, 2)
-        X = SparseMatrix.empty(2, 3)
+        H = DenseMatrix(np.zeros((2, 2)))
+        X = DenseMatrix(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             elementwise_update(H, X, X, 0.0)
+
+    def test_sparse_operand_rejected(self):
+        H = DenseMatrix([[1.0]])
+        with pytest.raises(TypeError):
+            elementwise_update(H, SparseMatrix.from_dense([[8.0]]), H, 0.0)
 
 
 class TestGenerator:
