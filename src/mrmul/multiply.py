@@ -5,7 +5,10 @@ one splits both operands into block groups keyed by (alpha, beta, gamma) and
 ships each group to the worker chosen by the shard function; stage two
 multiplies the paired sub-blocks where they landed and sums partial rows per
 output row, ascending gamma, so results are bit-identical for any worker
-count and shard choice.
+count and shard choice. Stage two's input is one record per worker holding
+all of its blocks: small blocks are multiplied in bounded batches, each batch
+in one vectorised pass, large and dense-path blocks alone, and every block
+still emits one record per non-empty output row.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -52,6 +55,24 @@ def _mix(*parts) -> int:
     h = 0
     for p in parts:
         h = splitmix64(h ^ splitmix64(int(p)))
+    return h
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every element of a uint64 array (arithmetic wraps mod 2**64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _mix_array(*parts) -> np.ndarray:
+    """_mix over broadcast integer arrays: element-wise equal to _mix of the
+    broadcast elements."""
+    h = np.uint64(0)
+    for p in parts:
+        # ndmin=1: 0-d operands would make numpy scalars, which warn on wrapping
+        h = _splitmix64_array(h ^ _splitmix64_array(np.array(p, dtype=np.uint64, ndmin=1)))
     return h
 
 
@@ -122,6 +143,25 @@ class ShardFunction:
             return key[0] % self.p
         return _mix(_ROW_SALT, key[0], key[1]) % self.p
 
+    def block_table(self, m, k, n) -> np.ndarray:
+        """block((alpha, beta, gamma)) for every key of an m x n x k schema,
+        as an int64 array indexed [alpha, beta, gamma]."""
+        alpha = np.arange(m, dtype=np.uint64)[:, None, None]
+        if self.kind == "naive":
+            return np.broadcast_to(alpha % np.uint64(self.p), (m, k, n)).astype(np.int64)
+        beta = np.arange(k, dtype=np.uint64)[None, :, None]
+        gamma = np.arange(n, dtype=np.uint64)[None, None, :]
+        return (_mix_array(alpha, beta, gamma) % np.uint64(self.p)).astype(np.int64)
+
+    def row_table(self, alpha) -> np.ndarray:
+        """row((alpha[i], i)) for every row i, as an int64 array; alpha is
+        the block-row of each row."""
+        alpha = np.asarray(alpha, dtype=np.uint64)
+        if self.kind == "naive":
+            return (alpha % np.uint64(self.p)).astype(np.int64)
+        rows = np.arange(alpha.size, dtype=np.uint64)
+        return (_mix_array(_ROW_SALT, alpha, rows) % np.uint64(self.p)).astype(np.int64)
+
 
 class _Splitter:
     """Balanced contiguous split of a length into `parts` blocks."""
@@ -172,6 +212,10 @@ _DENSE_BYTES_CAP = 48 << 20
 # broadcast kernel; bigger blocks are processed in row batches (rows are
 # independent, so results are unchanged).
 _SPARSE_BATCH_PRODUCTS = 2 << 20
+# Summation map tasks multiply their small blocks in batches of this summed
+# size (A entries + B entries + gamma width), which bounds a batch's scratch;
+# a block this large is multiplied alone.
+_SUMMATION_BATCH = 1 << 13
 # A summation task must be at least this chunky (products per block) before
 # real thread parallelism pays for the GIL handoffs it causes.
 _PARALLEL_MIN_BLOCK_WORK = 16384
@@ -190,15 +234,16 @@ def _row_batches(row_end):
         lo = hi
 
 
-def _expand_rows(blk, b_row_nnz, lo_row, hi_row, bw):
+def _expand_rows(blk, len_k, lo_row, hi_row, width):
     """Sparse-path product of local rows [lo_row, hi_row): expand every
-    a[i,k]*b[k,j] product, then segment-sum by (row, col)."""
+    a[i,k]*b[k,j] product, then segment-sum by (row, col). len_k[e] is the
+    product count of A entry e, the length of the B row it meets."""
     p_lo, p_hi = blk.a_indptr[lo_row], blk.a_indptr[hi_row]
     a_cols = blk.a_cols[p_lo:p_hi]
     a_vals = blk.a_vals[p_lo:p_hi]
     ra = np.repeat(np.arange(lo_row, hi_row, dtype=np.int64),
                    np.diff(blk.a_indptr[lo_row:hi_row + 1]))
-    len_k = b_row_nnz[a_cols]
+    len_k = len_k[p_lo:p_hi]
     tot = int(len_k.sum())
     if tot == 0:
         return _EMPTY_I64, _EMPTY_F64
@@ -209,11 +254,34 @@ def _expand_rows(blk, b_row_nnz, lo_row, hi_row, bw):
     prod_vals = np.repeat(a_vals, len_k) * blk.b_vals[src]
     prod_rows = np.repeat(ra, len_k)
 
-    key = prod_rows * bw + prod_cols
+    key = prod_rows * width + prod_cols
     order = np.argsort(key, kind="stable")
     key_s = key[order]
     seg = np.concatenate(([0], np.flatnonzero(np.diff(key_s)) + 1))
     return key_s[seg], np.add.reduceat(prod_vals[order], seg)
+
+
+def _sparse_product(blk, len_k, tot, width):
+    """The sparse path of _block_matmul: (indptr, cols, sums) of blk's
+    product, each (row, col) sum formed from its products in A-entry order.
+    Its scratch is cut into row batches within _SPARSE_BATCH_PRODUCTS."""
+    nr = blk.row_ids.size
+    if tot <= _SPARSE_BATCH_PRODUCTS:
+        uniq, sums = _expand_rows(blk, len_k, 0, nr, width)
+    else:
+        cum = np.concatenate(([0], np.cumsum(len_k)))
+        row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
+        parts = [_expand_rows(blk, len_k, lo, hi, width) for lo, hi in _row_batches(row_end)]
+        uniq = np.concatenate([u for u, _ in parts])
+        sums = np.concatenate([s for _, s in parts])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(uniq // width, minlength=nr))))
+    return indptr.astype(np.int64), uniq % width, sums
+
+
+def _takes_dense_path(tot, nr, gw, bw):
+    """Whether _block_matmul multiplies a block of tot products as dense arrays."""
+    dense_bytes = 8 * (nr * gw + gw * bw + nr * bw)
+    return tot * _DENSE_WORK_FACTOR >= nr * gw * bw and dense_bytes <= _DENSE_BYTES_CAP
 
 
 def _block_matmul(blk: _Block):
@@ -232,8 +300,7 @@ def _block_matmul(blk: _Block):
     if tot == 0:
         return np.zeros(nr + 1, dtype=np.int64), _EMPTY_I64, _EMPTY_F64, 0
 
-    dense_bytes = 8 * (nr * gw + gw * bw + nr * bw)
-    if tot * _DENSE_WORK_FACTOR >= nr * gw * bw and dense_bytes <= _DENSE_BYTES_CAP:
+    if _takes_dense_path(tot, nr, gw, bw):
         ra = np.repeat(np.arange(nr, dtype=np.int64), np.diff(blk.a_indptr))
         Ad = np.zeros((nr, gw))
         Ad[ra, blk.a_cols] = blk.a_vals
@@ -245,17 +312,90 @@ def _block_matmul(blk: _Block):
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rr, minlength=nr)))).astype(np.int64)
         return indptr, cc.astype(np.int64), Cd[rr, cc], tot
 
-    if tot <= _SPARSE_BATCH_PRODUCTS:
-        uniq, sums = _expand_rows(blk, b_row_nnz, 0, nr, bw)
-    else:
-        cum = np.concatenate(([0], np.cumsum(len_k)))
-        row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
-        parts = [_expand_rows(blk, b_row_nnz, lo, hi, bw) for lo, hi in _row_batches(row_end)]
-        uniq = np.concatenate([u for u, _ in parts])
-        sums = np.concatenate([s for _, s in parts])
-    out_rows = uniq // bw
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(out_rows, minlength=nr)))).astype(np.int64)
-    return indptr, uniq % bw, sums, tot
+    return *_sparse_product(blk, len_k, tot, bw), tot
+
+
+def _product_counts(blocks):
+    """The product count of every block (the count _block_matmul returns),
+    for all of a worker's blocks in one pass."""
+    b_indptr = np.concatenate([blk.b_indptr for blk in blocks])
+    # block i's B rows start at b_row[i] of the concatenation; the differences
+    # across block boundaries are never read, as A's columns stay in their block
+    b_row = _indptr([blk.gamma_width + 1 for blk in blocks])[:-1]
+    na = [blk.a_cols.size for blk in blocks]
+    len_k = np.diff(b_indptr)[np.concatenate([blk.a_cols for blk in blocks])
+                              + np.repeat(b_row, na)]
+    return np.add.reduceat(len_k, _indptr(na)[:-1])  # every block has A entries
+
+
+def _summation_batches(blocks, tot):
+    """Cut a worker's blocks, in order, into batches of sparse-path blocks
+    whose summed size (A entries + B entries + gamma width) is at most
+    _SUMMATION_BATCH. A dense-path block, or one of at least that size, is a
+    batch of its own; blocks without products are left out."""
+    batch, size = [], 0
+    for blk, t in zip(blocks, tot.tolist()):
+        if t == 0:
+            continue
+        s = blk.a_cols.size + blk.b_cols.size + blk.gamma_width
+        if s >= _SUMMATION_BATCH or _takes_dense_path(
+                t, blk.row_ids.size, blk.gamma_width, blk.beta_width):
+            yield [blk]
+            continue
+        if size + s > _SUMMATION_BATCH:
+            yield batch
+            batch, size = [], 0
+        batch.append(blk)
+        size += s
+    if batch:
+        yield batch
+
+
+def _stack_blocks(blocks, width):
+    """A batch of blocks as one _Block whose product is all of theirs side by
+    side: their rows follow one another, and so do their B rows, each A entry
+    pointing into its own block's B rows; B's columns are global (col_off
+    added) and the stack is `width` wide. Its key fields are unused (-1)."""
+    nr = [blk.row_ids.size for blk in blocks]
+    gw = [blk.gamma_width for blk in blocks]
+    na = [blk.a_cols.size for blk in blocks]
+    nb = [blk.b_cols.size for blk in blocks]
+    a_off, b_off, g_off = _indptr(na), _indptr(nb), _indptr(gw)
+
+    def stacked_indptr(indptrs, entry_off, rows):
+        ends = np.concatenate([p[1:] for p in indptrs]) + np.repeat(entry_off[:-1], rows)
+        return np.concatenate(([0], ends))
+
+    return _Block(
+        -1, -1, -1,
+        np.concatenate([blk.row_ids for blk in blocks]),
+        stacked_indptr([blk.a_indptr for blk in blocks], a_off, nr),
+        np.concatenate([blk.a_cols for blk in blocks]) + np.repeat(g_off[:-1], na),
+        np.concatenate([blk.a_vals for blk in blocks]),
+        stacked_indptr([blk.b_indptr for blk in blocks], b_off, gw),
+        np.concatenate([blk.b_cols for blk in blocks])
+        + np.repeat([blk.col_off for blk in blocks], nb),
+        np.concatenate([blk.b_vals for blk in blocks]),
+        int(g_off[-1]), width, 0)
+
+
+def _batch_matmul(blocks, width):
+    """Product of a batch as (block of each row, row ids, indptr, global
+    cols, values). A batch of one is _block_matmul's product. A larger batch
+    holds sparse-path blocks only and is multiplied as their stack in one
+    pass: stable-sorting the stack's products by (row, global col) keeps each
+    block-row's products in the order _block_matmul sorts them, so every sum
+    is bit-identical to that block's own product."""
+    if len(blocks) == 1:
+        blk = blocks[0]
+        indptr, cols, vals, _ = _block_matmul(blk)
+        return (np.zeros(blk.row_ids.size, dtype=np.int64), blk.row_ids, indptr,
+                cols + blk.col_off, vals)
+    stack = _stack_blocks(blocks, width)
+    len_k = np.diff(stack.b_indptr)[stack.a_cols]
+    row_block = np.repeat(np.arange(len(blocks)), [blk.row_ids.size for blk in blocks])
+    return (row_block, stack.row_ids,
+            *_sparse_product(stack, len_k, int(len_k.sum()), width))
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -358,21 +498,25 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         return [(key, _Block(alpha, beta, gamma, *_unpack(by_tag["A"]), *_unpack(by_tag["B"]),
                              ghi - glo, bhi - blo, blo))]
 
+    # The input is one record per worker: every _Block the partition job
+    # placed there. It emits what one _block_matmul per block would: one
+    # record per non-empty output row of a block, its bytes cut from one
+    # buffer per batch.
     def summation_mapper(rec):
-        key, blk = rec
-        indptr, loc_cols, vals, tot = _block_matmul(blk)
-        ops.add(tot)
+        _, blocks = rec
+        tot = _product_counts(blocks)
+        ops.add(int(tot.sum()))
         out = []
-        alpha, beta, gamma = blk.alpha, blk.beta, blk.gamma
-        gcols = loc_cols + blk.col_off
-        bounds = indptr.tolist()
-        ids = blk.row_ids.tolist()
-        for r, gi in enumerate(ids):
-            lo, hi = bounds[r], bounds[r + 1]
-            if lo == hi:
-                continue
-            out.append(((alpha, gi),
-                        (beta, gamma, gcols[lo:hi].tobytes(), vals[lo:hi].tobytes())))
+        for batch in _summation_batches(blocks, tot):
+            row_block, row_ids, indptr, cols, vals = _batch_matmul(batch, B.cols)
+            keys = [(blk.alpha, blk.beta, blk.gamma) for blk in batch]
+            rows = np.flatnonzero(np.diff(indptr))
+            cb, vb = cols.tobytes(), vals.tobytes()
+            for b, gi, lo, hi in zip(row_block[rows].tolist(), row_ids[rows].tolist(),
+                                     (indptr[rows] << 3).tolist(),
+                                     (indptr[rows + 1] << 3).tolist()):
+                alpha, beta, gamma = keys[b]
+                out.append(((alpha, gi), (beta, gamma, cb[lo:hi], vb[lo:hi])))
         return out
 
     def summation_reducer(key, partials):
@@ -402,15 +546,23 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         per_block_work = A.rows * A.cols * B.cols // blocks
     else:
         per_block_work = total_products // blocks
-    job1 = JobSpec(partition_mapper, partition_reducer, shard_fn=shard.block,
+    # Placements are tabled once per call: block_place[alpha][beta][gamma],
+    # and row_place[i] for output row i of block-row alpha.
+    block_place = shard.block_table(m, k, n).tolist()
+    row_place = shard.row_table(asplit.block_of(np.arange(A.rows))).tolist()
+    job1 = JobSpec(partition_mapper, partition_reducer,
+                   shard_fn=lambda key: block_place[key[0]][key[1]][key[2]],
                    workers=workers, name="partition", ops=ops, parallel=False)
     grouped, m1 = run_job(job1, records)
 
-    job2 = JobSpec(summation_mapper, summation_reducer, shard_fn=shard.row,
-                   workers=workers, name="summation", ops=ops,
-                   map_affinity=lambda rec: shard.block(rec.key),
+    on_worker = [[] for _ in range(workers)]
+    for (alpha, beta, gamma), blk in grouped:
+        on_worker[block_place[alpha][beta][gamma]].append(blk)
+    job2 = JobSpec(summation_mapper, summation_reducer,
+                   shard_fn=lambda key: row_place[key[1]],
+                   workers=workers, name="summation", ops=ops, map_affinity=itemgetter(0),
                    parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK)
-    summed, m2 = run_job(job2, grouped)
+    summed, m2 = run_job(job2, [(w, blks) for w, blks in enumerate(on_worker) if blks])
 
     C = _assemble(A.rows, B.cols, ((i, cb, vb) for (alpha, i), (cb, vb) in summed))
     return C, [m1, m2]

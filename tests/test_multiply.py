@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from scipy import stats
 from mrmul.multiply import (
     PartitionSchema,
     ShardFunction,
+    _mix,
+    _mix_array,
+    _splitmix64_array,
     _Splitter,
     broadcast_multiply,
     partition_multiply,
@@ -49,6 +54,27 @@ class TestShardFunctions:
     def test_splitmix64_known_vector(self):
         # first output of the published sequence for seed 0
         assert splitmix64(0) == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_placement_tables_match_shard_function(self, p):
+        for kind in ("naive", "rand"):
+            shard = ShardFunction(kind, p)
+            for m, n, k in ((1, 1, 1), (5, 3, 4), (7, 2, 11), (20, 6, 20)):
+                table = shard.block_table(m, k, n)
+                assert table.shape == (m, k, n)
+                assert table.tolist() == [[[shard.block((a, b, g)) for g in range(n)]
+                                           for b in range(k)] for a in range(m)]
+                alpha = _Splitter(97, m).block_of(np.arange(97))
+                assert shard.row_table(alpha).tolist() == [
+                    shard.row((a, i)) for i, a in enumerate(alpha.tolist())]
+
+    def test_splitmix64_array_wraps_like_scalar(self):
+        top = 2**64 - 1
+        values = [0, 1, 2**63 - 1, 2**63, 2**63 + 1] + [top - d for d in (0, 1, 2, 7919, 2**32)]
+        x = np.array(values, dtype=np.uint64)
+        assert _splitmix64_array(x).tolist() == [splitmix64(v) for v in values]
+        assert _mix_array(top, x, x[::-1]).tolist() == [
+            _mix(top, a, b) for a, b in zip(values, values[::-1])]
 
     def test_shard_function_validation(self):
         with pytest.raises(ValueError):
@@ -260,6 +286,99 @@ class TestSparseBatching:
         monkeypatch.setattr(mm, "_DENSE_WORK_FACTOR", 0)  # forbid the dense path
         batched, _ = partition_multiply(A, B, schema, "naive", 1)
         assert batched == whole
+
+
+def _product_bytes(A, B, schema, shard, workers, batch=None, dense_factor=None,
+                   scratch=None):
+    """C's CSR bytes, with summation batches of at most `batch` summed size
+    (0: every block multiplied alone by _block_matmul), the given dense-path
+    threshold (see _takes_dense_path) and sparse-path scratch bound."""
+    import mrmul.multiply as mm
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("_SUMMATION_BATCH", batch), ("_DENSE_WORK_FACTOR", dense_factor),
+                            ("_SPARSE_BATCH_PRODUCTS", scratch)):
+            if value is not None:
+                mp.setattr(mm, name, value)
+        C, _ = partition_multiply(A, B, schema, shard, workers)
+    return C.indptr.tobytes(), C.indices.tobytes(), C.values.tobytes()
+
+
+@st.composite
+def mixed_operands(draw):
+    """A (rows x inner) and B (inner x cols) whose row and column bands are
+    sparse, dense or empty, so one worker's blocks differ in density and some
+    have no products."""
+    rows, inner, cols = (draw(st.integers(1, 40), label=d) for d in ("rows", "inner", "cols"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = st.sampled_from([0.0, 0.1, 0.3, 1.0])
+    a_rows = np.array(draw(st.lists(levels, min_size=rows, max_size=rows), label="A rows"))
+    b_cols = np.array(draw(st.lists(levels, min_size=cols, max_size=cols), label="B cols"))
+    b_inner = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=inner,
+                                     max_size=inner), label="B rows kept"))
+    A = rng.uniform(-1, 1, (rows, inner)) * (rng.random((rows, inner)) < a_rows[:, None])
+    B = rng.uniform(-1, 1, (inner, cols)) * (rng.random((inner, cols)) < b_cols[None, :])
+    B *= b_inner[:, None]  # empty B rows leave some A entries without products
+    return SparseMatrix.from_dense(A), SparseMatrix.from_dense(B)
+
+
+class TestBatchedSummation:
+    @settings(max_examples=60, deadline=None)
+    @given(operands=mixed_operands(), data=st.data())
+    def test_byte_identical_to_per_block_products(self, operands, data):
+        A, B = operands
+        m = data.draw(st.integers(1, A.rows), label="m")
+        n = data.draw(st.integers(1, A.cols), label="n")
+        k = data.draw(st.integers(1, B.cols), label="k")
+        schema = PartitionSchema(m, n, k)
+        # blocks this small mostly take the dense path at the default factor;
+        # 0 sends every block down the sparse path, 1 and 3 mix the two
+        factor = data.draw(st.sampled_from([None, 0, 1, 3]), label="dense factor")
+        # 0 multiplies every block alone, through _block_matmul
+        reference = _product_bytes(A, B, schema, "naive", 1, batch=0, dense_factor=factor)
+        # small bounds cut a worker's blocks into batches between blocks, and
+        # a stack's expansion into row batches
+        batch = data.draw(st.sampled_from([None, 40, 150, 600]), label="batch")
+        scratch = data.draw(st.sampled_from([None, 64]), label="scratch")
+        for shard in ("naive", "rand"):
+            for workers in (1, 2, 3, 8):
+                assert _product_bytes(A, B, schema, shard, workers, batch, factor,
+                                      scratch) == reference
+
+    def test_summation_job_shape(self, monkeypatch):
+        import mrmul.multiply as mm
+        real_run_job, jobs = mm.run_job, []
+
+        def recording_run_job(spec, records):
+            out, m = real_run_job(spec, records)
+            jobs.append((spec, records, m))
+            return out, m
+
+        monkeypatch.setattr(mm, "run_job", recording_run_job)
+        A = random_sparse(60, 50, 0.15, seed=81)
+        B = random_sparse(50, 70, 0.15, seed=82)
+        partition_multiply(A, B, PartitionSchema(5, 3, 4), "rand", 3)
+        spec, records, m = jobs[1]
+        assert m.stage == "summation"
+        # at most one input record per worker, each pinned to its own worker
+        placed = [spec.map_affinity(rec) for rec in records]
+        assert len(placed) == len(set(placed)) <= 3
+        # the records the blocks emit are those of one product per block
+        assert m.records_per_worker == [238, 198, 235]
+        assert m.shuffle_bytes == 82927
+        assert m.cross_worker_bytes == 57438
+
+    def test_memory_bounded(self):
+        A = random_sparse(1000, 1000, 2.0 ** -7, seed=91)
+        B = random_sparse(1000, 1000, 2.0 ** -7, seed=92)
+        tracemalloc.start()
+        try:
+            partition_multiply(A, B, PartitionSchema(20, 6, 20), "rand", 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # multiplying every block alone peaks at about 23.1 MB here; batching
+        # must stay within 10% of that
+        assert peak <= 1.1 * 23.1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBroadcastMultiply:
