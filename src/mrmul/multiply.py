@@ -6,16 +6,17 @@ ships each group to the worker chosen by the shard function; stage two
 multiplies the paired sub-blocks where they landed and sums partial rows per
 output row, ascending gamma, so results are bit-identical for any worker
 count and shard choice. Stage two's input is one record per worker holding
-all of its blocks: small blocks are multiplied in bounded batches, each batch
-in one vectorised pass, large and dense-path blocks alone, and every block
-still emits one record per non-empty output row.
+all of its blocks: dense-path blocks are multiplied alone by BLAS, every other
+block in a bounded batch whose stacked product is one vectorised pass, and
+every block still emits one record per non-empty output row.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
 operand is cut into one contiguous row block per worker; each block's product
 is one segmented sum over its rows (a DenseMatrix block is cut the same way
 and multiplied by one row-independent einsum), shipped as one record to the
-worker that computed it. Each row is still formed from that row alone.
+worker that computed it. Each row is still formed from that row alone, and
+the result is a DenseMatrix whatever the large operand's type.
 """
 
 from __future__ import annotations
@@ -261,63 +262,44 @@ def _expand_rows(blk, len_k, lo_row, hi_row, width):
     return key_s[seg], np.add.reduceat(prod_vals[order], seg)
 
 
-def _sparse_product(blk, len_k, tot, width):
-    """The sparse path of _block_matmul: (indptr, cols, sums) of blk's
-    product, each (row, col) sum formed from its products in A-entry order.
-    Its scratch is cut into row batches within _SPARSE_BATCH_PRODUCTS."""
-    nr = blk.row_ids.size
-    if tot <= _SPARSE_BATCH_PRODUCTS:
-        uniq, sums = _expand_rows(blk, len_k, 0, nr, width)
-    else:
-        cum = np.concatenate(([0], np.cumsum(len_k)))
-        row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
-        parts = [_expand_rows(blk, len_k, lo, hi, width) for lo, hi in _row_batches(row_end)]
-        uniq = np.concatenate([u for u, _ in parts])
-        sums = np.concatenate([s for _, s in parts])
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(uniq // width, minlength=nr))))
-    return indptr.astype(np.int64), uniq % width, sums
+def _sparse_product(blk, len_k, width):
+    """The sparse path: (indptr, cols, sums) of blk's product, each (row,
+    col) sum formed from its products in A-entry order. Its scratch is cut
+    into row batches within _SPARSE_BATCH_PRODUCTS."""
+    cum = np.concatenate(([0], np.cumsum(len_k)))
+    row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
+    parts = [_expand_rows(blk, len_k, lo, hi, width) for lo, hi in _row_batches(row_end)]
+    uniq = np.concatenate([u for u, _ in parts])
+    sums = np.concatenate([s for _, s in parts])
+    indptr = _indptr(np.bincount(uniq // width, minlength=blk.row_ids.size))
+    return indptr, uniq % width, sums
 
 
 def _takes_dense_path(tot, nr, gw, bw):
-    """Whether _block_matmul multiplies a block of tot products as dense arrays."""
+    """Whether a block of tot products is multiplied as dense arrays, by
+    _dense_product, rather than on the sparse path."""
     dense_bytes = 8 * (nr * gw + gw * bw + nr * bw)
     return tot * _DENSE_WORK_FACTOR >= nr * gw * bw and dense_bytes <= _DENSE_BYTES_CAP
 
 
-def _block_matmul(blk: _Block):
-    """Multiply one sub-block pair, skipping structural zeros.
-
-    Returns (indptr, local cols, values, product count). Sparse blocks go
-    through a vectorized row-expansion and segmented sum; dense-ish blocks are
-    multiplied as dense arrays. Both paths are deterministic functions of the
-    block content alone.
-    """
-    nr = blk.row_ids.size
-    gw, bw = blk.gamma_width, blk.beta_width
-    b_row_nnz = np.diff(blk.b_indptr)
-    len_k = b_row_nnz[blk.a_cols]
-    tot = int(len_k.sum())
-    if tot == 0:
-        return np.zeros(nr + 1, dtype=np.int64), _EMPTY_I64, _EMPTY_F64, 0
-
-    if _takes_dense_path(tot, nr, gw, bw):
-        ra = np.repeat(np.arange(nr, dtype=np.int64), np.diff(blk.a_indptr))
-        Ad = np.zeros((nr, gw))
-        Ad[ra, blk.a_cols] = blk.a_vals
-        Bd = np.zeros((gw, bw))
-        rb = np.repeat(np.arange(gw, dtype=np.int64), b_row_nnz)
-        Bd[rb, blk.b_cols] = blk.b_vals
-        Cd = Ad @ Bd
-        rr, cc = np.nonzero(Cd)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rr, minlength=nr)))).astype(np.int64)
-        return indptr, cc.astype(np.int64), Cd[rr, cc], tot
-
-    return *_sparse_product(blk, len_k, tot, bw), tot
+def _dense_product(blk: _Block):
+    """BLAS product of one dense-path block as (indptr, local cols, values),
+    skipping zeros of the result; its bits depend on the block alone."""
+    nr, gw = blk.row_ids.size, blk.gamma_width
+    ra = np.repeat(np.arange(nr, dtype=np.int64), np.diff(blk.a_indptr))
+    Ad = np.zeros((nr, gw))
+    Ad[ra, blk.a_cols] = blk.a_vals
+    Bd = np.zeros((gw, blk.beta_width))
+    rb = np.repeat(np.arange(gw, dtype=np.int64), np.diff(blk.b_indptr))
+    Bd[rb, blk.b_cols] = blk.b_vals
+    Cd = Ad @ Bd
+    rr, cc = np.nonzero(Cd)
+    return _indptr(np.bincount(rr, minlength=nr)), cc.astype(np.int64), Cd[rr, cc]
 
 
 def _product_counts(blocks):
-    """The product count of every block (the count _block_matmul returns),
-    for all of a worker's blocks in one pass."""
+    """The product count (a[i,k]*b[k,j] terms) of every block, for all of a
+    worker's blocks in one pass."""
     b_indptr = np.concatenate([blk.b_indptr for blk in blocks])
     # block i's B rows start at b_row[i] of the concatenation; the differences
     # across block boundaries are never read, as A's columns stay in their block
@@ -329,26 +311,26 @@ def _product_counts(blocks):
 
 
 def _summation_batches(blocks, tot):
-    """Cut a worker's blocks, in order, into batches of sparse-path blocks
-    whose summed size (A entries + B entries + gamma width) is at most
-    _SUMMATION_BATCH. A dense-path block, or one of at least that size, is a
-    batch of its own; blocks without products are left out."""
+    """Cut a worker's blocks, in order, into (batch, dense) pairs. A
+    dense-path block is a batch of its own (dense true); sparse-path blocks
+    form batches whose summed size (A entries + B entries + gamma width) is
+    at most _SUMMATION_BATCH, so a block of that size or more is alone.
+    Blocks without products are left out."""
     batch, size = [], 0
     for blk, t in zip(blocks, tot.tolist()):
         if t == 0:
             continue
-        s = blk.a_cols.size + blk.b_cols.size + blk.gamma_width
-        if s >= _SUMMATION_BATCH or _takes_dense_path(
-                t, blk.row_ids.size, blk.gamma_width, blk.beta_width):
-            yield [blk]
+        if _takes_dense_path(t, blk.row_ids.size, blk.gamma_width, blk.beta_width):
+            yield [blk], True
             continue
-        if size + s > _SUMMATION_BATCH:
-            yield batch
+        s = blk.a_cols.size + blk.b_cols.size + blk.gamma_width
+        if batch and size + s > _SUMMATION_BATCH:
+            yield batch, False
             batch, size = [], 0
         batch.append(blk)
         size += s
     if batch:
-        yield batch
+        yield batch, False
 
 
 def _stack_blocks(blocks, width):
@@ -379,23 +361,22 @@ def _stack_blocks(blocks, width):
         int(g_off[-1]), width, 0)
 
 
-def _batch_matmul(blocks, width):
+def _batch_matmul(blocks, dense, width):
     """Product of a batch as (block of each row, row ids, indptr, global
-    cols, values). A batch of one is _block_matmul's product. A larger batch
-    holds sparse-path blocks only and is multiplied as their stack in one
-    pass: stable-sorting the stack's products by (row, global col) keeps each
-    block-row's products in the order _block_matmul sorts them, so every sum
-    is bit-identical to that block's own product."""
-    if len(blocks) == 1:
-        blk = blocks[0]
-        indptr, cols, vals, _ = _block_matmul(blk)
+    cols, values). A dense batch is one block's _dense_product. A sparse one
+    is multiplied as the stack of its blocks in one pass: stable-sorting the
+    stack's products by (row, global col) keeps each (row, col) sum in
+    A-entry order, so every sum is bit-identical however the blocks are
+    batched."""
+    if dense:
+        (blk,) = blocks
+        indptr, cols, vals = _dense_product(blk)
         return (np.zeros(blk.row_ids.size, dtype=np.int64), blk.row_ids, indptr,
                 cols + blk.col_off, vals)
     stack = _stack_blocks(blocks, width)
     len_k = np.diff(stack.b_indptr)[stack.a_cols]
     row_block = np.repeat(np.arange(len(blocks)), [blk.row_ids.size for blk in blocks])
-    return (row_block, stack.row_ids,
-            *_sparse_product(stack, len_k, int(len_k.sum()), width))
+    return row_block, stack.row_ids, *_sparse_product(stack, len_k, width)
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -499,16 +480,15 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
                              ghi - glo, bhi - blo, blo))]
 
     # The input is one record per worker: every _Block the partition job
-    # placed there. It emits what one _block_matmul per block would: one
-    # record per non-empty output row of a block, its bytes cut from one
-    # buffer per batch.
+    # placed there. It emits one record per non-empty output row of a block,
+    # its bytes cut from one buffer per batch.
     def summation_mapper(rec):
         _, blocks = rec
         tot = _product_counts(blocks)
         ops.add(int(tot.sum()))
         out = []
-        for batch in _summation_batches(blocks, tot):
-            row_block, row_ids, indptr, cols, vals = _batch_matmul(batch, B.cols)
+        for batch, dense in _summation_batches(blocks, tot):
+            row_block, row_ids, indptr, cols, vals = _batch_matmul(batch, dense, B.cols)
             keys = [(blk.alpha, blk.beta, blk.gamma) for blk in batch]
             rows = np.flatnonzero(np.diff(indptr))
             cb, vb = cols.tobytes(), vals.tobytes()
@@ -529,8 +509,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         cat_vals = np.frombuffer(b"".join(vb for _, _, _, vb in partials), dtype=np.float64)
         ops.add(cat_vals.size)
         ucols, inv = np.unique(cat_cols, return_inverse=True)
-        sums = np.zeros(ucols.size, dtype=np.float64)
-        np.add.at(sums, inv, cat_vals)  # in-order accumulation per column
+        # in-order accumulation per column
+        sums = np.bincount(inv, weights=cat_vals, minlength=ucols.size)
         return [(key, (ucols.tobytes(), sums.tobytes()))]
 
     records = [("A", alpha, *_row_block(A, *asplit.range(alpha))) for alpha in range(m)]
@@ -569,17 +549,19 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
 
 
 def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
-                       workers: int = 1) -> SparseMatrix | DenseMatrix:
+                       workers: int = 1) -> DenseMatrix:
     """Row-wise product: row i of the result is row i of A times B_small.
 
     A is cut into one contiguous row block per worker, and each block is one
     input record; B_small is broadcast once per call and never shuffled. A
     block's map task ships one record, its dense product, to its own worker.
-    The result has A's type.
+    The result is a DenseMatrix for either type of A.
     """
     if A.cols != B_small.rows:
         raise ValueError(
             f"shape mismatch: {A.rows}x{A.cols} times {B_small.rows}x{B_small.cols}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     store = BroadcastStore()
     broadcast(store, "rhs", B_small.values)
     split = _Splitter(A.rows, min(workers, A.rows))
@@ -613,8 +595,7 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
                    workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
                    parallel=per_row_work >= 4096)
     out, _ = run_job(spec, [(b, *cut(A, *split.range(b))) for b in range(split.parts)])
-    C = np.vstack([block for _, block in out])
-    return DenseMatrix(C) if dense else SparseMatrix.from_dense(C)
+    return DenseMatrix(np.vstack([block for _, block in out]))
 
 
 def suggest_schema(rows_a, cols_a, cols_b, nnz_a, nnz_b, workers,

@@ -101,8 +101,7 @@ def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DI
     W, H = state.W, state.H
 
     t0 = time.perf_counter()
-    # the two products with A on the left come back as m x k or n x k CSR
-    X = DenseMatrix(broadcast_multiply(transpose(A), W, workers).to_dense().T)
+    X = DenseMatrix(broadcast_multiply(transpose(A), W, workers).values.T)
     t1 = time.perf_counter()
     Cww = broadcast_multiply(DenseMatrix(W.values.T), W, workers)
     Y = broadcast_multiply(Cww, H, workers)
@@ -111,7 +110,7 @@ def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DI
     t3 = time.perf_counter()
 
     Ht = DenseMatrix(H_new.values.T)
-    Xw = DenseMatrix(broadcast_multiply(A, Ht, workers).to_dense())
+    Xw = broadcast_multiply(A, Ht, workers)
     Chh = broadcast_multiply(H_new, Ht, workers)
     Yw = broadcast_multiply(W, Chh, workers)
     W_new = elementwise_update(W, Xw, Yw, eps)

@@ -95,7 +95,7 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
     The returned vector is a probability distribution at every iteration, and
     on convergence it is invariant under one more iteration within tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -108,7 +108,7 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
     teleport = (1.0 - d) / N
     iterations = 0
     for _ in range(max_iters):
-        flow = broadcast_multiply(prob.P, DenseMatrix(pi.reshape(-1, 1)), workers).to_dense()[:, 0]
+        flow = broadcast_multiply(prob.P, DenseMatrix(pi.reshape(-1, 1)), workers).values[:, 0]
         pi_next = d * flow + teleport
         iterations += 1
         if abs(pi_next.sum() - 1.0) > _PROBABILITY_TOL:

@@ -73,7 +73,7 @@ def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVe
     """Ascent direction g_i = eta * (1 - y_i * sum_j y_j alpha_j K_ij)."""
     y = prob.y.values
     d = y * state.alpha.values
-    kd = broadcast_multiply(state.K, DenseMatrix(d.reshape(-1, 1)), workers).to_dense()[:, 0]
+    kd = broadcast_multiply(state.K, DenseMatrix(d.reshape(-1, 1)), workers).values[:, 0]
     return DenseVector(prob.eta * (1.0 - y * kd))
 
 
@@ -107,8 +107,10 @@ def svm_predict(state: SvmState, prob: SvmProblem, Q: SparseMatrix,
     d = prob.y.values * state.alpha.values
     # w = Tt d, then scores = Q w: two row-local products.
     w = broadcast_multiply(transpose(prob.T), DenseMatrix(d.reshape(-1, 1)), workers)
-    scores = broadcast_multiply(Q, DenseMatrix(w.to_dense()), workers)
-    return DenseVector(scores.to_dense()[:, 0])
+    scores = broadcast_multiply(Q, w, workers)
+    # + 0.0 turns a score whose every term is a signed zero into 0.0, so a
+    # score file never reads -0.0
+    return DenseVector(scores.values[:, 0] + 0.0)
 
 
 def accuracy(scores: DenseVector, y: DenseVector) -> float:

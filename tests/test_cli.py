@@ -228,6 +228,17 @@ class TestSvm:
         values = [float(x) for x in scores.read_text().split()]
         assert np.sign(values).tolist() == [1.0, -1.0]
 
+    def test_zero_score_written_unsigned(self, tmp_path):
+        # alpha_0 = 0 with y_0 = -1 makes every term of the first score -0.0
+        data = tmp_path / "toy.svm"
+        data.write_text("-1 0:1.0\n+1 1:1.0\n")
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0\n0.5\n")
+        scores = tmp_path / "scores.txt"
+        assert run_cli("svm-predict", "--data", data, "--alpha", alpha,
+                       "--query", data, "--out", scores) == 0
+        assert scores.read_text() == "0.0\n0.5\n"
+
     @pytest.mark.parametrize("alphas,lineno", [("0.5\nnan\n", 2), ("nan\n0.5\n", 1),
                                               ("0.5\n-0.25\n", 2)])
     def test_bad_alpha_rejected(self, tmp_path, capsys, alphas, lineno):
@@ -367,3 +378,31 @@ class TestImpossibleFlags:
                        "--out-prefix", tmp_path / "pr_") == 1
         assert "N must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("pr_*"))
+
+    def test_pagerank_nan_tol(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t0\n")
+        assert run_cli("pagerank", "--edges", edges, "--tol", "nan",
+                       "--out-prefix", tmp_path / "pr_") == 1
+        assert "tol must be > 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pr_*"))
+
+    @pytest.mark.parametrize("command", ["pagerank", "nmf", "svm-predict"])
+    def test_zero_workers(self, tmp_path, capsys, command):
+        if command == "pagerank":
+            edges = tmp_path / "e.txt"
+            edges.write_text("0\t1\n1\t0\n")
+            args = ["--edges", edges, "--out-prefix", tmp_path / "out_"]
+        elif command == "nmf":
+            af = tmp_path / "a.txt"
+            af.write_text("2 2 3\n0\t0:1.0 1:2.0\n1\t1:3.0\n")
+            args = ["--input", af, "--k", 1, "--iters", 2, "--out-prefix", tmp_path / "out_"]
+        else:
+            alpha = tmp_path / "alpha.txt"
+            with open(IRIS, encoding="ascii") as fh:
+                alpha.write_text("0.5\n" * len(fh.readlines()))
+            args = ["--data", IRIS, "--alpha", alpha, "--query", IRIS,
+                    "--out", tmp_path / "out_scores.txt"]
+        assert run_cli(command, *args, "--workers", 0) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not list(tmp_path.glob("out_*"))
