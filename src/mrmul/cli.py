@@ -197,7 +197,7 @@ def cmd_pagerank(args):
     edges = mio.read_edges(args.edges)
     n = args.nodes
     if n is None:
-        n = max((max(s, t) for s, t in edges), default=-1) + 1
+        n = int(np.max(edges, initial=-1)) + 1
         if n < 1:
             print("error: empty graph and no --nodes given", file=sys.stderr)
             return 1

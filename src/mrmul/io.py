@@ -13,12 +13,14 @@ One line per example; the label is finite and the entries follow the row
 format's rules. The matrix width is the largest index + 1, or the width the
 caller gives (a query file must stay inside its training width).
 
-Edge list: one "src TAB dst" pair of 0-based node ids per line.
+Edge list: one "src TAB dst" pair of 0-based node ids per line, any
+whitespace between them; blank lines are skipped.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -28,7 +30,7 @@ __all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_e
            "write_edges"]
 
 # Widest matrix an int64 index can address: the bound on a matrix header's
-# shape, and on SVM indices when the caller gives no width.
+# shape, on SVM indices when the caller gives no width, and on node ids.
 _MAX_COLS = np.iinfo(np.int64).max
 
 
@@ -172,21 +174,43 @@ def write_edges(edges, path) -> None:
             fh.write(f"{src}\t{dst}\n")
 
 
-def read_edges(path):
-    """Parse an edge-list file into a list of (src, dst) node-id pairs."""
-    edges = []
+# An edge-list file whose every line is blank or `digits WS digits`, WS being
+# any whitespace but the newline: the tokens of such a file are exactly its
+# node ids, in order. The line alternatives are tried most common first.
+_WS = r"[^\S\n]"
+_EDGE = rf"[0-9]+{_WS}+[0-9]+{_WS}*"
+_PLAIN_EDGES = re.compile(rf"(?:{_EDGE}\n|{_WS}*\n|{_WS}+{_EDGE}\n)*{_WS}*(?:{_EDGE})?")
+
+
+def read_edges(path) -> np.ndarray:
+    """Parse an edge-list file into an int64 array of (src, dst) rows, one per
+    non-blank line in file order."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'src dst', got {line.strip()!r}")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer node id in {line.strip()!r}") from None
-            if src < 0 or dst < 0:
-                raise ParseError(path, lineno, "node ids must be non-negative")
-            edges.append((src, dst))
-    return edges
+        data = fh.read()
+    if _PLAIN_EDGES.fullmatch(data):
+        try:
+            return np.array(data.split(), dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # an id past int64: the line loop names it
+            pass
+    return _read_edge_lines(data, path)
+
+
+def _read_edge_lines(data, path) -> np.ndarray:
+    """Parse an edge list line by line, rejecting the first malformed line."""
+    edges = []
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 'src dst', got {line.strip()!r}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer node id in {line.strip()!r}") from None
+        if src < 0 or dst < 0:
+            raise ParseError(path, lineno, "node ids must be non-negative")
+        if max(src, dst) > _MAX_COLS:
+            raise ParseError(path, lineno, f"node id {max(src, dst)} outside 0..{_MAX_COLS}")
+        edges.append((src, dst))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)

@@ -1,20 +1,25 @@
 """PageRank by the damped power method over row-local multiplication.
 
-The transition matrix P is column-stochastic: P[i, j] = 1/L(j) when j links
-to i, with dangling columns (no outlinks) repaired to the uniform column 1/N.
-Each iteration computes
+The link matrix L holds one entry per distinct link: L[i, j] = 1/outdeg(j)
+when j links to i, outdeg(j) being j's outlink count. A dangling node (no
+outlinks) has an empty column in L; the Google matrix treats it as the
+uniform column 1/N, so its rank is spread over every node as one rank-one
+term (Langville & Meyer, "Deeper Inside PageRank", 2004). Each iteration
+computes
 
-    pi <- d * (P pi) + (1 - d)/N
+    pi <- d * (L pi + sum_{j dangling} pi_j / N) + (1 - d)/N
 
-where P pi runs through broadcast_multiply: the current vector is broadcast
+where L pi runs through broadcast_multiply: the current vector is broadcast
 to every worker, each worker forms the dot products of its one contiguous
-block of P's rows, and ships the block's products as one record.
+block of L's rows, and ships the block's products as one record. The
+dangling mass is one scalar, summed outside the engine. The column-stochastic
+matrix P with the dangling columns filled in is derived from L on request,
+for oracles and tests; the iteration never forms it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -25,6 +30,7 @@ __all__ = ["PagerankProblem", "PagerankError", "pagerank_build", "pagerank"]
 
 _COLUMN_SUM_TOL = 1e-12
 _PROBABILITY_TOL = 1e-10
+_MAX_NODES = np.iinfo(np.int64).max  # node ids are int64
 
 
 class PagerankError(RuntimeError):
@@ -33,39 +39,63 @@ class PagerankError(RuntimeError):
 
 @dataclass(frozen=True)
 class PagerankProblem:
-    """Column-stochastic transition matrix with damping and node count."""
+    """Link matrix, damping and node count of a PageRank problem.
 
-    P: SparseMatrix
+    `links` holds the real links only; a node with `outdeg` 0 is dangling and
+    its column of the transition matrix is uniform. `P` derives that full
+    column-stochastic matrix, N entries per dangling column, for oracles and
+    tests.
+    """
+
+    links: SparseMatrix
     d: float
     N: int
-    outdeg: np.ndarray  # outlink count per node, before dangling repair
+    outdeg: np.ndarray  # outlink count per node; 0 marks a dangling node
 
     def __post_init__(self):
         if not 0.0 <= self.d <= 1.0:
             raise ValueError("damping factor must lie in [0, 1]")
-        if self.P.rows != self.N or self.P.cols != self.N:
-            raise ValueError("P must be N x N")
+        if self.links.rows != self.N or self.links.cols != self.N:
+            raise ValueError("links must be N x N")
+        if np.shape(self.outdeg) != (self.N,):
+            raise ValueError("outdeg must have N entries")
+
+    @property
+    def P(self) -> SparseMatrix:
+        """The column-stochastic transition matrix: `links` plus a uniform
+        column 1/N for each dangling node. Built anew on every access."""
+        N, L = self.N, self.links
+        dangling = np.flatnonzero(self.outdeg == 0)
+        rows_ids = np.concatenate((np.repeat(np.arange(N), np.diff(L.indptr)),
+                                   np.tile(np.arange(N), dangling.size)))
+        cols_ids = np.concatenate((L.indices, np.repeat(dangling, N)))
+        vals = np.concatenate((L.values, np.full(dangling.size * N, 1.0 / N)))
+        return SparseMatrix.from_coo(N, N, rows_ids, cols_ids, vals)
 
 
-def _column_sums(P: SparseMatrix) -> np.ndarray:
-    sums = np.zeros(P.cols)
-    np.add.at(sums, P.indices, P.values)
-    return sums
+def _off_stochastic(links: SparseMatrix, outdeg: np.ndarray) -> bool:
+    """True when some column of the transition matrix, the column of `links`
+    plus 1 for a dangling node, misses 1 by more than the tolerance."""
+    sums = np.bincount(links.indices, weights=links.values, minlength=links.cols)
+    sums += outdeg == 0
+    return sums.size > 0 and bool(np.max(np.abs(sums - 1.0)) > _COLUMN_SUM_TOL)
 
 
 def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
-    """Build the transition matrix from (src, dst) links.
+    """Build the link matrix from (src, dst) links.
 
-    Duplicate edges collapse to one link; a node with no outlinks becomes a
-    uniform column so every column sums to one. An edge outside 0..N-1 is
-    rejected, naming the first such edge in input order.
+    Duplicate edges collapse to one link; a node with no outlinks is left
+    dangling, with an empty column. An edge outside 0..N-1 is rejected,
+    naming the first such edge in input order.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > _MAX_NODES:
+        raise ValueError(f"N must be <= {_MAX_NODES}")
     if not 0.0 <= d <= 1.0:
         raise ValueError("damping factor must lie in [0, 1]")
     try:
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         bad = pairs[((pairs < 0) | (pairs >= N)).any(axis=1)]
     except OverflowError:  # an id beyond int64: find the first bad edge in Python
         bad = [e for e in edges if not (0 <= e[0] < N and 0 <= e[1] < N)]
@@ -74,17 +104,10 @@ def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
         raise ValueError(f"edge ({int(src)}, {int(dst)}) outside 0..{N - 1}")
     src, dst = np.divmod(np.unique(pairs[:, 0] * N + pairs[:, 1]), N)
     outdeg = np.bincount(src, minlength=N)
-
-    dangling = np.flatnonzero(outdeg == 0)
-    rows_ids = np.concatenate((dst, np.tile(np.arange(N), dangling.size)))
-    cols_ids = np.concatenate((src, np.repeat(dangling, N)))
-    vals = np.concatenate((1.0 / outdeg[src], np.full(dangling.size * N, 1.0 / N)))
-    P = SparseMatrix.from_coo(N, N, rows_ids, cols_ids, vals)
-
-    sums = _column_sums(P)
-    if np.max(np.abs(sums - 1.0)) > _COLUMN_SUM_TOL:
+    links = SparseMatrix.from_coo(N, N, dst, src, 1.0 / outdeg[src])
+    if _off_stochastic(links, outdeg):
         raise PagerankError("column sums deviate from 1 beyond tolerance")
-    return PagerankProblem(P, d, N, outdeg)
+    return PagerankProblem(links, d, N, outdeg)
 
 
 def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
@@ -99,17 +122,17 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
         raise ValueError("tol must be > 0")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    sums = _column_sums(prob.P)
-    if sums.size and np.max(np.abs(sums - 1.0)) > _COLUMN_SUM_TOL:
+    if _off_stochastic(prob.links, prob.outdeg):
         raise PagerankError("transition matrix is not column-stochastic")
 
     N, d = prob.N, prob.d
+    dangling = np.flatnonzero(prob.outdeg == 0)
     pi = np.full(N, 1.0 / N)
     teleport = (1.0 - d) / N
     iterations = 0
     for _ in range(max_iters):
-        flow = broadcast_multiply(prob.P, DenseMatrix(pi.reshape(-1, 1)), workers).values[:, 0]
-        pi_next = d * flow + teleport
+        flow = broadcast_multiply(prob.links, DenseMatrix(pi.reshape(-1, 1)), workers).values[:, 0]
+        pi_next = d * (flow + pi[dangling].sum() / N) + teleport
         iterations += 1
         if abs(pi_next.sum() - 1.0) > _PROBABILITY_TOL:
             raise PagerankError("rank vector drifted off the probability simplex")

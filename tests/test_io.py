@@ -4,12 +4,14 @@ corrupted, fail with a ParseError naming that token's line."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrmul.cli import main
-from mrmul.io import ParseError, read_matrix, read_svm_file, write_matrix
+from mrmul.io import (_PLAIN_EDGES, ParseError, _read_edge_lines, read_edges, read_matrix,
+                      read_svm_file, write_matrix)
 from mrmul.sparse import SparseMatrix
 
 GOOD_LINES = ["+1 0:1.0 2:2.0", "-1 1:1.5"]
@@ -94,6 +96,48 @@ class TestMatrixHeaderBounds:
         assert run_cli("multiply", "--a", path, "--b", path, "--out", out) == 1
         assert f"a.txt:1: matrix shape 1x{10**20 - 1} outside 1..{2**63 - 1}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReadEdges:
+    """Edge lists: each bad third line fails at line 3 with the diagnostic
+    beside it, and pagerank exits 1 on an id or node count past int64 with
+    nothing written."""
+
+    BAD_LINES = {
+        "one token": ("7", "expected 'src dst', got '7'"),
+        "three tokens": ("1 2 3", "expected 'src dst', got '1 2 3'"),
+        "non-integer": ("1\tx", "non-integer node id in '1\\tx'"),
+        "negative": ("-1\t2", "node ids must be non-negative"),
+        "past int64": (f"1\t{2**63}", f"node id {2**63} outside 0..{2**63 - 1}"),
+    }
+
+    @pytest.mark.parametrize("line,message", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_parse_error_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "e.txt"
+        path.write_text(f"0\t1\n1\t0\n{line}\n2\t0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_edges(path)
+
+    def test_widest_int64_id_accepted(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(f"0\t{2**63 - 1}\n")
+        assert read_edges(path).tolist() == [[0, 2**63 - 1]]
+
+    def test_id_past_int64_exits_nonzero_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "e.txt"
+        path.write_text("0\t1\n1\t99999999999999999999\n")
+        assert run_cli("pagerank", "--edges", path, "--out-prefix", tmp_path / "pr_") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: node id 99999999999999999999 outside 0..{2**63 - 1}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.txt"]
+
+    def test_nodes_past_int64_exits_nonzero_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "e.txt"
+        path.write_text("0\t1\n1\t0\n")
+        assert run_cli("pagerank", "--edges", path, "--nodes", 10**20 - 1,
+                       "--out-prefix", tmp_path / "pr_") == 1
+        assert capsys.readouterr().err == f"error: N must be <= {2**63 - 1}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.txt"]
 
 
 # -- fuzzing ------------------------------------------------------------------
@@ -187,3 +231,34 @@ class TestReadSvmFileFuzz:
             with pytest.raises(ParseError) as exc:
                 read_svm_file(path, cols=cols)
             assert exc.value.lineno == at + 1
+
+
+blanks = st.text(st.sampled_from(" \t\x0b\x0c"), max_size=3)
+gaps = st.text(st.sampled_from(" \t\x0b\x0c"), min_size=1, max_size=3)
+node_ids = st.one_of(st.integers(0, 50), st.integers(0, 2**63 - 1))
+
+
+class TestReadEdgesFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fast_path_matches_line_loop(self, tmp_path_factory, data):
+        lines, pairs = [], []
+        for _ in range(data.draw(st.integers(0, 8), label="lines")):
+            if data.draw(st.booleans(), label="blank"):
+                lines.append(data.draw(blanks))
+                continue
+            src, dst = data.draw(node_ids), data.draw(node_ids)
+            lead, gap, trail = data.draw(blanks), data.draw(gaps), data.draw(blanks)
+            lines.append(f"{lead}{src}{gap}{dst}{trail}")
+            pairs.append([src, dst])
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        ending = data.draw(st.sampled_from(["", eol]), label="last line end")
+        path = tmp_path_factory.mktemp("fuzz") / "e.txt"
+        path.write_bytes((eol.join(lines) + ending).encode("ascii"))
+
+        text = path.read_text(encoding="ascii")
+        assert _PLAIN_EDGES.fullmatch(text)  # read_edges takes the fast path
+        fast = read_edges(path)
+        assert fast.dtype == np.int64 and fast.shape == (len(pairs), 2)
+        assert fast.tolist() == pairs
+        assert np.array_equal(fast, _read_edge_lines(text, path))

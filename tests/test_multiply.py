@@ -333,7 +333,8 @@ class TestBatchedSummation:
         # blocks this small mostly take the dense path at the default factor;
         # 0 sends every block down the sparse path, 1 and 3 mix the two
         factor = data.draw(st.sampled_from([None, 0, 1, 3]), label="dense factor")
-        # 0 multiplies every block alone, through _block_matmul
+        # 0 multiplies every block alone: a sparse-path block as a stack of
+        # one through _sparse_product, a dense-path one through _dense_product
         reference = _product_bytes(A, B, schema, "naive", 1, batch=0, dense_factor=factor)
         # small bounds cut a worker's blocks into batches between blocks, and
         # a stack's expansion into row batches

@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,3 +158,46 @@ class TestPagerank:
         prob = pagerank_build(random_graph(7, n), 0.85, n)
         _, iters = pagerank(prob, tol=1e-16, max_iters=5)
         assert iters == 5
+
+
+class TestStructure:
+    """The iteration runs over the link matrix alone: each dangling node is
+    one scalar term, never a stored column of N entries."""
+
+    def test_links_hold_one_entry_per_distinct_link(self):
+        edges = random_graph(11, 70)
+        edges += edges[::3]  # repeated links collapse
+        prob = pagerank_build(edges, 0.85, 70)
+        assert prob.links.nnz == len(set(edges))
+        assert (prob.outdeg == 0).any()
+
+    def test_every_product_is_over_the_links(self, monkeypatch):
+        module = importlib.import_module("mrmul.pagerank")  # the package rebinds the name
+        prob = pagerank_build(random_graph(12, 60), 0.85, 60)
+        original, sizes = module.broadcast_multiply, []
+
+        def spy(A, B_small, workers=1):
+            sizes.append(A.nnz)
+            return original(A, B_small, workers)
+
+        monkeypatch.setattr(module, "broadcast_multiply", spy)
+        _, iters = pagerank(prob, tol=1e-10, max_iters=50, workers=2)
+        assert sizes == [prob.links.nnz] * iters
+
+    def test_memory_stays_linear_in_links(self):
+        # 1000 dangling columns of 4000 entries would be 4M stored entries
+        # (32 MB of values alone); the links are 9000
+        N, n_dangling = 4000, 1000
+        rng = np.random.default_rng(12)
+        edges = [(src, int(dst)) for src in range(n_dangling, N)
+                 for dst in rng.choice(N, size=3, replace=False)]
+        tracemalloc.start()
+        try:
+            prob = pagerank_build(edges, 0.85, N)
+            _, iters = pagerank(prob, tol=1e-16, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iters == 5
+        assert prob.links.nnz == 9000
+        assert peak < 16 * 2**20
