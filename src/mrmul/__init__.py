@@ -15,7 +15,7 @@ from .engine import (
     current_worker,
     run_job,
 )
-from .io import ParseError, read_edges, read_matrix, write_edges, write_matrix
+from .io import ParseError, read_edges, read_matrix, write_matrix
 from .multiply import (
     PartitionSchema,
     ShardFunction,

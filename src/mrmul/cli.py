@@ -357,7 +357,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(rest)
     try:
-        return args.fn(args)
+        # an overflow or a nan shows up in the result, which the commands
+        # check (_require_finite) before they write it; numpy's own warning
+        # would only repeat that, with a source line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,8 @@ Shuffle volume is measured by really serializing every mapper-emitted record
 
 from __future__ import annotations
 
+import contextvars
+import gc
 import pickle
 import threading
 import time
@@ -215,8 +217,11 @@ def _reduce_task(worker, keys, groups, reducer, stage):
 def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
     if n_workers == 1 or not parallel:
         return [task_fn(w, *args_per_worker[w]) for w in range(n_workers)]
+    # each task runs in a copy of the caller's context, so context-scoped
+    # settings such as numpy's errstate hold on the pool's threads as well
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(task_fn, w, *args_per_worker[w]) for w in range(n_workers)]
+        futures = [pool.submit(contextvars.copy_context().run, task_fn, w, *args_per_worker[w])
+                   for w in range(n_workers)]
         return [f.result() for f in futures]
 
 
@@ -242,6 +247,20 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
     The output equals the sequential reference semantics (map everything,
     group by key, reduce each group in key order) for every worker count.
     """
+    # A job allocates a few tuples per record and frees them by reference
+    # counting. Those allocations would start the cyclic collector every few
+    # hundred records, only for it to rescan the job's live records, so it
+    # waits until the job ends.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(spec, records)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
     if spec.workers < 1:
         raise ValueError("workers must be >= 1")
     records = records if isinstance(records, list) else list(records)
@@ -263,18 +282,18 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
                          spec.parallel)
     t1 = time.perf_counter()
 
-    # Shuffle: group by key, tracking bytes and which records change workers.
-    groups: dict[Any, list] = {}
-    shuffle_bytes = 0
+    # Shuffle: group by key, totalling each group's bytes per source worker,
+    # so the bytes that change workers are the total less the destination's.
+    groups: dict[Any, tuple] = {}
     for src_worker, out in enumerate(map_out):
         for blob, key, value in out:
-            shuffle_bytes += len(blob)
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = groups[key] = []
-            bucket.append((blob, src_worker, value))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [0] * nw)
+            group[0].append((blob, value))
+            group[1][src_worker] += len(blob)
     ordered_keys = _sorted_keys(groups, f"{spec.name}/shuffle")
-    cross_worker_bytes = 0
+    shuffle_bytes = cross_worker_bytes = 0
     worker_keys = [[] for _ in range(nw)]
     records_per_worker = [0] * nw
     for key in ordered_keys:
@@ -282,11 +301,13 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
         if not 0 <= dest < nw:
             raise JobError(f"{spec.name}/shuffle", key, ValueError(f"shard {dest} outside 0..{nw - 1}"))
         worker_keys[dest].append(key)
-        bucket = groups[key]
+        bucket, from_worker = groups[key]
+        total = sum(from_worker)
+        shuffle_bytes += total
+        cross_worker_bytes += total - from_worker[dest]
         records_per_worker[dest] += len(bucket)
         bucket.sort(key=itemgetter(0))
-        cross_worker_bytes += sum(len(blob) for blob, src, _ in bucket if src != dest)
-        groups[key] = [value for _, _, value in bucket]
+        groups[key] = [value for _, value in bucket]
     t2 = time.perf_counter()
 
     reduce_out = [_reduce_task(w, worker_keys[w], groups, spec.reducer, spec.name)

@@ -26,8 +26,7 @@ import numpy as np
 
 from .sparse import DenseVector, SparseMatrix
 
-__all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges",
-           "write_edges"]
+__all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges"]
 
 # Widest matrix an int64 index can address: the bound on a matrix header's
 # shape, on SVM indices when the caller gives no width, and on node ids.
@@ -166,12 +165,6 @@ def read_svm_file(path, cols=None):
         y = np.where(y == uniq[0], -1.0, 1.0)
     T = SparseMatrix(len(labels), width, indptr, indices, values)
     return T, DenseVector(y)
-
-
-def write_edges(edges, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for src, dst in edges:
-            fh.write(f"{src}\t{dst}\n")
 
 
 # An edge-list file whose every line is blank or `digits WS digits`, WS being

@@ -5,10 +5,15 @@ one splits both operands into block groups keyed by (alpha, beta, gamma) and
 ships each group to the worker chosen by the shard function; stage two
 multiplies the paired sub-blocks where they landed and sums partial rows per
 output row, ascending gamma, so results are bit-identical for any worker
-count and shard choice. Stage two's input is one record per worker holding
-all of its blocks: dense-path blocks are multiplied alone by BLAS, every other
-block in a bounded batch whose stacked product is one vectorised pass, and
-every block still emits one record per non-empty output row.
+count and shard choice. Stage one's reducer pairs each key's A and B
+sub-blocks without decoding them, so stage two's input is one record per
+worker holding the byte strings of all of its block pairs. Its mapper
+decodes them a bounded batch at a time, with one join per array, straight
+into one stacked CSR whose product is one vectorised pass; a dense-path
+block is multiplied alone by BLAS. A sparse-path block sums its products in
+a dense accumulator when it has few output cells per product, else by a
+sort; the choice is the block's own, so no sum depends on the batching.
+Every block still emits one record per non-empty output row.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -184,23 +189,25 @@ class _Splitter:
 
 
 class _Block(NamedTuple):
-    """A paired sub-block group ready for multiplication (CSR triplets with
-    block-local column indices)."""
+    """CSR operands of one product, a sub-block pair or a stack of them: A's
+    rows, whose column indices point at B's rows, against B's rows, whose
+    block-local columns run over [0, beta_width). A stack's B rows hold an
+    unused empty row between blocks (see _decode_stack)."""
 
-    alpha: int
-    beta: int
-    gamma: int
-    row_ids: np.ndarray     # global A-row index per local row
+    row_ids: np.ndarray     # output row of each of A's rows
     a_indptr: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    b_indptr: np.ndarray    # over the gamma-chunk width
+    b_indptr: np.ndarray    # over the gamma_width rows of B
     b_cols: np.ndarray
     b_vals: np.ndarray
     gamma_width: int
     beta_width: int
-    col_off: int            # global column of the beta chunk start
 
+
+# A paired sub-block travels from the partition job to the summation job as
+# the byte strings of _Block's seven arrays, in field order, of these dtypes.
+_PAYLOAD_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.int64, np.float64)
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -221,65 +228,93 @@ _SUMMATION_BATCH = 1 << 13
 # real thread parallelism pays for the GIL handoffs it causes.
 _PARALLEL_MIN_BLOCK_WORK = 16384
 
+# The paths of a block's product: BLAS on dense arrays, or the sparse path,
+# summing into a dense accumulator or sorting.
+_DENSE, _ACCUMULATE, _SORT = "dense", "accumulate", "sort"
 
-def _row_batches(row_end):
-    """Cut rows into consecutive [lo, hi) batches whose scratch stays within
-    _SPARSE_BATCH_PRODUCTS; row_end[r] is the scratch through the end of row
-    r. A row larger than the bound is a batch of its own."""
-    lo, n = 0, row_end.size
+
+def _bounded_batches(end, bound):
+    """Cut items (rows, or blocks) into consecutive [lo, hi) batches whose
+    scratch stays within bound; end[r] is the scratch through the end of item
+    r. An item larger than the bound is a batch of its own."""
+    lo, n = 0, end.size
     while lo < n:
-        base = row_end[lo - 1] if lo else 0
-        hi = int(np.searchsorted(row_end, base + _SPARSE_BATCH_PRODUCTS, side="right"))
+        base = end[lo - 1] if lo else 0
+        hi = int(np.searchsorted(end, base + bound, side="right"))
         hi = min(max(hi, lo + 1), n)
         yield lo, hi
         lo = hi
 
 
-def _expand_rows(blk, len_k, lo_row, hi_row, width):
+def _expand_rows(blk, len_k, cum, lo_row, hi_row, accumulate):
     """Sparse-path product of local rows [lo_row, hi_row): expand every
-    a[i,k]*b[k,j] product, then segment-sum by (row, col). len_k[e] is the
-    product count of A entry e, the length of the B row it meets."""
+    a[i,k]*b[k,j] product, then sum them by cell, key row*width + col.
+    Returns the keys of the cells holding a product, ascending, and their
+    sums. len_k[e] is the product count of A entry e, the length of the B
+    row it meets, and cum[e] the products of the A entries before e.
+
+    The dense accumulator adds each cell's products into 0.0 left to right,
+    in A-entry order. The sort (stable, so that order holds) leaves them to
+    np.add.reduceat, which adds the first product to the sum of the others.
+    The two differ in the last bits of a cell with three or more products,
+    so a block takes one path whatever it is batched with."""
+    width = blk.beta_width
     p_lo, p_hi = blk.a_indptr[lo_row], blk.a_indptr[hi_row]
-    a_cols = blk.a_cols[p_lo:p_hi]
-    a_vals = blk.a_vals[p_lo:p_hi]
-    ra = np.repeat(np.arange(lo_row, hi_row, dtype=np.int64),
-                   np.diff(blk.a_indptr[lo_row:hi_row + 1]))
-    len_k = len_k[p_lo:p_hi]
-    tot = int(len_k.sum())
+    tot = int(cum[p_hi] - cum[p_lo])
     if tot == 0:
         return _EMPTY_I64, _EMPTY_F64
-    cs = np.cumsum(len_k)
-    base = np.arange(tot, dtype=np.int64) - np.repeat(cs - len_k, len_k)
-    src = np.repeat(blk.b_indptr[a_cols], len_k) + base
-    prod_cols = blk.b_cols[src]
-    prod_vals = np.repeat(a_vals, len_k) * blk.b_vals[src]
-    prod_rows = np.repeat(ra, len_k)
+    len_k = len_k[p_lo:p_hi]
+    # product t of A entry e reads B entry b_indptr[a_cols[e]] + t - (cum[e] - cum[p_lo])
+    src = np.repeat(blk.b_indptr[blk.a_cols[p_lo:p_hi]] - (cum[p_lo:p_hi] - cum[p_lo]), len_k)
+    src += np.arange(tot, dtype=np.int64)
+    prod_vals = np.repeat(blk.a_vals[p_lo:p_hi], len_k) * blk.b_vals[src]
+    key = np.repeat(np.arange(hi_row - lo_row, dtype=np.int64),
+                    np.diff(cum[blk.a_indptr[lo_row:hi_row + 1]]))
+    key *= width
+    key += blk.b_cols[src]  # from row lo_row on
 
-    key = prod_rows * width + prod_cols
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    seg = np.concatenate(([0], np.flatnonzero(np.diff(key_s)) + 1))
-    return key_s[seg], np.add.reduceat(prod_vals[order], seg)
+    if accumulate:
+        cells = (hi_row - lo_row) * width
+        hit = np.zeros(cells, dtype=bool)
+        hit[key] = True
+        cell = np.flatnonzero(hit)
+        sums = np.bincount(key, weights=prod_vals, minlength=cells)[cell]
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        seg = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
+        cell, sums = key[seg], np.add.reduceat(prod_vals[order], seg)
+    cell += lo_row * width
+    return cell, sums
 
 
-def _sparse_product(blk, len_k, width):
+def _sparse_product(blk, accumulate):
     """The sparse path: (indptr, cols, sums) of blk's product, each (row,
-    col) sum formed from its products in A-entry order. Its scratch is cut
-    into row batches within _SPARSE_BATCH_PRODUCTS."""
-    cum = np.concatenate(([0], np.cumsum(len_k)))
+    col) sum formed from its products in A-entry order. Its scratch, the
+    products and, for the accumulator, the output cells, is cut into row
+    batches within _SPARSE_BATCH_PRODUCTS."""
+    width = blk.beta_width
+    len_k = np.diff(blk.b_indptr)[blk.a_cols]
+    cum = _indptr(len_k)
     row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
-    parts = [_expand_rows(blk, len_k, lo, hi, width) for lo, hi in _row_batches(row_end)]
-    uniq = np.concatenate([u for u, _ in parts])
-    sums = np.concatenate([s for _, s in parts])
+    if accumulate:
+        row_end += width * np.arange(1, row_end.size + 1)
+    parts = [_expand_rows(blk, len_k, cum, lo, hi, accumulate)
+             for lo, hi in _bounded_batches(row_end, _SPARSE_BATCH_PRODUCTS)]
+    if len(parts) == 1:
+        (uniq, sums), = parts
+    else:
+        uniq = np.concatenate([u for u, _ in parts])
+        sums = np.concatenate([s for _, s in parts])
     indptr = _indptr(np.bincount(uniq // width, minlength=blk.row_ids.size))
     return indptr, uniq % width, sums
 
 
 def _takes_dense_path(tot, nr, gw, bw):
-    """Whether a block of tot products is multiplied as dense arrays, by
-    _dense_product, rather than on the sparse path."""
+    """Whether blocks of tot products are multiplied as dense arrays, by
+    _dense_product, rather than on the sparse path; elementwise over arrays."""
     dense_bytes = 8 * (nr * gw + gw * bw + nr * bw)
-    return tot * _DENSE_WORK_FACTOR >= nr * gw * bw and dense_bytes <= _DENSE_BYTES_CAP
+    return (tot * _DENSE_WORK_FACTOR >= nr * gw * bw) & (dense_bytes <= _DENSE_BYTES_CAP)
 
 
 def _dense_product(blk: _Block):
@@ -297,86 +332,63 @@ def _dense_product(blk: _Block):
     return _indptr(np.bincount(rr, minlength=nr)), cc.astype(np.int64), Cd[rr, cc]
 
 
-def _product_counts(blocks):
-    """The product count (a[i,k]*b[k,j] terms) of every block, for all of a
-    worker's blocks in one pass."""
-    b_indptr = np.concatenate([blk.b_indptr for blk in blocks])
-    # block i's B rows start at b_row[i] of the concatenation; the differences
+def _product_counts(a_cols, b_indptr, na, gw):
+    """The product count (a[i,k]*b[k,j] terms) of every block of a worker, in
+    one pass over the A columns and the B indptrs of all of its blocks, each
+    joined end to end; na and gw are the blocks' A entries and gamma widths."""
+    # block i's B rows start at b_row[i] of the joined indptrs; the differences
     # across block boundaries are never read, as A's columns stay in their block
-    b_row = _indptr([blk.gamma_width + 1 for blk in blocks])[:-1]
-    na = [blk.a_cols.size for blk in blocks]
-    len_k = np.diff(b_indptr)[np.concatenate([blk.a_cols for blk in blocks])
-                              + np.repeat(b_row, na)]
+    b_row = _indptr(gw + 1)[:-1]
+    len_k = np.diff(b_indptr)[a_cols + np.repeat(b_row, na)]
     return np.add.reduceat(len_k, _indptr(na)[:-1])  # every block has A entries
 
 
-def _summation_batches(blocks, tot):
-    """Cut a worker's blocks, in order, into (batch, dense) pairs. A
-    dense-path block is a batch of its own (dense true); sparse-path blocks
-    form batches whose summed size (A entries + B entries + gamma width) is
-    at most _SUMMATION_BATCH, so a block of that size or more is alone.
-    Blocks without products are left out."""
-    batch, size = [], 0
-    for blk, t in zip(blocks, tot.tolist()):
-        if t == 0:
-            continue
-        if _takes_dense_path(t, blk.row_ids.size, blk.gamma_width, blk.beta_width):
-            yield [blk], True
-            continue
-        s = blk.a_cols.size + blk.b_cols.size + blk.gamma_width
-        if batch and size + s > _SUMMATION_BATCH:
-            yield batch, False
-            batch, size = [], 0
-        batch.append(blk)
-        size += s
-    if batch:
-        yield batch, False
+def _summation_batches(tot, nr, gw, bw, size):
+    """Cut a worker's blocks into (block indices, path) batches, from the
+    arrays of each block's product count, rows, gamma and beta widths and
+    summed size (A entries + B entries + gamma width). A dense-path block is
+    a batch of its own. A sparse-path block with at most two output cells
+    (rows x beta width) per product sums into a dense accumulator, whose two
+    cell-long arrays then stay within the sort's scratch; one with a wider
+    output is sorted. Each sparse path gathers its blocks, in order, into
+    batches whose summed size is at most _SUMMATION_BATCH, so a block of
+    that size or more is alone. Blocks without products are left out."""
+    sparse = tot > 0
+    dense = sparse & _takes_dense_path(tot, nr, gw, bw)
+    sparse &= ~dense
+    for at in np.flatnonzero(dense)[:, None]:
+        yield at, _DENSE
+    accumulate = nr * bw <= 2 * tot
+    for path, on in ((_ACCUMULATE, sparse & accumulate), (_SORT, sparse & ~accumulate)):
+        at = np.flatnonzero(on)
+        for lo, hi in _bounded_batches(np.cumsum(size[at]), _SUMMATION_BATCH):
+            yield at[lo:hi], path
 
 
-def _stack_blocks(blocks, width):
-    """A batch of blocks as one _Block whose product is all of theirs side by
-    side: their rows follow one another, and so do their B rows, each A entry
-    pointing into its own block's B rows; B's columns are global (col_off
-    added) and the stack is `width` wide. Its key fields are unused (-1)."""
-    nr = [blk.row_ids.size for blk in blocks]
-    gw = [blk.gamma_width for blk in blocks]
-    na = [blk.a_cols.size for blk in blocks]
-    nb = [blk.b_cols.size for blk in blocks]
-    a_off, b_off, g_off = _indptr(na), _indptr(nb), _indptr(gw)
+def _decode_stack(fields, at, nr, na, gw, nb, bw):
+    """The _Block whose product is that of blocks `at` side by side, decoded
+    from their payload fields with one join per field; nr, na, gw, nb and bw
+    are the blocks' rows, A entries, gamma widths, B entries and beta widths.
 
-    def stacked_indptr(indptrs, entry_off, rows):
-        ends = np.concatenate([p[1:] for p in indptrs]) + np.repeat(entry_off[:-1], rows)
-        return np.concatenate(([0], ends))
-
-    return _Block(
-        -1, -1, -1,
-        np.concatenate([blk.row_ids for blk in blocks]),
-        stacked_indptr([blk.a_indptr for blk in blocks], a_off, nr),
-        np.concatenate([blk.a_cols for blk in blocks]) + np.repeat(g_off[:-1], na),
-        np.concatenate([blk.a_vals for blk in blocks]),
-        stacked_indptr([blk.b_indptr for blk in blocks], b_off, gw),
-        np.concatenate([blk.b_cols for blk in blocks])
-        + np.repeat([blk.col_off for blk in blocks], nb),
-        np.concatenate([blk.b_vals for blk in blocks]),
-        int(g_off[-1]), width, 0)
-
-
-def _batch_matmul(blocks, dense, width):
-    """Product of a batch as (block of each row, row ids, indptr, global
-    cols, values). A dense batch is one block's _dense_product. A sparse one
-    is multiplied as the stack of its blocks in one pass: stable-sorting the
-    stack's products by (row, global col) keeps each (row, col) sum in
-    A-entry order, so every sum is bit-identical however the blocks are
-    batched."""
-    if dense:
-        (blk,) = blocks
-        indptr, cols, vals = _dense_product(blk)
-        return (np.zeros(blk.row_ids.size, dtype=np.int64), blk.row_ids, indptr,
-                cols + blk.col_off, vals)
-    stack = _stack_blocks(blocks, width)
-    len_k = np.diff(stack.b_indptr)[stack.a_cols]
-    row_block = np.repeat(np.arange(len(blocks)), [blk.row_ids.size for blk in blocks])
-    return row_block, stack.row_ids, *_sparse_product(stack, len_k, width)
+    The blocks' A rows follow one another, and so do their B rows, with
+    each block's B indptr kept whole: the last pointer of one block and the
+    first of the next make an empty B row that no A entry points at. Each A
+    entry points into its own block's B rows. B's columns stay block-local,
+    so the stack is as wide as its widest block."""
+    sel = at.tolist()
+    row_ids, a_indptr, a_cols, a_vals, b_indptr, b_cols, b_vals = (
+        np.frombuffer(b"".join([f[i] for i in sel]), dtype=t)
+        for f, t in zip(fields, _PAYLOAD_DTYPES))
+    a_ptrs, b_ptrs = nr + 1, gw + 1
+    # the joined A indptrs, shifted past the entries of the blocks before;
+    # all but the first block's leading 0 then repeat a pointer, and go
+    keep = np.ones(a_indptr.size, dtype=bool)
+    keep[_indptr(a_ptrs)[1:-1]] = False
+    a_indptr = (a_indptr + np.repeat(_indptr(na)[:-1], a_ptrs))[keep]
+    b_row = _indptr(b_ptrs)
+    return _Block(row_ids, a_indptr, a_cols + np.repeat(b_row[:-1], na), a_vals,
+                  b_indptr + np.repeat(_indptr(nb)[:-1], b_ptrs), b_cols, b_vals,
+                  int(b_row[-1]) - 1, int(bw.max()))
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -400,14 +412,9 @@ def _cut_columns(indptr, cols, vals, split: _Splitter):
 
 
 def _indptr(counts):
-    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-
-
-def _unpack(blobs):
-    """Arrays of a shipped sub-block: int64 index arrays, then float64 values."""
-    *index_blobs, val_blob = blobs
-    return ([np.frombuffer(b, dtype=np.int64) for b in index_blobs]
-            + [np.frombuffer(val_blob, dtype=np.float64)])
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def _assemble(rows, cols, row_payloads):
@@ -467,51 +474,87 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         return out
 
     # A key receives at most one A and one B sub-block; both arrive with
-    # block-local column indices.
+    # block-local column indices. A paired key ships their byte strings as
+    # they came, as one payload in _Block's field order; the summation mapper
+    # decodes them a batch at a time.
     def partition_reducer(key, pieces):
-        ops.add(sum(len(p[-2]) for p in pieces) >> 3)  # column entries received
-        by_tag = {p[0]: p[1:] for p in pieces}
-        if len(by_tag) < 2:
+        ops.add(sum([len(p[-2]) for p in pieces]) >> 3)  # column entries received
+        if len(pieces) < 2:
             return []
-        alpha, beta, gamma = key
-        glo, ghi = isplit.range(gamma)
-        blo, bhi = csplit.range(beta)
-        return [(key, _Block(alpha, beta, gamma, *_unpack(by_tag["A"]), *_unpack(by_tag["B"]),
-                             ghi - glo, bhi - blo, blo))]
+        a, b = pieces if pieces[0][0] == "A" else pieces[::-1]
+        return [(key, a[1:] + b[1:])]
 
-    # The input is one record per worker: every _Block the partition job
-    # placed there. It emits one record per non-empty output row of a block,
-    # its bytes cut from one buffer per batch.
+    col_start = csplit.starts
+    col_width = np.diff(col_start)
+
+    # The input is one record per worker: the (key, payload) pairs the
+    # partition job placed there. Each batch's payloads are decoded straight
+    # into one stack, and every non-empty output row of a block is one
+    # record, its bytes cut from one buffer for the whole worker.
     def summation_mapper(rec):
-        _, blocks = rec
-        tot = _product_counts(blocks)
+        _, placed = rec
+        keys, payloads = zip(*placed)
+        fields = tuple(zip(*payloads))
+        nr, na, gw, nb = (np.fromiter(map(len, fields[f]), np.int64, len(keys)) >> 3
+                          for f in (0, 2, 4, 5))
+        gw -= 1  # a B indptr is one longer than the gamma width
+        tot = _product_counts(np.frombuffer(b"".join(fields[2]), dtype=np.int64),
+                              np.frombuffer(b"".join(fields[4]), dtype=np.int64), na, gw)
         ops.add(int(tot.sum()))
-        out = []
-        for batch, dense in _summation_batches(blocks, tot):
-            row_block, row_ids, indptr, cols, vals = _batch_matmul(batch, dense, B.cols)
-            keys = [(blk.alpha, blk.beta, blk.gamma) for blk in batch]
-            rows = np.flatnonzero(np.diff(indptr))
-            cb, vb = cols.tobytes(), vals.tobytes()
-            for b, gi, lo, hi in zip(row_block[rows].tolist(), row_ids[rows].tolist(),
-                                     (indptr[rows] << 3).tolist(),
-                                     (indptr[rows + 1] << 3).tolist()):
-                alpha, beta, gamma = keys[b]
-                out.append(((alpha, gi), (beta, gamma, cb[lo:hi], vb[lo:hi])))
-        return out
+        beta = np.array([key[1] for key in keys], dtype=np.int64)
+        bw, col_off = col_width[beta], col_start[beta]
+        sizes = np.stack([nr, na, gw, nb, bw])
+        row_block, row_ids, starts, ends, cols, vals = [], [], [], [], [], []
+        done = 0  # entries of the batches before this one
+        for at, path in _summation_batches(tot, nr, gw, bw, na + nb + gw):
+            at_sizes = sizes[:, at]
+            blk = _decode_stack(fields, at, *at_sizes)
+            if path == _DENSE:
+                indptr, c, v = _dense_product(blk)
+            else:
+                indptr, c, v = _sparse_product(blk, path == _ACCUMULATE)
+            on_row = np.repeat(at, at_sizes[0])  # block of each of the stack's rows
+            counts = np.diff(indptr)
+            rows = np.flatnonzero(counts)
+            row_block.append(on_row[rows])
+            row_ids.append(blk.row_ids[rows])
+            starts.append(indptr[rows] + done)
+            ends.append(indptr[rows + 1] + done)
+            c += np.repeat(col_off[on_row], counts)
+            cols.append(c)
+            vals.append(v)
+            done += c.size
+        if not cols:
+            return []
+        cb = np.concatenate(cols).tobytes()
+        vb = np.concatenate(vals).tobytes()
+        return [((alpha, i), (beta, gamma, cb[lo:hi], vb[lo:hi]))
+                for (alpha, beta, gamma), i, lo, hi in zip(
+                    map(keys.__getitem__, np.concatenate(row_block).tolist()),
+                    np.concatenate(row_ids).tolist(),
+                    (np.concatenate(starts) << 3).tolist(), (np.concatenate(ends) << 3).tolist())]
 
+    # A row's partials each hold distinct columns, and a column comes from one
+    # beta, so its addends are one per gamma: with the partials in ascending
+    # gamma, a stable sort of the columns lines each column's addends up in
+    # that order, and bincount adds them in it.
     def summation_reducer(key, partials):
         if len(partials) == 1:
             _, _, cb, vb = partials[0]
-            ops.add(len(vb) // 8)
+            ops.add(len(vb) >> 3)
             return [(key, (cb, vb))]
-        partials = sorted(partials, key=lambda p: (p[1], p[0]))  # ascending gamma
-        cat_cols = np.frombuffer(b"".join(cb for _, _, cb, _ in partials), dtype=np.int64)
-        cat_vals = np.frombuffer(b"".join(vb for _, _, _, vb in partials), dtype=np.float64)
-        ops.add(cat_vals.size)
-        ucols, inv = np.unique(cat_cols, return_inverse=True)
-        # in-order accumulation per column
-        sums = np.bincount(inv, weights=cat_vals, minlength=ucols.size)
-        return [(key, (ucols.tobytes(), sums.tobytes()))]
+        partials = sorted(partials, key=itemgetter(1))  # ascending gamma
+        cols = np.frombuffer(b"".join([p[2] for p in partials]), dtype=np.int64)
+        vals = np.frombuffer(b"".join([p[3] for p in partials]), dtype=np.float64)
+        ops.add(vals.size)
+        order = np.argsort(cols, kind="stable")
+        cols = cols[order]
+        first = np.empty(cols.size, dtype=bool)
+        first[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=first[1:])
+        # cumsum numbers the distinct columns from 1, so bin 0 stays empty
+        sums = np.bincount(np.cumsum(first), weights=vals[order])[1:]
+        return [(key, (cols[first].tobytes(), sums.tobytes()))]
 
     records = [("A", alpha, *_row_block(A, *asplit.range(alpha))) for alpha in range(m)]
     records += [("B", gamma, *_row_block(B, *isplit.range(gamma))) for gamma in range(n)]
@@ -536,13 +579,14 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     grouped, m1 = run_job(job1, records)
 
     on_worker = [[] for _ in range(workers)]
-    for (alpha, beta, gamma), blk in grouped:
-        on_worker[block_place[alpha][beta][gamma]].append(blk)
+    for rec in grouped:
+        alpha, beta, gamma = rec.key
+        on_worker[block_place[alpha][beta][gamma]].append(rec)
     job2 = JobSpec(summation_mapper, summation_reducer,
                    shard_fn=lambda key: row_place[key[1]],
                    workers=workers, name="summation", ops=ops, map_affinity=itemgetter(0),
                    parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK)
-    summed, m2 = run_job(job2, [(w, blks) for w, blks in enumerate(on_worker) if blks])
+    summed, m2 = run_job(job2, [(w, placed) for w, placed in enumerate(on_worker) if placed])
 
     C = _assemble(A.rows, B.cols, ((i, cb, vb) for (alpha, i), (cb, vb) in summed))
     return C, [m1, m2]
@@ -580,7 +624,7 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
         out = np.zeros((indptr.size - 1, rhs.shape[1]))
         rows = np.flatnonzero(np.diff(indptr))
         starts = indptr[rows]
-        for lo, hi in _row_batches(indptr[rows + 1] * rhs.shape[1]):
+        for lo, hi in _bounded_batches(indptr[rows + 1] * rhs.shape[1], _SPARSE_BATCH_PRODUCTS):
             p_lo, p_hi = starts[lo], indptr[rows[hi - 1] + 1]
             prod = vals[p_lo:p_hi, None] * rhs[cols[p_lo:p_hi]]
             out[rows[lo:hi]] = np.add.reduceat(prod, starts[lo:hi] - p_lo, axis=0)

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -406,3 +407,68 @@ class TestImpossibleFlags:
         assert run_cli(command, *args, "--workers", 0) == 1
         assert capsys.readouterr().err == "error: workers must be >= 1\n"
         assert not list(tmp_path.glob("out_*"))
+
+
+def _huge_matrix(path, n):
+    path.write_text(f"{n} {n} {n * n}\n" + "".join(
+        f"{i}\t" + " ".join(f"{j}:1e308" for j in range(n)) + "\n" for i in range(n)))
+    return path
+
+
+def run_cli_quietly(*args):
+    """run_cli, also returning the RuntimeWarnings issued on any thread."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(*args)
+    return rc, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestNoFloatingPointWarnings:
+    """A result that overflows is reported once, by the non-finite check:
+    numpy's own floating-point warnings stay silent, on the engine's pool
+    threads too."""
+
+    @pytest.mark.parametrize("n, schema, workers", [(2, "1x1x1", 1),
+                                                    # 64000 products in 3 blocks:
+                                                    # the summation map runs on threads
+                                                    (40, "1x1x3", 3)])
+    def test_multiply(self, tmp_path, capsys, n, schema, workers):
+        a = _huge_matrix(tmp_path / "a.txt", n)
+        out = tmp_path / "c.txt"
+        rc, caught = run_cli_quietly("multiply", "--a", a, "--b", a, "--schema", schema,
+                                     "--shard", "rand", "--workers", workers, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert f"error: non-finite values in the result for {out}" in err
+        assert not caught and "RuntimeWarning" not in err
+
+    def test_nmf(self, tmp_path, capsys):
+        a = _huge_matrix(tmp_path / "a.txt", 2)
+        prefix = tmp_path / "nmf_"
+        rc, caught = run_cli_quietly("nmf", "--input", a, "--k", 1, "--iters", 3,
+                                     "--workers", 3, "--out-prefix", prefix)
+        err = capsys.readouterr().err
+        assert rc == 1 and not list(tmp_path.glob("nmf_*"))
+        assert f"error: non-finite values in the result for {prefix}W.txt" in err
+        assert not caught and "RuntimeWarning" not in err
+
+    def test_svm_train(self, tmp_path, capsys):
+        data = tmp_path / "big.svm"
+        data.write_text("+1 0:1e200 1:1e200\n-1 0:-1e200\n")
+        rc, caught = run_cli_quietly("svm-train", "--data", data, "--iters", 5,
+                                     "--workers", 3, "--out-prefix", tmp_path / "svm_")
+        err = capsys.readouterr().err
+        assert rc == 1 and not list(tmp_path.glob("svm_*"))
+        assert "error: non-finite values in the result for" in err
+        assert not caught and "RuntimeWarning" not in err
+
+    def test_pagerank(self, tmp_path, capsys):
+        # PageRank's values stay within [0, 1]: a graph with a dangling node
+        # and an unlinked one runs clean, with no warning
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0\t1\n0\t2\n1\t2\n2\t0\n3\t2\n4\t3\n4\t5\n6\t4\n")
+        rc, caught = run_cli_quietly("pagerank", "--edges", edges, "--workers", 3,
+                                     "--out-prefix", tmp_path / "pr_")
+        err = capsys.readouterr().err
+        assert rc == 0 and (tmp_path / "pr_pi.csv").exists()
+        assert not caught and "RuntimeWarning" not in err

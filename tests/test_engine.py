@@ -364,3 +364,56 @@ class TestRunJobProperty:
         assert out == expected
         assert sum(metrics.records_per_worker) == len(emitted)
         assert metrics.shuffle_bytes == sum(len(serialize_record(k, v)) for k, v in emitted)
+
+
+class TestCrossWorkerBytes:
+    """cross_worker_bytes against a sequential reference: the summed
+    serialize_record sizes of the emitted records whose source worker (the
+    worker whose map task emitted them) differs from shard_fn(key)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=40),
+           workers=st.integers(1, 8), fanout=st.integers(0, 3), keys=st.integers(1, 12),
+           parallel=st.booleans(), pinned=st.booleans())
+    def test_matches_sequential_reference(self, data, records, workers, fanout, keys,
+                                          parallel, pinned):
+        shard = data.draw(st.lists(st.integers(0, workers - 1), min_size=keys, max_size=keys))
+        place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
+
+        def mapper(rec):
+            return [((rec * 5 + j) % keys, ("v" * (rec % 7), j, rec * 0.25))
+                    for j in range(1 + rec % (fanout + 1))]
+
+        spec = JobSpec(mapper, lambda k, v: [(k, len(v))], shard.__getitem__, workers=workers,
+                       parallel=parallel, map_affinity=place.__getitem__ if pinned else None)
+        _, metrics = run_job(spec, records)
+
+        if pinned:
+            source = [place[rec] for rec in records]
+        else:  # contiguous chunks of the input, one per worker
+            bounds = [len(records) * w // workers for w in range(workers + 1)]
+            source = [w for w in range(workers) for _ in range(bounds[w], bounds[w + 1])]
+        expected = sum(len(serialize_record(key, value))
+                       for rec, src in zip(records, source)
+                       for key, value in mapper(rec) if src != shard[key])
+        assert metrics.cross_worker_bytes == expected
+        assert metrics.shuffle_bytes == sum(len(serialize_record(k, v))
+                                            for rec in records for k, v in mapper(rec))
+
+
+class TestCallerContext:
+    def test_errstate_holds_on_pool_threads(self):
+        # map tasks on the pool's threads run in a copy of the caller's
+        # context, so an errstate set around run_job reaches them
+        def mapper(rec):
+            return [(rec, float(np.float64(1e308) * np.float64(rec + 10)))]
+
+        spec = JobSpec(mapper, lambda k, v: [(k, v[0])], lambda k: k % 3, workers=3,
+                       parallel=True)
+        with np.errstate(over="raise"):
+            with pytest.raises(JobError) as info:
+                run_job(spec, [0, 1, 2])
+        assert isinstance(info.value.cause, FloatingPointError)
+        with np.errstate(over="ignore"):
+            out, _ = run_job(spec, [0, 1, 2])
+        assert [v for _, v in out] == [np.inf] * 3

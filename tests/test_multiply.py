@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -517,3 +518,75 @@ class TestSuggestSchema:
     def test_inner_grows_under_budget_pressure(self):
         s = suggest_schema(100, 100, 100, 10**8, 10**8, 2, budget_bytes=1 << 20)
         assert s.n > 1 and s.n <= 100
+
+
+class TestSummationPaths:
+    def test_product_bits_pinned(self):
+        # the test_memory_bounded operands: C's arrays hash to the digest of
+        # the product before batches were decoded from raw payloads, at any
+        # worker count
+        A = random_sparse(1000, 1000, 2.0 ** -7, seed=91)
+        B = random_sparse(1000, 1000, 2.0 ** -7, seed=92)
+        for workers in (1, 2, 3):
+            C, _ = partition_multiply(A, B, PartitionSchema(20, 6, 20), "rand", workers)
+            h = hashlib.sha256()
+            for arr in (C.indptr, C.indices, C.values):
+                h.update(arr.tobytes())
+            assert h.hexdigest() == (
+                "46f7815ba7e3f9e9abd7d160c0c0ecedb73dfe1957aab1a1cff2b2e32aaad278"), workers
+
+    def test_accumulator_sums_left_to_right(self, monkeypatch):
+        import mrmul.multiply as mm
+        # one 8 x 8 output block from about 12 products per cell: too few
+        # products for the dense path, but far more than cells, so the block
+        # sums into the dense accumulator
+        A = random_sparse(8, 400, 0.1, seed=101)
+        B = random_sparse(400, 8, 0.3, seed=102)
+        paths, real_expand = [], mm._expand_rows
+
+        def expand(*args):
+            paths.append(args[-1])  # accumulate
+            return real_expand(*args)
+
+        monkeypatch.setattr(mm, "_expand_rows", expand)
+        C, _ = partition_multiply(A, B, PartitionSchema(1, 1, 1), "naive", 1)
+        assert paths and all(paths)
+        out, b = C.to_dense(), B.to_dense()
+        regrouped = 0
+        for i in range(A.rows):
+            cols, vals = A.row(i)
+            for j in range(B.cols):
+                # the cell's products in A-entry order, added left to right
+                prods = [a * b[k, j] for k, a in zip(cols, vals) if b[k, j] != 0.0]
+                total = 0.0
+                for p in prods:
+                    total += p
+                assert out[i, j].tobytes() == np.float64(total).tobytes(), (i, j)
+                regrouped += np.add.reduceat(prods, [0])[0] != total if prods else 0
+        # the sort path's reduceat groups some of these sums otherwise
+        assert regrouped
+
+    def test_wide_block_allocates_no_cell_array(self, monkeypatch):
+        # one block of 3000 x 3000 output cells from 3000 products: the sort
+        # path, which must not allocate an array of one entry per cell
+        n = 3000
+        A = SparseMatrix.from_dense(np.linspace(1.0, 2.0, n).reshape(n, 1))
+        b = np.zeros((1, n))
+        b[0, 7] = 3.0
+        B = SparseMatrix.from_dense(b)
+        sizes, real_zeros, real_bincount = [], np.zeros, np.bincount
+
+        def zeros(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return real_zeros(shape, *args, **kwargs)
+
+        def bincount(x, weights=None, minlength=0):
+            sizes.append(minlength)
+            return real_bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        monkeypatch.setattr(np, "bincount", bincount)
+        C, _ = partition_multiply(A, B, PartitionSchema(1, 1, 1), "naive", 1)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= n + 1
+        np.testing.assert_array_equal(C.to_dense(), A.to_dense() @ b)
