@@ -11,7 +11,6 @@ from .engine import (
     JobSpec,
     KeyedRecord,
     broadcast,
-    chain,
     current_worker,
     run_job,
 )

@@ -229,9 +229,12 @@ def cmd_bench_scaling(args):
     return 0
 
 
-def _add_common(p, out_default=None):
-    p.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+def _add_common(p, workers=True, seed=False):
+    """Add --config and, for the subcommands that read them, --workers and --seed."""
+    if workers:
+        p.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults for these flags")
 
@@ -249,7 +252,7 @@ def build_parser():
     p.add_argument("--delta", type=parse_sparsity, required=True,
                    help="nonzero fraction; accepts 2^-7 notation")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("multiply", help="block matrix multiply two row-format files")
@@ -268,7 +271,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--out-prefix", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_nmf)
 
     p = sub.add_parser("svm-train", help="train the fixed-bias dual SVM")
@@ -298,14 +301,15 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_pagerank)
 
-    p = sub.add_parser("bench-scaling", help="run the scaling experiment grid")
+    # without abbreviations, so that --workers is refused, not read as --workers-list
+    p = sub.add_parser("bench-scaling", help="run the scaling experiment grid", allow_abbrev=False)
     p.add_argument("--sizes", type=_int_list, default=(256, 512, 1024))
     p.add_argument("--deltas", type=_sparsity_list, default=(2.0 ** -7,))
     p.add_argument("--schemas", type=_schema_list, default=(PartitionSchema(20, 6, 20),))
     p.add_argument("--shards", type=_shard_list, default=("naive",))
     p.add_argument("--workers-list", type=_int_list, default=(1,))
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_common(p, workers=False, seed=True)
     p.set_defaults(fn=cmd_bench_scaling)
     return top
 

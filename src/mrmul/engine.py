@@ -1,11 +1,16 @@
 """Local multi-worker MapReduce runtime.
 
-A job is map -> shuffle -> reduce over an in-process worker pool. The engine
+A job is map -> shuffle -> reduce over in-process workers. The engine
 enforces the MapReduce contract: user functions communicate only through the
 shuffle, the broadcast store, and accumulators; no reducer starts before all
 mappers finish. Output is deterministic for any worker count: map emissions
 are collected in task order, shuffle groups are sorted by key, and values
 within a group are sorted by their serialized form before reduction.
+
+Map tasks run on a thread pool, one thread per worker, when the job asks for
+it (JobSpec.parallel), else one worker after another on the caller's thread.
+Reducers run on the caller's thread in one pass in key order, each with its
+shard-named worker as current_worker().
 
 Shuffle volume is measured by really serializing every mapper-emitted record
 (pickle protocol 5), so byte counts are comparable across shard strategies.
@@ -32,7 +37,6 @@ __all__ = [
     "JobError",
     "BroadcastError",
     "run_job",
-    "chain",
     "broadcast",
     "current_worker",
     "serialize_record",
@@ -78,26 +82,18 @@ class Accumulator:
 class BroadcastStore:
     """Write-once named payloads visible identically to every worker.
 
-    A name may be written once per epoch; new_epoch() starts the next
-    iteration's epoch and allows the same name to be replaced, which is how
-    per-iteration re-broadcast works. clear(name) drops a payload entirely.
+    A name is written at most once; a new payload takes a new store (or a
+    new name), so a worker never sees a payload change under it.
     """
 
     def __init__(self):
         self._values = {}
-        self._written_this_epoch = set()
-        self._epoch = 0
         self._lock = threading.Lock()
-
-    @property
-    def epoch(self):
-        return self._epoch
 
     def put(self, name, payload):
         with self._lock:
-            if name in self._written_this_epoch:
-                raise BroadcastError(f"name {name!r} already broadcast in epoch {self._epoch}")
-            self._written_this_epoch.add(name)
+            if name in self._values:
+                raise BroadcastError(f"name {name!r} already broadcast")
             self._values[name] = payload
 
     def get(self, name):
@@ -105,16 +101,6 @@ class BroadcastStore:
             return self._values[name]
         except KeyError:
             raise BroadcastError(f"no broadcast payload named {name!r}") from None
-
-    def clear(self, name):
-        with self._lock:
-            self._values.pop(name, None)
-            self._written_this_epoch.discard(name)
-
-    def new_epoch(self):
-        with self._lock:
-            self._epoch += 1
-            self._written_this_epoch.clear()
 
 
 def broadcast(store: BroadcastStore, name, payload) -> None:
@@ -140,10 +126,11 @@ class JobSpec:
     name: str = "job"
     ops: Accumulator | None = None
     map_affinity: Callable[[Any], int] | None = None
-    # Run map tasks on real threads only when their work is coarse enough to
-    # amortize GIL handoffs; False executes them one at a time with the same
-    # worker placement, metrics, and output. Reduce tasks always run one
-    # worker at a time: the reducers here are fine-grained merges.
+    # Run map tasks on real threads, one per worker. Only map work coarse
+    # enough to amortize GIL handoffs gains from it (in mrmul, the summation
+    # stage of a chunky product); False runs the tasks one at a time on the
+    # caller's thread with the same worker placement, metrics, and output.
+    # Reducers always run on the caller's thread, one key at a time.
     parallel: bool = True
 
 
@@ -197,21 +184,6 @@ def _map_task(worker, chunk, mapper, stage):
     finally:
         _worker_ctx.worker = None
     return out
-
-
-def _reduce_task(worker, keys, groups, reducer, stage):
-    _worker_ctx.worker = worker
-    results = {}
-    try:
-        for key in keys:
-            try:
-                out = list(reducer(key, groups[key]))
-            except Exception as exc:
-                raise JobError(f"{stage}/reduce", key, exc) from exc
-            results[key] = out
-    finally:
-        _worker_ctx.worker = None
-    return results
 
 
 def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
@@ -294,13 +266,13 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
             group[1][src_worker] += len(blob)
     ordered_keys = _sorted_keys(groups, f"{spec.name}/shuffle")
     shuffle_bytes = cross_worker_bytes = 0
-    worker_keys = [[] for _ in range(nw)]
+    dests = []
     records_per_worker = [0] * nw
     for key in ordered_keys:
         dest = spec.shard_fn(key)
         if not 0 <= dest < nw:
             raise JobError(f"{spec.name}/shuffle", key, ValueError(f"shard {dest} outside 0..{nw - 1}"))
-        worker_keys[dest].append(key)
+        dests.append(dest)
         bucket, from_worker = groups[key]
         total = sum(from_worker)
         shuffle_bytes += total
@@ -310,12 +282,18 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
         groups[key] = [value for _, value in bucket]
     t2 = time.perf_counter()
 
-    reduce_out = [_reduce_task(w, worker_keys[w], groups, spec.reducer, spec.name)
-                  for w in range(nw)]
-    by_key = {}
-    for part in reduce_out:
-        by_key.update(part)
-    output = [KeyedRecord(k, v) for key in ordered_keys for k, v in by_key[key]]
+    # Reducers run one key at a time in key order, each on its key's worker,
+    # so a failure names the first failing key whatever the worker count.
+    output = []
+    try:
+        for key, dest in zip(ordered_keys, dests):
+            _worker_ctx.worker = dest
+            try:
+                output.extend(KeyedRecord(k, v) for k, v in spec.reducer(key, groups[key]))
+            except Exception as exc:
+                raise JobError(f"{spec.name}/reduce", key, exc) from exc
+    finally:
+        _worker_ctx.worker = None
     t3 = time.perf_counter()
 
     metrics = JobMetrics(
@@ -330,16 +308,3 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
         scalar_ops=(spec.ops.value - ops_before) if spec.ops is not None else 0,
     )
     return output, metrics
-
-
-def chain(jobs, records) -> tuple[list[KeyedRecord], list[JobMetrics]]:
-    """Run jobs in sequence, feeding each job's output to the next."""
-    jobs = list(jobs)
-    if not jobs:
-        raise ValueError("chain requires at least one job")
-    metrics = []
-    out = records
-    for spec in jobs:
-        out, m = run_job(spec, out)
-        metrics.append(m)
-    return out, metrics

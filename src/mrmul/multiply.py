@@ -634,10 +634,11 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
         return [(key, values[0])]
 
     cut = (lambda M, lo, hi: (M.values[lo:hi],)) if dense else _row_block
-    per_row_work = (A.cols if dense else A.nnz // A.rows) * B_small.cols
+    # A block's product is one numpy pass over a few rows, too short for
+    # threads to repay their GIL handoffs, so map tasks run on this thread.
     spec = JobSpec(mapper, reducer, shard_fn=lambda b: b,
                    workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
-                   parallel=per_row_work >= 4096)
+                   parallel=False)
     out, _ = run_job(spec, [(b, *cut(A, *split.range(b))) for b in range(split.parts)])
     return DenseMatrix(np.vstack([block for _, block in out]))
 

@@ -1,4 +1,4 @@
-"""Sparse and dense matrix types plus the parallel random-matrix generator.
+"""Sparse and dense matrix types plus the seeded random-matrix generator.
 
 All values are float64. SparseMatrix is row-compressed (CSR-style arrays)
 with strictly ascending column indices per row and no explicit zeros;
@@ -7,7 +7,6 @@ instances are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,8 +282,8 @@ def elementwise_update(H, X, Y, eps=0.0):
 
 
 def _generate_row(seed, i, n, delta):
-    # Independent stream per (seed, row) so output does not depend on how
-    # rows are assigned to workers.
+    # Independent stream per (seed, row), so a row's values depend on its
+    # seed and index alone.
     rng = np.random.default_rng((int(seed), int(i)))
     mask = rng.random(n) < delta
     cols = np.flatnonzero(mask).astype(np.int64)
@@ -295,23 +294,15 @@ def _generate_row(seed, i, n, delta):
 
 def generate_random(p: GeneratorParams, workers: int = 1) -> SparseMatrix:
     """Random sparse matrix: each cell nonzero with probability delta,
-    values uniform in (0, 1). Deterministic in p.seed for any worker count."""
+    values uniform in (0, 1). Deterministic in p.seed.
+
+    Each row draws from its own RNG stream. workers (>= 1) names the worker
+    count of the run the matrix is made for; generation starts no thread,
+    and the matrix has the same bits for every worker count.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    slots = [None] * p.m
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            slots[i] = _generate_row(p.seed, i, p.n, p.delta)
-
-    if workers == 1 or p.m < 2 * workers:
-        fill(0, p.m)
-    else:
-        bounds = [p.m * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, bounds[w], bounds[w + 1]) for w in range(workers)]
-            for f in futures:
-                f.result()
+    slots = [_generate_row(p.seed, i, p.n, p.delta) for i in range(p.m)]
 
     indptr = np.zeros(p.m + 1, dtype=np.int64)
     for i, (cols, _) in enumerate(slots):

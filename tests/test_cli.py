@@ -86,7 +86,6 @@ class TestNonFiniteResult:
     """Finite inputs whose results overflow: the command fails before it
     writes anything."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_svm_train_with_huge_feature(self, tmp_path, capsys):
         data = tmp_path / "big.svm"
         data.write_text("+1 0:1e200\n-1 0:-1.0\n")
@@ -95,7 +94,6 @@ class TestNonFiniteResult:
         assert "error: non-finite values in the result for" in capsys.readouterr().err
         assert not list(tmp_path.glob("svm_*"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nmf_with_huge_values(self, tmp_path, capsys):
         af = tmp_path / "a.txt"
         af.write_text("2 2 4\n0\t0:1e300 1:1e300\n1\t0:1e300 1:1e300\n")
@@ -105,7 +103,6 @@ class TestNonFiniteResult:
         assert f"error: non-finite values in the result for {prefix}W.txt" in err
         assert not list(tmp_path.glob("nmf_*"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_multiply_overflow(self, tmp_path, capsys):
         af = tmp_path / "a.txt"
         af.write_text("1 1 1\n0\t0:1e200\n")
@@ -114,7 +111,6 @@ class TestNonFiniteResult:
         assert f"error: non-finite values in the result for {out}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_svm_predict_overflow(self, tmp_path, capsys):
         data = tmp_path / "big.svm"
         data.write_text("+1 0:1e200\n-1 0:-1.0\n")
@@ -351,6 +347,27 @@ class TestConfigFile:
                        "--m", 2, "--n", 2, "--delta", "1",
                        "--out", tmp_path / "x.txt") == 1
         assert "config" in capsys.readouterr().err
+
+
+class TestFlagScope:
+    """A subcommand takes --seed and --workers only if it reads them."""
+
+    def test_pagerank_rejects_seed(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pagerank", "--edges", edges, "--seed", 1, "--out-prefix", tmp_path / "pr_")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pr_*"))
+
+    def test_bench_scaling_rejects_workers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench-scaling", "--sizes", "32", "--workers", 2,
+                    "--out-dir", tmp_path / "bench")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
 
 class TestImpossibleFlags:

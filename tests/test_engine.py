@@ -14,7 +14,6 @@ from mrmul.engine import (
     JobSpec,
     KeyedRecord,
     broadcast,
-    chain,
     current_worker,
     run_job,
     serialize_record,
@@ -155,6 +154,21 @@ class TestRunJob:
             run_job(spec, ["a", "b"])
         assert exc.value.key == "b"
 
+    def test_reducer_failure_names_first_key_for_any_worker_count(self):
+        # keys 1 and 2 both fail; reducers run in key order whatever worker
+        # each key lands on, so the error names key 1 every time
+        def reducer(key, values):
+            if key in (1, 2):
+                raise ValueError(f"cannot reduce {key}")
+            return [(key, len(values))]
+
+        for workers in (1, 2, 3, 8):
+            spec = JobSpec(lambda rec: [(rec, 1)], reducer, lambda k: k % workers,
+                           workers=workers, name="fails")
+            with pytest.raises(JobError) as exc:
+                run_job(spec, [0, 1, 2, 3])
+            assert (exc.value.stage, exc.value.key) == ("fails/reduce", 1), workers
+
     def test_shard_out_of_range_rejected(self):
         spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
                        shard_fn=lambda key: 7, workers=2)
@@ -210,28 +224,6 @@ class TestRunJob:
 
 
 class TestChain:
-    def test_single_job_equals_run_job(self):
-        spec = word_count_spec(2)
-        direct, _ = run_job(spec, ["a", "b", "a"])
-        chained, metrics = chain([spec], ["a", "b", "a"])
-        assert chained == direct
-        assert len(metrics) == 1
-
-    def test_two_stage_pipeline(self):
-        # stage 1 counts words, stage 2 buckets counts by parity
-        s1 = word_count_spec(2)
-        s2 = JobSpec(lambda rec: [(rec.value % 2, rec.key)],
-                     lambda k, v: [(k, sorted(v))],
-                     lambda k: k, workers=2)
-        out, metrics = chain([s1, s2], ["a", "b", "a", "c"])
-        assert dict(out) == {0: ["a"], 1: ["b", "c"]}
-        assert len(metrics) == 2
-
-    def test_empty_input(self):
-        out, metrics = chain([word_count_spec(2), word_count_spec(2)], [])
-        assert out == []
-        assert all(m.shuffle_bytes == 0 for m in metrics)
-
     def test_chained_partition_summation_matches_product_oracle(self):
         # a hand-built two-job multiply pipeline: job 1 groups (row of A,
         # col of B) cell pairs, job 2 sums the per-cell products
@@ -256,20 +248,16 @@ class TestChain:
 
         records = [("A", i, j, A[i, j]) for i in range(5) for j in range(4) if A[i, j]]
         records += [("B", i, j, B[i, j]) for i in range(4) for j in range(6) if B[i, j]]
-        jobs = [
-            JobSpec(pair_mapper, pair_reducer, lambda k: hash(k) % 3, workers=3),
-            JobSpec(lambda rec: [rec], sum_reducer, lambda k: k[0] % 3, workers=3),
-        ]
-        out, metrics = chain(jobs, records)
+        pairs, pair_metrics = run_job(
+            JobSpec(pair_mapper, pair_reducer, lambda k: hash(k) % 3, workers=3), records)
+        out, sum_metrics = run_job(
+            JobSpec(lambda rec: [rec], sum_reducer, lambda k: k[0] % 3, workers=3), pairs)
+        metrics = [pair_metrics, sum_metrics]
         C = np.zeros((5, 6))
         for (i, j), v in out:
             C[i, j] = v
         np.testing.assert_allclose(C, A @ B, atol=1e-12)
         assert len(metrics) == 2
-
-    def test_requires_one_job(self):
-        with pytest.raises(ValueError):
-            chain([], [1])
 
 
 class TestBroadcastStore:
@@ -293,26 +281,6 @@ class TestBroadcastStore:
         broadcast(store, "C", 1)
         with pytest.raises(BroadcastError):
             broadcast(store, "C", 2)
-
-    def test_epochs_give_fresh_versions(self):
-        store = BroadcastStore()
-        versions = []
-        for epoch in range(3):
-            store.new_epoch()
-            broadcast(store, "C", f"v{epoch}")
-            def mapper(rec):
-                return [(rec, store.get("C"))]
-            out, _ = run_job(JobSpec(mapper, lambda k, v: [(k, v[0])], lambda k: 0, workers=2),
-                             [0, 1])
-            versions.append(out[0].value)
-        assert versions == ["v0", "v1", "v2"]
-
-    def test_clear_allows_rewrite(self):
-        store = BroadcastStore()
-        broadcast(store, "C", 1)
-        store.clear("C")
-        broadcast(store, "C", 2)
-        assert store.get("C") == 2
 
     def test_missing_name(self):
         store = BroadcastStore()

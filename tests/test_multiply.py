@@ -590,3 +590,24 @@ class TestSummationPaths:
         monkeypatch.undo()
         assert sizes and max(sizes) <= n + 1
         np.testing.assert_array_equal(C.to_dense(), A.to_dense() @ b)
+
+
+class TestThreadedStages:
+    def test_chunky_summation_map_runs_on_threads(self, monkeypatch):
+        # the TestNoFloatingPointWarnings product: 64000 products in 3 dense
+        # blocks, chunky enough for the summation map to go to the pool,
+        # while the partition map stays on the caller's thread
+        import mrmul.engine as engine
+        real_run_tasks, calls = engine._run_tasks, []
+
+        def spy(task_fn, n_workers, args_per_worker, parallel):
+            calls.append((args_per_worker[0][2], n_workers, parallel))
+            return real_run_tasks(task_fn, n_workers, args_per_worker, parallel)
+
+        rng = np.random.default_rng(17)
+        A = SparseMatrix.from_dense(rng.random((40, 40)) + 0.5)
+        monkeypatch.setattr(engine, "_run_tasks", spy)
+        C, _ = partition_multiply(A, A, PartitionSchema(1, 1, 3), "rand", 3)
+        monkeypatch.undo()
+        assert calls == [("partition", 3, False), ("summation", 3, True)]
+        np.testing.assert_allclose(C.to_dense(), A.to_dense() @ A.to_dense(), rtol=1e-12)

@@ -145,6 +145,24 @@ class TestStructure:
         assert jobs == [("broadcast-multiply", 0)] * 6
         assert isinstance(state.W, DenseMatrix) and isinstance(state.H, DenseMatrix)
 
+    def test_step_runs_no_map_task_on_threads(self, monkeypatch):
+        # a block's product is too short to repay a thread, so every job of
+        # a step runs its map tasks on the caller's thread
+        import mrmul.engine as engine
+        real_run_tasks, calls = engine._run_tasks, []
+
+        def spy(task_fn, n_workers, args_per_worker, parallel):
+            calls.append((task_fn.__name__, n_workers, parallel))
+            return real_run_tasks(task_fn, n_workers, args_per_worker, parallel)
+
+        # the benchmark's k on 600 columns: Y = Cww·H and Chh = H·Hᵀ have
+        # 4800 products per row
+        A = random_sparse(600, 600, 0.02, seed=16)
+        state = nmf_init(A, 8, seed=0)
+        monkeypatch.setattr(engine, "_run_tasks", spy)
+        nmf_step(A, state, workers=3)
+        assert calls == [("_map_task", 3, False)] * 6
+
     def test_step_memory_bounded_by_nnz_and_factors(self):
         # one dense 4000 x 4000 array alone would take 122 MB
         A = random_sparse(4000, 4000, 1e-3, seed=15)

@@ -226,6 +226,17 @@ class TestGenerator:
         for w in (2, 4, 8):
             assert generate_random(p, workers=w) == base
 
+    def test_starts_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(thread):
+            raise AssertionError("generate_random started a thread")
+
+        p = GeneratorParams(64, 40, 0.2, seed=12)
+        base = generate_random(p, workers=1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert generate_random(p, workers=4) == base
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             GeneratorParams(4, 4, 1.5, seed=0)
