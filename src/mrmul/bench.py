@@ -41,6 +41,8 @@ class BenchConfig:
         for name in ("sizes", "deltas", "schemas", "shards", "workers"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+            if name in ("sizes", "workers") and min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must each be >= 1, got {getattr(self, name)}")
 
 
 def loglog_slope(xs, ys) -> float:
@@ -99,8 +101,8 @@ def run_scaling(cfg: BenchConfig):
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "runs.csv").write_text(RUNS_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-        (out / "fits.csv").write_text(FITS_CSV_HEADER + "\n" + "\n".join(fits) + "\n")
+        (out / "runs.csv").write_text("".join(f"{line}\n" for line in [RUNS_CSV_HEADER] + rows))
+        (out / "fits.csv").write_text("".join(f"{line}\n" for line in [FITS_CSV_HEADER] + fits))
     return rows, fits
 
 

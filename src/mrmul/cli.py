@@ -73,17 +73,16 @@ def _shard_list(text):
     return kinds
 
 
-def _write_history(path, values):
+def _write_column(path, values, index=None, header=None):
+    """Write one float per line, as its repr, each after "i," when index
+    gives the i's, under a header line when one is given."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    if index is None:
+        lines = [f"{v!r}\n" for v in values]
+    else:
+        lines = [f"{i},{v!r}\n" for i, v in zip(np.asarray(index).tolist(), values)]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("iter,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{float(v)!r}\n")
-
-
-def _write_vector(path, values):
-    with open(path, "w", encoding="ascii") as fh:
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("".join([header + "\n"] + lines if header else lines))
 
 
 def _require_finite(outputs):
@@ -124,18 +123,18 @@ def cmd_nmf(args):
     A = mio.read_matrix(args.input)
     timings = []
     state = run_nmf(A, args.k, args.iters, args.workers, args.seed, timing_sink=timings)
-    prefix = args.out_prefix
+    prefix, history = args.out_prefix, state.divergence_history
     _require_finite([(f"{prefix}W.txt", state.W.values), (f"{prefix}H.txt", state.H.values),
-                     (f"{prefix}divergence.csv", state.divergence_history)])
+                     (f"{prefix}divergence.csv", history)])
     mio.write_matrix(SparseMatrix.from_dense(state.W.values), f"{prefix}W.txt")
     mio.write_matrix(SparseMatrix.from_dense(state.H.values), f"{prefix}H.txt")
-    _write_history(f"{prefix}divergence.csv", state.divergence_history)
+    _write_column(f"{prefix}divergence.csv", history, range(len(history)), "iter,value")
     with open(f"{prefix}timings.csv", "w", encoding="ascii") as fh:
         fh.write("iter,component,ms\n")
         per_iter = 3
         for j, (component, ms) in enumerate(timings):
             fh.write(f"{j // per_iter},{component},{ms:.3f}\n")
-    print(f"final divergence {float(state.divergence_history[-1])!r} after {args.iters} iterations")
+    print(f"final divergence {float(history[-1])!r} after {args.iters} iterations")
     return 0
 
 
@@ -143,20 +142,20 @@ def cmd_svm_train(args):
     T, y = read_svm_file(args.data)
     prob = SvmProblem(T, y, C=args.c, eta=args.eta)
     state = svm_train(prob, args.iters, args.workers)
-    prefix = args.out_prefix
+    prefix, history = args.out_prefix, state.objective_history
     _require_finite([(f"{prefix}alpha.txt", state.alpha.values),
-                     (f"{prefix}objective.csv", state.objective_history)])
-    _write_vector(f"{prefix}alpha.txt", state.alpha.values)
-    _write_history(f"{prefix}objective.csv", state.objective_history)
+                     (f"{prefix}objective.csv", history)])
+    _write_column(f"{prefix}alpha.txt", state.alpha.values)
+    _write_column(f"{prefix}objective.csv", history, range(len(history)), "iter,value")
     scores = svm_predict(state, prob, T, args.workers)
     acc = accuracy(scores, y)
     print(f"training accuracy {acc:.4f} over {T.rows} examples")
     # projected ascent with a small enough step never lowers the dual objective
-    fell = np.flatnonzero(np.diff(state.objective_history) < 0)
+    fell = np.flatnonzero(np.diff(history) < 0)
     if fell.size:
         i = int(fell[0]) + 1
         print(f"warning: the dual objective fell at iteration {i} "
-              f"({state.objective_history[i - 1]!r} -> {state.objective_history[i]!r}); "
+              f"({history[i - 1]!r} -> {history[i]!r}); "
               f"the ascent diverges, try a --eta smaller than {args.eta!r}", file=sys.stderr)
     return 0
 
@@ -188,7 +187,7 @@ def cmd_svm_predict(args):
     Q, _ = read_svm_file(args.query, cols=T.cols)
     scores = svm_predict(state, prob, Q, args.workers)
     _require_finite([(args.out, scores.values)])
-    _write_vector(args.out, scores.values)
+    _write_column(args.out, scores.values)
     print(f"wrote {args.out}: {len(scores)} scores")
     return 0
 
@@ -205,14 +204,10 @@ def cmd_pagerank(args):
     residuals = []
     pi, iters = pagerank(prob, args.tol, args.max_iters, args.workers, residual_sink=residuals)
     prefix = args.out_prefix
-    with open(f"{prefix}pi.csv", "w", encoding="ascii") as fh:
-        for i, v in enumerate(pi.values):
-            fh.write(f"{i},{float(v)!r}\n")
+    _write_column(f"{prefix}pi.csv", pi.values, range(n))
     order = np.lexsort((np.arange(n), -pi.values))
-    with open(f"{prefix}ranks.csv", "w", encoding="ascii") as fh:
-        for i in order:
-            fh.write(f"{i},{float(pi.values[i])!r}\n")
-    _write_history(f"{prefix}residuals.csv", residuals)
+    _write_column(f"{prefix}ranks.csv", pi.values[order], order)
+    _write_column(f"{prefix}residuals.csv", residuals, range(len(residuals)), "iter,value")
     print(f"converged={residuals[-1] < args.tol if residuals else False} "
           f"iterations={iters} sum={float(pi.values.sum())!r}")
     return 0

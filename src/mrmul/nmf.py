@@ -1,6 +1,6 @@
 """Gaussian NMF by multiplicative updates, composed from the broadcast model.
 
-Each step updates H then W:
+From a strictly positive random start, each step updates H then W:
 
     H <- H .* (Wt A) ./ (Wt W H + eps)
     W <- W .* (A Ht) ./ (W H Ht + eps)
@@ -22,7 +22,7 @@ import numpy as np
 # partition_multiply is no longer called here; the name stays bound because
 # perfbench/tracer.py patches it on this module.
 from .multiply import broadcast_multiply, partition_multiply  # noqa: F401
-from .sparse import DenseMatrix, GeneratorParams, SparseMatrix, elementwise_update, generate_random, transpose
+from .sparse import DenseMatrix, SparseMatrix, elementwise_update, transpose
 
 __all__ = ["NmfState", "nmf_init", "nmf_step", "nmf_divergence", "run_nmf",
            "COMPONENT_X", "COMPONENT_Y", "COMPONENT_H"]
@@ -61,11 +61,14 @@ class NmfState:
 
 
 def nmf_init(A: SparseMatrix, k: int, seed: int = 0) -> NmfState:
-    """Uniform random positive factors in (0, 1), deterministic in seed."""
+    """Dense factors uniform in (0, 1], W then H from one stream seeded by seed."""
     if not 1 <= k <= min(A.rows, A.cols):
         raise ValueError(f"k must lie in 1..min(m, n), got {k}")
-    W = DenseMatrix(generate_random(GeneratorParams(A.rows, k, 1.0, seed)).to_dense())
-    H = DenseMatrix(generate_random(GeneratorParams(k, A.cols, 1.0, seed + 1)).to_dense())
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    rng = np.random.default_rng(seed)
+    W = DenseMatrix(1.0 - rng.random((A.rows, k)))
+    H = DenseMatrix(1.0 - rng.random((k, A.cols)))
     return NmfState(W, H, k, (nmf_divergence(A, W, H),))
 
 

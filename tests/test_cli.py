@@ -206,6 +206,15 @@ class TestNmf:
         components = {line.split(",")[1] for line in lines[1:]}
         assert components == {"X=WtA", "Y=WtWH", "H=H.*X./Y"}
 
+    def test_reruns_byte_identical(self, tmp_path):
+        af = tmp_path / "a.txt"
+        write_matrix(random_sparse(20, 15, 0.4, seed=10), af)
+        for run in ("one_", "two_"):
+            assert run_cli("nmf", "--input", af, "--k", 3, "--iters", 4, "--seed", 6,
+                           "--out-prefix", tmp_path / run) == 0
+        for name in ("W.txt", "H.txt", "divergence.csv"):
+            assert (tmp_path / f"one_{name}").read_bytes() == (tmp_path / f"two_{name}").read_bytes()
+
 
 class TestSvm:
     def test_train_and_predict_round_trip(self, tmp_path, capsys):
@@ -325,6 +334,26 @@ class TestBenchScaling:
         fits = (out / "fits.csv").read_text().splitlines()
         assert any(line.startswith("slope_scalar_ops_vs_m") for line in fits)
         assert any(line.startswith("speedup_") for line in fits)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers-list", "0,1", "error: workers must each be >= 1, got (0, 1)\n"),
+        ("--workers-list", "-1", "error: workers must each be >= 1, got (-1,)\n"),
+        ("--sizes", "0,32", "error: sizes must each be >= 1, got (0, 32)\n"),
+    ], ids=["workers-0,1", "workers--1", "sizes-0,32"])
+    def test_impossible_grid_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench"
+        # the later of two equal flags wins
+        assert run_cli("bench-scaling", "--sizes", "32", "--deltas", "2^-3", "--schemas", "2x2x2",
+                       "--out-dir", out, flag, value) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_fits_without_rows_has_no_blank_line(self, tmp_path):
+        out = tmp_path / "bench"
+        assert run_cli("bench-scaling", "--sizes", "32", "--deltas", "2^-3",
+                       "--schemas", "2x2x2", "--out-dir", out) == 0
+        assert (out / "fits.csv").read_text() == "metric,value\n"
+        assert "\n\n" not in (out / "runs.csv").read_text()
 
 
 class TestConfigFile:

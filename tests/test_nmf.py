@@ -11,6 +11,7 @@ from mrmul.nmf import (
     nmf_step,
     run_nmf,
 )
+from mrmul import sparse
 from mrmul.sparse import DenseMatrix, SparseMatrix
 
 from conftest import random_sparse
@@ -186,3 +187,26 @@ class TestRun:
         A = random_sparse(4, 6, 0.5, seed=1)
         with pytest.raises(ValueError):
             nmf_init(A, 5, seed=0)
+
+
+class TestInit:
+    def test_dense_draw_without_the_sparse_generator(self, monkeypatch):
+        A = random_sparse(30, 20, 0.3, seed=2)
+
+        def refuse(*args):
+            raise AssertionError("nmf_init called the sparse generator")
+
+        monkeypatch.setattr(sparse, "_generate_row", refuse)
+        first, again = nmf_init(A, 4, seed=3), nmf_init(A, 4, seed=3)
+        for M in (first.W, first.H):
+            assert isinstance(M, DenseMatrix)
+            assert M.values.min() > 0 and M.values.max() <= 1
+        assert (first.W.shape, first.H.shape) == ((30, 4), (4, 20))
+        assert np.array_equal(first.W.values, again.W.values)
+        assert np.array_equal(first.H.values, again.H.values)
+        assert not np.array_equal(first.W.values, nmf_init(A, 4, seed=4).W.values)
+
+    def test_negative_seed_rejected(self):
+        A = random_sparse(5, 4, 0.5, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            nmf_init(A, 2, seed=-1)
