@@ -106,7 +106,14 @@ def run_scaling(cfg: BenchConfig):
     return rows, fits
 
 
+def _varies(values) -> bool:
+    return len(set(values)) >= 2
+
+
 def _fit_rows(cfg, totals):
+    """Fit rows over the first schema, shard and worker count. A fit with no
+    defined value (a log of zero work, a correlation against a constant) is
+    left out rather than written as nan."""
     fits = []
     schema0, shard0, w0 = str(cfg.schemas[0]), cfg.shards[0], cfg.workers[0]
 
@@ -114,20 +121,18 @@ def _fit_rows(cfg, totals):
         pts = [(size, totals[(size, delta, schema0, shard0, w0)][0])
                for size in cfg.sizes
                if (size, delta, schema0, shard0, w0) in totals]
-        if len(pts) >= 2:
-            fits.append(f"slope_scalar_ops_vs_m_delta={delta},"
-                        f"{loglog_slope([p[0] for p in pts], [p[1] for p in pts]):.4f}")
+        sizes, ops = [p[0] for p in pts], [p[1] for p in pts]
+        if _varies(sizes) and min(ops, default=0) > 0:
+            fits.append(f"slope_scalar_ops_vs_m_delta={delta},{loglog_slope(sizes, ops):.4f}")
 
     for size in cfg.sizes:
         pts = [totals[(size, delta, schema0, shard0, w0)]
                for delta in cfg.deltas
                if (size, delta, schema0, shard0, w0) in totals]
-        if len(pts) >= 2:
-            nnz = [p[2] for p in pts]
-            fits.append(f"pearson_scalar_ops_vs_nnz_m={size},"
-                        f"{pearson(nnz, [p[0] for p in pts]):.4f}")
-            fits.append(f"pearson_elapsed_vs_nnz_m={size},"
-                        f"{pearson(nnz, [p[1] for p in pts]):.4f}")
+        nnz = [p[2] for p in pts]
+        for name, ys in (("scalar_ops", [p[0] for p in pts]), ("elapsed", [p[1] for p in pts])):
+            if _varies(nnz) and _varies(ys):
+                fits.append(f"pearson_{name}_vs_nnz_m={size},{pearson(nnz, ys):.4f}")
 
     # speedup curves relative to the smallest worker count
     base_w = min(cfg.workers)

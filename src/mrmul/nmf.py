@@ -10,6 +10,23 @@ product of a step has one thin operand of at most (m + n) k values, the
 paper's large x small case, so all six run through broadcast_multiply with
 that operand broadcast: Wt A as (At W)t, the Grams Wt W and H Ht, the triple
 products as (Wt W) H and W (H Ht), and A Ht. No product forms an m x n array.
+run_nmf transposes the constant A once and hands At to every step.
+
+The divergence ||A - W H||^2 is summed one row block Wb of W at a time, with
+H H^T formed once per call. A block of nonnegative factors whose support S in
+A is sparse enough that gathering factor rows for it costs less than forming
+Wb H (A fills under 1/16 of its cells, and the 2 k gathered values per entry
+fill under one block) takes
+
+    sum_S (a - (W H)_S)^2 + (tr((Wb^T Wb)(H H^T)) - sum_S (W H)_S^2)
+
+in O(nnz_b k + rows k^2), with (W H)_S sampled on S alone. Every term of the
+trace and of sum_S (W H)_S^2 is nonnegative, so each sum is rounded by a few
+units in its last place, about 1e-16 ||Wb H||^2. The block keeps the value
+only when it is at least 2^-8 of ||Wb H||^2, so that rounding stays under
+about 1e-13 of it and the value is positive; a fit within about 1/16 of Wb H
+in norm, a denser block, and any block of signed factors form their rows of
+W H, subtract A's stored entries and sum each square.
 """
 
 from __future__ import annotations
@@ -35,6 +52,9 @@ COMPONENT_H = "H=H.*X./Y"
 
 # Cells of W H formed at once by nmf_divergence: 1 << 18 float64 cells is 2 MB.
 _DIVERGENCE_BLOCK_CELLS = 1 << 18
+# Least share of ||Wb H||^2 a block's sampled identity must come to for
+# nmf_divergence to keep it rather than sum the block directly.
+_IDENTITY_MIN_SHARE = 2.0 ** -8
 
 
 @dataclass(frozen=True)
@@ -76,35 +96,72 @@ def nmf_divergence(A: SparseMatrix, W: DenseMatrix | SparseMatrix,
                    H: DenseMatrix | SparseMatrix) -> float:
     """Squared Frobenius reconstruction error of the factorization.
 
-    W H is formed a row block at a time, A's stored entries are subtracted
-    from it in place, and the block's squares are summed, so memory stays
-    bounded by the block. Summing every cell's square directly, not through
-    the expanded identity, keeps the value free of cancellation.
+    Summed a row block at a time, with memory bounded by the block. A sparse
+    block of nonnegative factors takes the sampled identity of the module
+    docstring, not forming its rows of W H, and keeps it when the value is
+    at least _IDENTITY_MIN_SHARE of ||Wb H||^2; any other block forms them,
+    subtracts A's stored entries in place and sums the squares. Either way
+    the value is never negative.
     """
     if W.rows != A.rows or H.cols != A.cols or W.cols != H.rows:
         raise ValueError("shape mismatch")
     Wd, Hd = W.to_dense(), H.to_dense()
+    with np.errstate(over="ignore"):  # an overflowed trace sends blocks to the direct sum
+        Ht, HHt = np.ascontiguousarray(Hd.T), Hd @ Hd.T
+    sampled = min(Wd.min(initial=0.0), Hd.min(initial=0.0)) >= 0
+    # a gathered value costs several times a value of the dense product: a
+    # block is sampled when A fills under 1/16 of it and the 2 k values
+    # gathered per entry fill under one block
+    per_entry = max(2 * Wd.shape[1], 16)
     step = max(1, _DIVERGENCE_BLOCK_CELLS // A.cols)
     total = 0.0
     for lo in range(0, A.rows, step):
         hi = min(lo + step, A.rows)
-        R = Wd[lo:hi] @ Hd
         p_lo, p_hi = A.indptr[lo], A.indptr[hi]
         rows = np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))
-        R[rows, A.indices[p_lo:p_hi]] -= A.values[p_lo:p_hi]
-        total += float(np.sum(np.square(R, out=R)))
+        cols, Wb = A.indices[p_lo:p_hi], Wd[lo:hi]
+        if sampled and (p_hi - p_lo) * per_entry < (hi - lo) * A.cols:
+            with np.errstate(over="ignore", invalid="ignore"):
+                on_s = _sampled_product(Wb, Ht, rows, cols)
+                on_s_sq = float(on_s @ on_s)
+                block_sq = float(np.vdot(Wb.T @ Wb, HHt))  # ||Wb H||^2
+            resid = A.values[p_lo:p_hi] - on_s
+            value = float(resid @ resid) + (block_sq - on_s_sq)
+            # no square overflowed, and rounding cannot have cancelled the value
+            if block_sq < np.inf and value >= _IDENTITY_MIN_SHARE * block_sq:
+                total += value
+                continue
+        total += _direct_sum(Wb, Hd, rows, cols, A.values[p_lo:p_hi])
     return total
 
 
+def _direct_sum(Wb, Hd, rows, cols, values):
+    """||A_b - Wb H||^2 by forming Wb H, subtracting A's stored entries in
+    place and summing every square."""
+    R = Wb @ Hd
+    R.reshape(-1)[rows * R.shape[1] + cols] -= values
+    return float(np.sum(np.square(R, out=R)))
+
+
+def _sampled_product(Wb, Ht, rows, cols):
+    """(Wb H)[rows, cols] from Ht = H^T: one row-wise dot per entry."""
+    return np.einsum("ij,ij->i", Wb.take(rows, axis=0), Ht.take(cols, axis=0))
+
+
 def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DIVISION_EPS,
-             timing_sink=None) -> NmfState:
-    """One full multiplicative update (H then W); appends the new divergence."""
+             timing_sink=None, At: SparseMatrix | None = None) -> NmfState:
+    """One full multiplicative update (H then W); appends the new divergence.
+
+    At, when given, must be transpose(A); a caller that steps many times
+    passes it to save transposing the constant A on every step."""
     if A.rows != state.W.rows or A.cols != state.H.cols:
         raise ValueError("A inconsistent with factor shapes")
     W, H = state.W, state.H
 
     t0 = time.perf_counter()
-    X = DenseMatrix(broadcast_multiply(transpose(A), W, workers).values.T)
+    if At is None:
+        At = transpose(A)
+    X = DenseMatrix(broadcast_multiply(At, W, workers).values.T)
     t1 = time.perf_counter()
     Cww = broadcast_multiply(DenseMatrix(W.values.T), W, workers)
     Y = broadcast_multiply(Cww, H, workers)
@@ -133,6 +190,7 @@ def run_nmf(A: SparseMatrix, k: int, iters: int, workers: int = 1, seed: int = 0
     if iters < 0:
         raise ValueError("iters must be >= 0")
     state = nmf_init(A, k, seed)
+    At = transpose(A)
     for _ in range(iters):
-        state = nmf_step(A, state, workers, timing_sink=timing_sink)
+        state = nmf_step(A, state, workers, timing_sink=timing_sink, At=At)
     return state

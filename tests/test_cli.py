@@ -348,12 +348,17 @@ class TestBenchScaling:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
-    def test_fits_without_rows_has_no_blank_line(self, tmp_path):
-        out = tmp_path / "bench"
-        assert run_cli("bench-scaling", "--sizes", "32", "--deltas", "2^-3",
-                       "--schemas", "2x2x2", "--out-dir", out) == 0
-        assert (out / "fits.csv").read_text() == "metric,value\n"
-        assert "\n\n" not in (out / "runs.csv").read_text()
+    def test_fits_without_rows_has_no_blank_line(self, tmp_path, capsys):
+        # one size has no slope and one delta no correlation; zero scalar ops
+        # have no logarithm and a correlation against a constant no value:
+        # none of them may be written, as a blank line or as nan
+        for i, (sizes, deltas) in enumerate([("32", "2^-3"), ("32,64", "0"), ("32", "0,0")]):
+            out = tmp_path / f"bench{i}"
+            assert run_cli("bench-scaling", "--sizes", sizes, "--deltas", deltas,
+                           "--schemas", "2x2x2", "--out-dir", out) == 0
+            assert (out / "fits.csv").read_text() == "metric,value\n", (sizes, deltas)
+            assert "\n\n" not in (out / "runs.csv").read_text()
+            assert "nan" not in capsys.readouterr().out
 
 
 class TestConfigFile:

@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mrmul import nmf
 from mrmul.nmf import (
     DIVISION_EPS,
     NmfState,
@@ -52,6 +55,85 @@ class TestDivergence:
             for j in range(9):
                 naive += (Ad[i, j] - R[i, j]) ** 2
         assert abs(nmf_divergence(A, W, H) - naive) < 1e-12
+
+    @staticmethod
+    def _banded(seed, noise):
+        # k = 2 factors, each row of W on one of them and each factor on 3 of
+        # H's 96 columns: W H fills 1/32 of its cells, all of them stored in
+        # A = (W H) (1 + noise), so every block is sparse enough to sample
+        rng = np.random.default_rng(seed)
+        w_mask = np.kron(np.eye(2), np.ones((6, 1)))
+        h_mask = np.hstack([np.kron(np.eye(2), np.ones((1, 3))), np.zeros((2, 90))])
+        Wd, Hd = rng.random((12, 2)) * w_mask, rng.random((2, 96)) * h_mask
+        Ad = Wd @ Hd * (1.0 + noise * rng.standard_normal((12, 96)))
+        return np.maximum(Ad, 0.0), Wd, Hd
+
+    def test_exact_block_diagonal_factorization_is_zero(self):
+        # all of W H lies on A's support: the sampled identity subtracts two
+        # equal sums and its value is rounding noise of either sign, so the
+        # block must be summed directly
+        for seed in range(200):
+            Ad, Wd, Hd = self._banded(seed, 0.0)
+            div = nmf_divergence(SparseMatrix.from_dense(Ad), DenseMatrix(Wd), DenseMatrix(Hd))
+            assert 0 <= div < 1e-24, f"seed {seed}: {div!r}"
+
+    def test_fitting_block_takes_the_identity(self, monkeypatch):
+        # a fit within 20% of A leaves the identity's value well clear of its
+        # rounding, so the block is kept and not formed densely
+        def refuse(*args):
+            raise AssertionError("a fitting sparse block was summed directly")
+
+        for seed in range(20):
+            Ad, Wd, Hd = self._banded(seed, 0.2)
+            expected = np.sum((Ad - Wd @ Hd) ** 2)
+            with monkeypatch.context() as mp:
+                mp.setattr(nmf, "_direct_sum", refuse)
+                div = nmf_divergence(SparseMatrix.from_dense(Ad), DenseMatrix(Wd), DenseMatrix(Hd))
+            assert div == pytest.approx(expected, rel=1e-12), f"seed {seed}"
+
+    def test_mixed_sign_factors_sum_directly(self):
+        # W H is O(1) while W^T W is O(1e24): the trace of (W^T W)(H H^T)
+        # would cancel to noise, so signed factors take the direct sum
+        Wd = 1e12 * np.tile([1.0, -1.0], (50, 1))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            Hd = np.vstack([1.0 + 1e-12 * rng.random(40), np.ones(40)])
+            Ad = np.where(rng.random((50, 40)) < 0.05, rng.random((50, 40)), 0.0)
+            expected = np.sum((Ad - Wd @ Hd) ** 2)
+            div = nmf_divergence(SparseMatrix.from_dense(Ad), DenseMatrix(Wd), DenseMatrix(Hd))
+            assert div == pytest.approx(expected, rel=1e-12), f"seed {seed}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w, h, h_cols", [
+        (1e100, 1e100, 1), (1e160, 1e-160, 64), (1e-160, 1e160, 64),
+    ], ids=["square-of-a-stored-entry", "gram-of-w", "gram-of-h"])
+    def test_overflowing_square_sums_directly(self, w, h, h_cols):
+        # A stores (W H)_00 + 1 at one cell of 64. A stored 1e200 squares to
+        # inf in both sums of the identity, leaving inf - inf; W^T W or H H^T
+        # = 1e320 makes the trace inf while W H is 1. Each block is summed
+        # directly, and nothing warns of an overflow the direct sum lacks
+        Wd, Hd, Ad = np.full((1, 1), w), np.zeros((1, 64)), np.zeros((1, 64))
+        Hd[0, :h_cols] = h
+        Ad[0, 0] = w * h + 1.0
+        expected = np.sum((Ad - Wd @ Hd) ** 2)
+        div = nmf_divergence(SparseMatrix.from_dense(Ad), DenseMatrix(Wd), DenseMatrix(Hd))
+        assert div == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 40), k=st.integers(1, 6),
+           delta=st.sampled_from([0.0, 0.01, 0.03, 0.06, 0.1, 0.3, 0.5, 1.0]),
+           block_cells=st.sampled_from([1 << 18, 64, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_on_both_sides_of_the_switch(self, m, n, k, delta, block_cells, seed):
+        rng = np.random.default_rng(seed)
+        Ad = np.where(rng.random((m, n)) < delta, 1.0 - rng.random((m, n)), 0.0)
+        Wd, Hd = rng.random((m, k)), rng.random((k, n))
+        Wd[rng.random((m, k)) < 0.2] = 0.0
+        expected = float(np.sum((Ad - Wd @ Hd) ** 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nmf, "_DIVERGENCE_BLOCK_CELLS", block_cells)
+            div = nmf_divergence(SparseMatrix.from_dense(Ad), DenseMatrix(Wd), DenseMatrix(Hd))
+        assert div >= 0
+        assert abs(div - expected) <= 1e-12 * expected + 1e-300
 
 
 class TestStep:
@@ -177,11 +259,59 @@ class TestStructure:
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+class TestDivergenceBlocks:
+    """A block whose support is under the switch is never formed densely."""
+
+    @staticmethod
+    def _peak(A, k):
+        state = nmf_init(A, k, seed=0)
+        tracemalloc.start()
+        try:
+            nmf_divergence(A, state.W, state.H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_sparse_support_forms_no_dense_block(self):
+        A = random_sparse(2000, 2000, 1e-3, seed=17)
+        step = nmf._DIVERGENCE_BLOCK_CELLS // A.cols
+        block_bytes = step * A.cols * 8  # one dense row block of W H: 2 MB
+        # the dense factor copies alone take 3 * 2000 * 4 * 8 bytes
+        assert self._peak(A, 4) < block_bytes / 4
+
+    def test_dense_support_takes_the_direct_path(self, monkeypatch):
+        A = random_sparse(300, 200, 0.8, seed=18)
+        state = nmf_init(A, 4, seed=0)
+
+        def refuse(*args):
+            raise AssertionError("a block with dense support was sampled")
+
+        monkeypatch.setattr(nmf, "_sampled_product", refuse)
+        expected = np.sum((A.to_dense() - state.W.values @ state.H.values) ** 2)
+        assert nmf_divergence(A, state.W, state.H) == pytest.approx(expected, rel=1e-12)
+
+
 class TestRun:
     def test_run_appends_one_divergence_per_iteration(self):
         A = random_sparse(15, 12, 0.4, seed=13)
         state = run_nmf(A, 3, iters=7, workers=1, seed=5)
         assert len(state.divergence_history) == 8  # init + 7 updates
+
+    def test_transposes_a_once(self, monkeypatch):
+        A = random_sparse(15, 12, 0.4, seed=13)
+        expected = nmf_init(A, 3, seed=5)
+        for _ in range(4):
+            expected = nmf_step(A, expected)
+        real_transpose, calls = nmf.transpose, []
+
+        def counting_transpose(M):
+            calls.append(M)
+            return real_transpose(M)
+
+        monkeypatch.setattr(nmf, "transpose", counting_transpose)
+        assert run_nmf(A, 3, iters=4, seed=5) == expected
+        assert calls == [A]
 
     def test_k_bounds_enforced(self):
         A = random_sparse(4, 6, 0.5, seed=1)
