@@ -32,12 +32,13 @@ __all__ = ["main"]
 def parse_sparsity(text: str) -> float:
     """Accept plain decimals or 2^-k power notation."""
     text = text.strip()
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        value = float(base) ** float(exp)
-    else:
-        value = float(text)
-    if not 0.0 <= value <= 1.0:
+    base, caret, exp = text.partition("^")
+    try:
+        value = float(base) ** float(exp) if caret else float(text)
+    except (OverflowError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"sparsity {text!r} is not a finite number") from None
+    # a negative base to a fractional power is complex, so not in [0, 1] either
+    if not (isinstance(value, float) and 0.0 <= value <= 1.0):
         raise argparse.ArgumentTypeError(f"sparsity {text!r} outside [0, 1]")
     return value
 
@@ -327,8 +328,16 @@ def _extract_config(argv):
 
 
 def _config_args(path):
+    """The config file's key=value lines as flags; a malformed line or a byte
+    that is not UTF-8 is a ValueError naming path:line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
     extra = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -348,6 +357,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         # config defaults go right after the subcommand so explicit flags win
         if rest and not rest[0].startswith("-"):
             rest = [rest[0]] + extra + rest[1:]
@@ -361,7 +373,8 @@ def main(argv=None) -> int:
         # would only repeat that, with a source line
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    # MemoryError: a size no host can allocate, like pagerank --nodes 10^12
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ import re
 
 import numpy as np
 
-from .sparse import DenseVector, SparseMatrix
+from .sparse import DenseVector, SparseMatrix, csr_indptr
 
 __all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges"]
 
@@ -124,7 +124,7 @@ def read_matrix(path) -> SparseMatrix:
             counts[i] = len(indices) - start
         if len(indices) != nnz:
             raise ParseError(path, 1, f"header declares nnz={nnz} but file has {len(indices)} entries")
-    return SparseMatrix(rows, cols, np.concatenate(([0], np.cumsum(counts))), indices, values)
+    return SparseMatrix(rows, cols, csr_indptr(counts), indices, values)
 
 
 def read_svm_file(path, cols=None):

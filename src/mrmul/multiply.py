@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import Accumulator, BroadcastStore, JobSpec, broadcast, run_job
-from .sparse import DenseMatrix, SparseMatrix
+from .sparse import DenseMatrix, SparseMatrix, csr_indptr, csr_rows
 
 __all__ = [
     "PartitionSchema",
@@ -268,8 +268,7 @@ def _expand_rows(blk, len_k, cum, lo_row, hi_row, accumulate):
     src = np.repeat(blk.b_indptr[blk.a_cols[p_lo:p_hi]] - (cum[p_lo:p_hi] - cum[p_lo]), len_k)
     src += np.arange(tot, dtype=np.int64)
     prod_vals = np.repeat(blk.a_vals[p_lo:p_hi], len_k) * blk.b_vals[src]
-    key = np.repeat(np.arange(hi_row - lo_row, dtype=np.int64),
-                    np.diff(cum[blk.a_indptr[lo_row:hi_row + 1]]))
+    key = csr_rows(cum[blk.a_indptr[lo_row:hi_row + 1]])
     key *= width
     key += blk.b_cols[src]  # from row lo_row on
 
@@ -295,7 +294,7 @@ def _sparse_product(blk, accumulate):
     batches within _SPARSE_BATCH_PRODUCTS."""
     width = blk.beta_width
     len_k = np.diff(blk.b_indptr)[blk.a_cols]
-    cum = _indptr(len_k)
+    cum = csr_indptr(len_k)
     row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
     if accumulate:
         row_end += width * np.arange(1, row_end.size + 1)
@@ -306,7 +305,7 @@ def _sparse_product(blk, accumulate):
     else:
         uniq = np.concatenate([u for u, _ in parts])
         sums = np.concatenate([s for _, s in parts])
-    indptr = _indptr(np.bincount(uniq // width, minlength=blk.row_ids.size))
+    indptr = csr_indptr(np.bincount(uniq // width, minlength=blk.row_ids.size))
     return indptr, uniq % width, sums
 
 
@@ -321,15 +320,13 @@ def _dense_product(blk: _Block):
     """BLAS product of one dense-path block as (indptr, local cols, values),
     skipping zeros of the result; its bits depend on the block alone."""
     nr, gw = blk.row_ids.size, blk.gamma_width
-    ra = np.repeat(np.arange(nr, dtype=np.int64), np.diff(blk.a_indptr))
     Ad = np.zeros((nr, gw))
-    Ad[ra, blk.a_cols] = blk.a_vals
+    Ad[csr_rows(blk.a_indptr), blk.a_cols] = blk.a_vals
     Bd = np.zeros((gw, blk.beta_width))
-    rb = np.repeat(np.arange(gw, dtype=np.int64), np.diff(blk.b_indptr))
-    Bd[rb, blk.b_cols] = blk.b_vals
+    Bd[csr_rows(blk.b_indptr), blk.b_cols] = blk.b_vals
     Cd = Ad @ Bd
     rr, cc = np.nonzero(Cd)
-    return _indptr(np.bincount(rr, minlength=nr)), cc.astype(np.int64), Cd[rr, cc]
+    return csr_indptr(np.bincount(rr, minlength=nr)), cc.astype(np.int64), Cd[rr, cc]
 
 
 def _product_counts(a_cols, b_indptr, na, gw):
@@ -338,9 +335,9 @@ def _product_counts(a_cols, b_indptr, na, gw):
     joined end to end; na and gw are the blocks' A entries and gamma widths."""
     # block i's B rows start at b_row[i] of the joined indptrs; the differences
     # across block boundaries are never read, as A's columns stay in their block
-    b_row = _indptr(gw + 1)[:-1]
+    b_row = csr_indptr(gw + 1)[:-1]
     len_k = np.diff(b_indptr)[a_cols + np.repeat(b_row, na)]
-    return np.add.reduceat(len_k, _indptr(na)[:-1])  # every block has A entries
+    return np.add.reduceat(len_k, csr_indptr(na)[:-1])  # every block has A entries
 
 
 def _summation_batches(tot, nr, gw, bw, size):
@@ -383,11 +380,11 @@ def _decode_stack(fields, at, nr, na, gw, nb, bw):
     # the joined A indptrs, shifted past the entries of the blocks before;
     # all but the first block's leading 0 then repeat a pointer, and go
     keep = np.ones(a_indptr.size, dtype=bool)
-    keep[_indptr(a_ptrs)[1:-1]] = False
-    a_indptr = (a_indptr + np.repeat(_indptr(na)[:-1], a_ptrs))[keep]
-    b_row = _indptr(b_ptrs)
+    keep[csr_indptr(a_ptrs)[1:-1]] = False
+    a_indptr = (a_indptr + np.repeat(csr_indptr(na)[:-1], a_ptrs))[keep]
+    b_row = csr_indptr(b_ptrs)
     return _Block(row_ids, a_indptr, a_cols + np.repeat(b_row[:-1], na), a_vals,
-                  b_indptr + np.repeat(_indptr(nb)[:-1], b_ptrs), b_cols, b_vals,
+                  b_indptr + np.repeat(csr_indptr(nb)[:-1], b_ptrs), b_cols, b_vals,
                   int(b_row[-1]) - 1, int(bw.max()))
 
 
@@ -403,7 +400,7 @@ def _cut_columns(indptr, cols, vals, split: _Splitter):
     column block holding an entry, entries in row-major order."""
     if cols.size == 0:
         return
-    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    rows = csr_rows(indptr)
     part = split.block_of(cols)
     order = np.argsort(part, kind="stable")
     for sel in np.split(order, np.flatnonzero(np.diff(part[order])) + 1):
@@ -411,25 +408,18 @@ def _cut_columns(indptr, cols, vals, split: _Splitter):
         yield b, rows[sel], cols[sel] - split.starts[b], vals[sel]
 
 
-def _indptr(counts):
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
 def _assemble(rows, cols, row_payloads):
     """Build a SparseMatrix from (row index, col bytes, value bytes) triples
     arriving in ascending row order."""
-    indptr = np.zeros(rows + 1, dtype=np.int64)
+    counts = np.zeros(rows, dtype=np.int64)
     col_blobs, val_blobs = [], []
     for i, cb, vb in row_payloads:
-        indptr[i + 1] = len(cb) >> 3
+        counts[i] = len(cb) >> 3
         col_blobs.append(cb)
         val_blobs.append(vb)
-    np.cumsum(indptr, out=indptr)
     indices = np.frombuffer(b"".join(col_blobs), dtype=np.int64)
     values = np.frombuffer(b"".join(val_blobs), dtype=np.float64)
-    return SparseMatrix(rows, cols, indptr, indices, values)
+    return SparseMatrix(rows, cols, csr_indptr(counts), indices, values)
 
 
 def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema,
@@ -460,14 +450,14 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         if tag == "A":
             for gamma, rows, lcols, lvals in _cut_columns(indptr, cols, vals, isplit):
                 row_ids, counts = np.unique(rows, return_counts=True)
-                payload = ("A", (row_ids + first_row).tobytes(), _indptr(counts).tobytes(),
+                payload = ("A", (row_ids + first_row).tobytes(), csr_indptr(counts).tobytes(),
                            lcols.tobytes(), lvals.tobytes())
                 out += [((blk, beta, gamma), payload) for beta in range(k)]
             ops.add(cols.size * k)
         else:
             gw = indptr.size - 1
             for beta, rows, lcols, lvals in _cut_columns(indptr, cols, vals, csplit):
-                b_indptr = _indptr(np.bincount(rows, minlength=gw))
+                b_indptr = csr_indptr(np.bincount(rows, minlength=gw))
                 payload = ("B", b_indptr.tobytes(), lcols.tobytes(), lvals.tobytes())
                 out += [((alpha, beta, blk), payload) for alpha in range(m)]
             ops.add(cols.size * m)

@@ -39,7 +39,7 @@ import numpy as np
 # partition_multiply is no longer called here; the name stays bound because
 # perfbench/tracer.py patches it on this module.
 from .multiply import broadcast_multiply, partition_multiply  # noqa: F401
-from .sparse import DenseMatrix, SparseMatrix, elementwise_update, transpose
+from .sparse import DenseMatrix, SparseMatrix, csr_rows, elementwise_update, transpose
 
 __all__ = ["NmfState", "nmf_init", "nmf_step", "nmf_divergence", "run_nmf",
            "COMPONENT_X", "COMPONENT_Y", "COMPONENT_H"]
@@ -118,7 +118,7 @@ def nmf_divergence(A: SparseMatrix, W: DenseMatrix | SparseMatrix,
     for lo in range(0, A.rows, step):
         hi = min(lo + step, A.rows)
         p_lo, p_hi = A.indptr[lo], A.indptr[hi]
-        rows = np.repeat(np.arange(hi - lo), np.diff(A.indptr[lo:hi + 1]))
+        rows = csr_rows(A.indptr[lo:hi + 1])
         cols, Wb = A.indices[p_lo:p_hi], Wd[lo:hi]
         if sampled and (p_hi - p_lo) * per_entry < (hi - lo) * A.cols:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiply import broadcast_multiply
-from .sparse import DenseMatrix, DenseVector, SparseMatrix
+from .sparse import DenseMatrix, DenseVector, SparseMatrix, csr_rows
 
 __all__ = ["PagerankProblem", "PagerankError", "pagerank_build", "pagerank"]
 
@@ -66,7 +66,7 @@ class PagerankProblem:
         column 1/N for each dangling node. Built anew on every access."""
         N, L = self.N, self.links
         dangling = np.flatnonzero(self.outdeg == 0)
-        rows_ids = np.concatenate((np.repeat(np.arange(N), np.diff(L.indptr)),
+        rows_ids = np.concatenate((csr_rows(L.indptr),
                                    np.tile(np.arange(N), dangling.size)))
         cols_ids = np.concatenate((L.indices, np.repeat(dangling, N)))
         vals = np.concatenate((L.values, np.full(dangling.size * N, 1.0 / N)))

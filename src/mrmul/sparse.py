@@ -1,8 +1,14 @@
 """Sparse and dense matrix types plus the seeded random-matrix generator.
 
 All values are float64. SparseMatrix is row-compressed (CSR-style arrays)
-with strictly ascending column indices per row and no explicit zeros;
-instances are immutable after construction and safe to share across workers.
+with strictly ascending column indices per row and no explicit zeros. It has
+one constructor, and every builder (from_rows, from_coo, from_dense,
+transpose, generate_random, the file readers and the multiply's assembly)
+goes through it: it copies the arrays it is given into arrays of its own,
+validates them, drops explicit zeros and makes them read-only, so instances
+are immutable and safe to share across workers. csr_indptr and csr_rows are
+the format's two index idioms, row pointers from row counts and the row of
+each stored entry, for every module that works on the arrays.
 """
 
 from __future__ import annotations
@@ -16,56 +22,63 @@ __all__ = [
     "DenseMatrix",
     "DenseVector",
     "GeneratorParams",
+    "csr_indptr",
+    "csr_rows",
     "transpose",
     "elementwise_update",
     "generate_random",
 ]
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
+
+def csr_indptr(counts):
+    """Row pointers (int64, one longer than counts) of rows holding counts[i]
+    entries each."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def csr_rows(indptr):
+    """The row index of every stored entry, from the row pointers."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 class SparseMatrix:
     """Row-compressed sparse real matrix.
 
-    Stored as CSR triplet arrays (indptr, indices, values). Construction
-    validates shape bounds and per-row strictly ascending column indices,
-    and drops explicit zero values so that nnz counts only true nonzeros.
+    Stored as CSR triplet arrays (indptr, indices, values). The constructor,
+    which every builder calls, copies the three arrays, validates shape
+    bounds and per-row strictly ascending column indices, drops explicit
+    zero values so that nnz counts only true nonzeros, and makes its arrays
+    read-only.
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "values")
 
-    def __init__(self, rows, cols, indptr, indices, values, copy=True, validate=True):
+    def __init__(self, rows, cols, indptr, indices, values):
         rows = int(rows)
         cols = int(cols)
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-        indptr = np.array(indptr, dtype=np.int64, copy=copy)
-        indices = np.array(indices, dtype=np.int64, copy=copy)
-        values = np.array(values, dtype=np.float64, copy=copy)
-        if validate:
-            if indptr.shape != (rows + 1,):
-                raise ValueError("indptr length must be rows + 1")
-            if indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(values):
-                raise ValueError("inconsistent CSR arrays")
-            if np.any(np.diff(indptr) < 0):
-                raise ValueError("indptr must be non-decreasing")
-            if len(indices):
-                if indices.min() < 0 or indices.max() >= cols:
-                    raise ValueError("column index out of range")
-                row_id = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
-                same_row = row_id[1:] == row_id[:-1]
-                if np.any((np.diff(indices) <= 0) & same_row):
-                    raise ValueError("column indices must be strictly ascending within a row")
-            if np.any(values == 0.0):
-                keep = values != 0.0
-                counts = np.bincount(
-                    np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))[keep],
-                    minlength=rows,
-                )
-                indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-                indices = indices[keep]
-                values = values[keep]
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
+        if indptr.shape != (rows + 1,):
+            raise ValueError("indptr length must be rows + 1")
+        if indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(values):
+            raise ValueError("inconsistent CSR arrays")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must be non-decreasing")
+        if np.any((indices < 0) | (indices >= cols)):
+            raise ValueError("column index out of range")
+        row_id = csr_rows(indptr)
+        if np.any((np.diff(indices) <= 0) & (row_id[1:] == row_id[:-1])):
+            raise ValueError("column indices must be strictly ascending within a row")
+        keep = values != 0.0
+        if not keep.all():
+            indptr = csr_indptr(np.bincount(row_id[keep], minlength=rows))
+            indices = indices[keep]
+            values = values[keep]
         self.rows = rows
         self.cols = cols
         self.indptr = indptr
@@ -78,27 +91,17 @@ class SparseMatrix:
 
     @classmethod
     def empty(cls, rows, cols):
-        return cls(rows, cols, np.zeros(rows + 1, dtype=np.int64), _EMPTY_I64, _EMPTY_F64,
-                   copy=False, validate=False)
+        return cls(rows, cols, np.zeros(rows + 1, dtype=np.int64), [], [])
 
     @classmethod
     def from_rows(cls, rows, cols, row_entries):
         """Build from an iterable of per-row [(col, value), ...] lists."""
-        row_entries = list(row_entries)
+        row_entries = [list(entries) for entries in row_entries]
         if len(row_entries) != rows:
             raise ValueError(f"expected {rows} rows, got {len(row_entries)}")
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        cols_parts = []
-        vals_parts = []
-        for i, entries in enumerate(row_entries):
-            entries = list(entries)
-            indptr[i + 1] = indptr[i] + len(entries)
-            if entries:
-                cols_parts.append(np.array([c for c, _ in entries], dtype=np.int64))
-                vals_parts.append(np.array([v for _, v in entries], dtype=np.float64))
-        indices = np.concatenate(cols_parts) if cols_parts else _EMPTY_I64
-        values = np.concatenate(vals_parts) if vals_parts else _EMPTY_F64
-        return cls(rows, cols, indptr, indices, values, copy=False)
+        entries = [e for row in row_entries for e in row]
+        return cls(rows, cols, csr_indptr([len(row) for row in row_entries]),
+                   [c for c, _ in entries], [v for _, v in entries])
 
     @classmethod
     def from_coo(cls, rows, cols, row_ids, col_ids, vals):
@@ -108,17 +111,13 @@ class SparseMatrix:
         vals = np.asarray(vals, dtype=np.float64)
         order = np.lexsort((col_ids, row_ids))
         row_ids, col_ids, vals = row_ids[order], col_ids[order], vals[order]
-        if len(row_ids) > 1:
-            dup = (np.diff(row_ids) == 0) & (np.diff(col_ids) == 0)
-            if np.any(dup):
-                j = int(np.flatnonzero(dup)[0])
-                raise ValueError(f"duplicate entry at ({row_ids[j]}, {col_ids[j]})")
-        if len(row_ids) and (row_ids.min() < 0 or row_ids.max() >= rows):
+        dup = (np.diff(row_ids) == 0) & (np.diff(col_ids) == 0)
+        if np.any(dup):
+            j = int(np.flatnonzero(dup)[0])
+            raise ValueError(f"duplicate entry at ({row_ids[j]}, {col_ids[j]})")
+        if np.any((row_ids < 0) | (row_ids >= rows)):
             raise ValueError("row index out of range")
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(row_ids, minlength=rows)))
-        ).astype(np.int64)
-        return cls(rows, cols, indptr, col_ids, vals, copy=False)
+        return cls(rows, cols, csr_indptr(np.bincount(row_ids, minlength=rows)), col_ids, vals)
 
     @classmethod
     def from_dense(cls, arr):
@@ -127,11 +126,7 @@ class SparseMatrix:
             raise ValueError("expected a 2-D array")
         rows, cols = arr.shape
         ii, jj = np.nonzero(arr)
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(ii, minlength=rows)))
-        ).astype(np.int64)
-        return cls(rows, cols, indptr, jj.astype(np.int64), arr[ii, jj], copy=False,
-                   validate=False)
+        return cls(rows, cols, csr_indptr(np.bincount(ii, minlength=rows)), jj, arr[ii, jj])
 
     # -- accessors ------------------------------------------------------
 
@@ -153,10 +148,7 @@ class SparseMatrix:
 
     def to_dense(self):
         out = np.zeros((self.rows, self.cols), dtype=np.float64)
-        if self.nnz:
-            row_id = np.repeat(np.arange(self.rows, dtype=np.int64),
-                               np.diff(self.indptr))
-            out[row_id, self.indices] = self.values
+        out[csr_rows(self.indptr), self.indices] = self.values
         return out
 
     def __eq__(self, other):
@@ -257,15 +249,10 @@ class GeneratorParams:
 
 def transpose(M: SparseMatrix) -> SparseMatrix:
     """Transpose; an involution that preserves nnz."""
-    if M.nnz == 0:
-        return SparseMatrix.empty(M.cols, M.rows)
-    row_id = np.repeat(np.arange(M.rows, dtype=np.int64), np.diff(M.indptr))
+    row_id = csr_rows(M.indptr)
     order = np.lexsort((row_id, M.indices))
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(M.indices, minlength=M.cols)))
-    ).astype(np.int64)
-    return SparseMatrix(M.cols, M.rows, indptr, row_id[order], M.values[order],
-                        copy=False, validate=False)
+    indptr = csr_indptr(np.bincount(M.indices, minlength=M.cols))
+    return SparseMatrix(M.cols, M.rows, indptr, row_id[order], M.values[order])
 
 
 def elementwise_update(H, X, Y, eps=0.0):
@@ -302,11 +289,6 @@ def generate_random(p: GeneratorParams, workers: int = 1) -> SparseMatrix:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    slots = [_generate_row(p.seed, i, p.n, p.delta) for i in range(p.m)]
-
-    indptr = np.zeros(p.m + 1, dtype=np.int64)
-    for i, (cols, _) in enumerate(slots):
-        indptr[i + 1] = indptr[i] + cols.size
-    indices = np.concatenate([c for c, _ in slots]) if p.m else _EMPTY_I64
-    values = np.concatenate([v for _, v in slots]) if p.m else _EMPTY_F64
-    return SparseMatrix(p.m, p.n, indptr, indices, values, copy=False, validate=False)
+    cols, vals = zip(*[_generate_row(p.seed, i, p.n, p.delta) for i in range(p.m)])
+    return SparseMatrix(p.m, p.n, csr_indptr([c.size for c in cols]),
+                        np.concatenate(cols), np.concatenate(vals))

@@ -523,3 +523,50 @@ class TestNoFloatingPointWarnings:
         err = capsys.readouterr().err
         assert rc == 0 and (tmp_path / "pr_pi.csv").exists()
         assert not caught and "RuntimeWarning" not in err
+
+
+class TestErrorLinesNotTracebacks:
+    """Bad input the command line cannot use ends in one error line and
+    writes nothing."""
+
+    @pytest.mark.parametrize("content, diagnostic", [
+        (b"m 2\n", ":1: expected key=value, got 'm 2'"),
+        (b"m=2\n# caf\xe9\n", ":2: byte 0xe9 is not UTF-8"),
+    ], ids=["no_equals", "not_utf8"])
+    def test_malformed_config_file(self, tmp_path, capsys, content, diagnostic):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        out = tmp_path / "x.txt"
+        assert run_cli("generate", "--config", cfg, "--n", 2, "--delta", "1", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {cfg}{diagnostic}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("generate", "--m", 2, "--n", 2, "--delta", "10^400"),
+        ("generate", "--m", 2, "--n", 2, "--delta", "0^-1"),
+        ("bench-scaling", "--sizes", 32, "--deltas", "2^-3,10^400"),
+    ], ids=["overflow", "zero_division", "bench_scaling_list"])
+    def test_power_notation_out_of_float_range(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        flag = "--out-dir" if args[0] == "bench-scaling" else "--out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, flag, out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "is not a finite number" in err
+        assert not out.exists()
+
+    def test_impossible_size(self, tmp_path, capsys, monkeypatch):
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000000000,) and data type int64")
+
+        def refuse(edges, d, N):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("mrmul.cli.pagerank_build", refuse)
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t0\n")
+        assert run_cli("pagerank", "--edges", edges, "--nodes", 10 ** 12,
+                       "--out-prefix", tmp_path / "pr_") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("pr_*"))

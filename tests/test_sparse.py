@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mrmul.io import ParseError, read_matrix, write_matrix
+from mrmul.multiply import PartitionSchema, partition_multiply
 from mrmul.sparse import (
     DenseMatrix,
     DenseVector,
@@ -254,3 +255,63 @@ class TestVectors:
     def test_dense_vector_rejects_empty(self):
         with pytest.raises(ValueError):
             DenseVector([])
+
+
+# Every SparseMatrix builder, as tmp_path -> (matrix, the arrays the caller
+# handed it). Each one goes through the one constructor.
+def _from_caller_arrays(tmp_path):
+    arrays = [np.array([0, 2, 2, 4]), np.array([0, 3, 1, 2]), np.array([1.5, -2.0, 0.0, 4.0])]
+    return SparseMatrix(3, 4, *arrays), arrays
+
+
+def _from_coo(tmp_path):
+    arrays = [np.array([2, 0, 0]), np.array([1, 3, 0]), np.array([4.0, -2.0, 1.5])]
+    return SparseMatrix.from_coo(3, 4, *arrays), arrays
+
+
+def _from_dense(tmp_path):
+    arr = np.array([[1.5, 0.0, 0.0, -2.0], [0.0, 0.0, 0.0, 0.0], [0.0, 4.0, 0.0, 0.0]])
+    return SparseMatrix.from_dense(arr), [arr]
+
+
+def _read_matrix(tmp_path):
+    path = tmp_path / "m.txt"
+    write_matrix(random_sparse(6, 5, 0.4, seed=3), path)
+    return read_matrix(path), []
+
+
+def _partition_product(tmp_path):
+    A, B = random_sparse(9, 7, 0.3, seed=4), random_sparse(7, 8, 0.3, seed=5)
+    C, _ = partition_multiply(A, B, PartitionSchema(2, 2, 3), "rand", workers=2)
+    return C, []
+
+
+BUILDERS = {
+    "constructor": _from_caller_arrays,
+    "from_coo": _from_coo,
+    "from_dense": _from_dense,
+    "transpose": lambda tmp_path: (transpose(random_sparse(5, 7, 0.3, seed=2)), []),
+    "transpose_all_zero": lambda tmp_path: (transpose(SparseMatrix.empty(3, 5)), []),
+    "generate_delta_0": lambda tmp_path: (generate_random(GeneratorParams(4, 6, 0.0, 1)), []),
+    "generate_delta_1": lambda tmp_path: (generate_random(GeneratorParams(4, 6, 1.0, 1)), []),
+    "read_matrix": _read_matrix,
+    "partition_multiply": _partition_product,
+}
+
+
+@pytest.mark.parametrize("builder", list(BUILDERS))
+def test_every_builder_goes_through_the_constructor(tmp_path, builder):
+    M, caller_arrays = BUILDERS[builder](tmp_path)
+    arrays = (M.indptr, M.indices, M.values)
+    assert not any(a.flags.writeable for a in arrays)
+    assert M.indptr.dtype == M.indices.dtype == np.int64 and M.values.dtype == np.float64
+    assert np.all(M.values != 0.0)
+    before = [a.copy() for a in arrays]
+    for a in caller_arrays:
+        a[...] = 7
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    rebuilt = SparseMatrix(M.rows, M.cols, *arrays)
+    assert rebuilt == M
+    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, (rebuilt.indptr,
+                                                                   rebuilt.indices,
+                                                                   rebuilt.values)))
