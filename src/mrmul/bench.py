@@ -58,10 +58,10 @@ def pearson(xs, ys) -> float:
 
 
 def run_scaling(cfg: BenchConfig):
-    """Run the grid; returns (run rows, fit rows) and writes runs.csv and
-    fits.csv under cfg.out_dir when set. Failed cells are reported as error
-    rows and the grid continues."""
-    rows = []
+    """Run the grid; returns (run rows, fit rows, failed cells) and writes
+    runs.csv and fits.csv under cfg.out_dir when set. A failed cell gets an
+    error row and a "cell <key columns>: <message>" line, and the grid goes on."""
+    rows, failures = [], []
     totals = {}  # (size, delta, schema, shard, workers) -> (ops, elapsed_ms, nnz_a+nnz_b)
     for size in cfg.sizes:
         for delta in cfg.deltas:
@@ -70,32 +70,31 @@ def run_scaling(cfg: BenchConfig):
             for schema in cfg.schemas:
                 for shard in cfg.shards:
                     for w in cfg.workers:
-                        label = (size, delta, str(schema), shard, w)
+                        cell = f"{size},{delta},{schema},{shard},{w}"
                         try:
                             t0 = time.perf_counter()
                             C, metrics = partition_multiply(A, B, schema, shard, w)
                             elapsed = (time.perf_counter() - t0) * 1e3
-                        except Exception as exc:  # grid continues per spec
-                            rows.append(f"{size},{delta},{schema},{shard},{w},"
-                                        f"error:{type(exc).__name__},0,0,0,0,0,0,0,"
+                        except Exception as exc:
+                            failures.append(f"cell {cell}: {exc}")
+                            rows.append(f"{cell},error:{type(exc).__name__},0,0,0,0,0,0,0,"
                                         f"{A.nnz},{B.nnz},0")
                             continue
                         ops = sum(m.scalar_ops for m in metrics)
                         for m in metrics:
                             rows.append(
-                                f"{size},{delta},{schema},{shard},{w},{m.stage},"
-                                f"{m.shuffle_bytes},{m.cross_worker_bytes},"
+                                f"{cell},{m.stage},{m.shuffle_bytes},{m.cross_worker_bytes},"
                                 f"{m.map_ms:.3f},{m.shuffle_ms:.3f},{m.reduce_ms:.3f},"
                                 f"{m.scalar_ops},,{A.nnz},{B.nnz},{C.nnz}")
                         rows.append(
-                            f"{size},{delta},{schema},{shard},{w},total,"
+                            f"{cell},total,"
                             f"{sum(m.shuffle_bytes for m in metrics)},"
                             f"{sum(m.cross_worker_bytes for m in metrics)},"
                             f"{sum(m.map_ms for m in metrics):.3f},"
                             f"{sum(m.shuffle_ms for m in metrics):.3f},"
                             f"{sum(m.reduce_ms for m in metrics):.3f},"
                             f"{ops},{elapsed:.3f},{A.nnz},{B.nnz},{C.nnz}")
-                        totals[label] = (ops, elapsed, A.nnz + B.nnz)
+                        totals[(size, delta, str(schema), shard, w)] = (ops, elapsed, A.nnz + B.nnz)
 
     fits = _fit_rows(cfg, totals)
     if cfg.out_dir is not None:
@@ -103,7 +102,7 @@ def run_scaling(cfg: BenchConfig):
         out.mkdir(parents=True, exist_ok=True)
         (out / "runs.csv").write_text("".join(f"{line}\n" for line in [RUNS_CSV_HEADER] + rows))
         (out / "fits.csv").write_text("".join(f"{line}\n" for line in [FITS_CSV_HEADER] + fits))
-    return rows, fits
+    return rows, fits, failures
 
 
 def _varies(values) -> bool:

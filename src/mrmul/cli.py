@@ -218,11 +218,13 @@ def cmd_bench_scaling(args):
     cfg = BenchConfig(sizes=args.sizes, deltas=args.deltas, schemas=args.schemas,
                       shards=args.shards, workers=args.workers_list, seed=args.seed,
                       out_dir=Path(args.out_dir))
-    rows, fits = run_scaling(cfg)
+    rows, fits, failures = run_scaling(cfg)
     for line in fits:
         print(line)
     print(f"wrote {args.out_dir}/runs.csv ({len(rows)} rows) and fits.csv")
-    return 0
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _add_common(p, workers=True, seed=False):

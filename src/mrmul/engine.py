@@ -7,8 +7,9 @@ mappers finish. Output is deterministic for any worker count: map emissions
 are collected in task order, shuffle groups are sorted by key, and values
 within a group are sorted by their serialized form before reduction.
 
-Map tasks run on a thread pool, one thread per worker, when the job asks for
-it (JobSpec.parallel), else one worker after another on the caller's thread.
+Map tasks run on a thread pool, at most one thread per core, and each task
+still runs as its worker, when the job asks for it (JobSpec.parallel); else
+one worker after another on the caller's thread.
 Reducers run on the caller's thread in one pass in key order, each with its
 shard-named worker as current_worker().
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import gc
+import os
 import pickle
 import threading
 import time
@@ -126,11 +128,12 @@ class JobSpec:
     name: str = "job"
     ops: Accumulator | None = None
     map_affinity: Callable[[Any], int] | None = None
-    # Run map tasks on real threads, one per worker. Only map work coarse
-    # enough to amortize GIL handoffs gains from it (in mrmul, the summation
-    # stage of a chunky product); False runs the tasks one at a time on the
-    # caller's thread with the same worker placement, metrics, and output.
-    # Reducers always run on the caller's thread, one key at a time.
+    # Run map tasks on real threads, at most one thread per core, and each
+    # task still runs as its worker. Only map work coarse enough to amortize
+    # GIL handoffs gains from it (in mrmul, the summation stage of a chunky
+    # product); False runs the tasks one at a time on the caller's thread
+    # with the same worker placement, metrics, and output. Reducers always
+    # run on the caller's thread, one key at a time.
     parallel: bool = True
 
 
@@ -168,7 +171,7 @@ def serialize_record(key, value) -> bytes:
     return pickle.dumps((key, value), protocol=5)
 
 
-def _map_task(worker, chunk, mapper, stage):
+def _map_task(chunk, mapper, stage, worker):
     _worker_ctx.worker = worker
     out = []
     append = out.append
@@ -183,17 +186,17 @@ def _map_task(worker, chunk, mapper, stage):
                     append((serialize_record(key, value), key, value))
     finally:
         _worker_ctx.worker = None
-    return out
+    return worker, out
 
 
 def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
     if n_workers == 1 or not parallel:
-        return [task_fn(w, *args_per_worker[w]) for w in range(n_workers)]
+        return [task_fn(*args) for args in args_per_worker]
     # each task runs in a copy of the caller's context, so context-scoped
     # settings such as numpy's errstate hold on the pool's threads as well
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, task_fn, w, *args_per_worker[w])
-                   for w in range(n_workers)]
+    with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task_fn, *args)
+                   for args in args_per_worker]
         return [f.result() for f in futures]
 
 
@@ -240,56 +243,52 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
     ops_before = spec.ops.value if spec.ops is not None else 0
 
     t0 = time.perf_counter()
-    if spec.map_affinity is not None:
-        chunks = [[] for _ in range(nw)]
-        for rec in records:
-            w = spec.map_affinity(rec)
-            if not 0 <= w < nw:
-                raise JobError(f"{spec.name}/map", rec, ValueError(f"affinity {w} outside 0..{nw - 1}"))
-            chunks[w].append(rec)
-    else:
-        bounds = [len(records) * w // nw for w in range(nw + 1)]
-        chunks = [records[bounds[w]:bounds[w + 1]] for w in range(nw)]
-    map_out = _run_tasks(_map_task, nw, [(chunks[w], spec.mapper, spec.name) for w in range(nw)],
+    # Only workers that get input have a chunk, so the map stage's memory
+    # does not grow with the worker count. Without an affinity, the n records
+    # are cut into contiguous chunks: worker w maps n*w//nw up to n*(w+1)//nw.
+    chunks = {}
+    for i, rec in enumerate(records):
+        w = spec.map_affinity(rec) if spec.map_affinity else ((i + 1) * nw - 1) // len(records)
+        if not 0 <= w < nw:
+            raise JobError(f"{spec.name}/map", rec, ValueError(f"affinity {w} outside 0..{nw - 1}"))
+        chunks.setdefault(w, []).append(rec)
+    map_out = _run_tasks(_map_task, nw, [(chunks[w], spec.mapper, spec.name, w) for w in sorted(chunks)],
                          spec.parallel)
     t1 = time.perf_counter()
 
-    # Shuffle: group by key, totalling each group's bytes per source worker,
-    # so the bytes that change workers are the total less the destination's.
+    # Shuffle: a key's worker is a pure function of the key, so it is fixed
+    # when the key's group is created; a record's bytes change workers when
+    # the worker that emitted it is not its key's.
     groups: dict[Any, tuple] = {}
-    for src_worker, out in enumerate(map_out):
+    shuffle_bytes = cross_worker_bytes = 0
+    for src_worker, out in map_out:
         for blob, key, value in out:
             group = groups.get(key)
             if group is None:
-                group = groups[key] = ([], [0] * nw)
-            group[0].append((blob, value))
-            group[1][src_worker] += len(blob)
+                group = groups[key] = (spec.shard_fn(key), [])
+            group[1].append((blob, value))
+            shuffle_bytes += len(blob)
+            if group[0] != src_worker:
+                cross_worker_bytes += len(blob)
     ordered_keys = _sorted_keys(groups, f"{spec.name}/shuffle")
-    shuffle_bytes = cross_worker_bytes = 0
-    dests = []
     records_per_worker = [0] * nw
     for key in ordered_keys:
-        dest = spec.shard_fn(key)
+        dest, bucket = groups[key]
         if not 0 <= dest < nw:
             raise JobError(f"{spec.name}/shuffle", key, ValueError(f"shard {dest} outside 0..{nw - 1}"))
-        dests.append(dest)
-        bucket, from_worker = groups[key]
-        total = sum(from_worker)
-        shuffle_bytes += total
-        cross_worker_bytes += total - from_worker[dest]
         records_per_worker[dest] += len(bucket)
         bucket.sort(key=itemgetter(0))
-        groups[key] = [value for _, value in bucket]
+        groups[key] = (dest, [value for _, value in bucket])
     t2 = time.perf_counter()
 
     # Reducers run one key at a time in key order, each on its key's worker,
     # so a failure names the first failing key whatever the worker count.
     output = []
     try:
-        for key, dest in zip(ordered_keys, dests):
-            _worker_ctx.worker = dest
+        for key in ordered_keys:
+            _worker_ctx.worker, values = groups[key]
             try:
-                output.extend(KeyedRecord(k, v) for k, v in spec.reducer(key, groups[key]))
+                output.extend(KeyedRecord(k, v) for k, v in spec.reducer(key, values))
             except Exception as exc:
                 raise JobError(f"{spec.name}/reduce", key, exc) from exc
     finally:

@@ -568,15 +568,15 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
                    workers=workers, name="partition", ops=ops, parallel=False)
     grouped, m1 = run_job(job1, records)
 
-    on_worker = [[] for _ in range(workers)]
+    on_worker = {}
     for rec in grouped:
         alpha, beta, gamma = rec.key
-        on_worker[block_place[alpha][beta][gamma]].append(rec)
+        on_worker.setdefault(block_place[alpha][beta][gamma], []).append(rec)
     job2 = JobSpec(summation_mapper, summation_reducer,
                    shard_fn=lambda key: row_place[key[1]],
                    workers=workers, name="summation", ops=ops, map_affinity=itemgetter(0),
                    parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK)
-    summed, m2 = run_job(job2, [(w, placed) for w, placed in enumerate(on_worker) if placed])
+    summed, m2 = run_job(job2, sorted(on_worker.items()))
 
     C = _assemble(A.rows, B.cols, ((i, cb, vb) for (alpha, i), (cb, vb) in summed))
     return C, [m1, m2]

@@ -360,6 +360,20 @@ class TestBenchScaling:
             assert "\n\n" not in (out / "runs.csv").read_text()
             assert "nan" not in capsys.readouterr().out
 
+    def test_failed_cell_exits_nonzero(self, tmp_path, capsys):
+        # a schema finer than 8 x 8 fails its cell: the grid still runs the
+        # next cell and writes both files, names the failure, and exits 1
+        out = tmp_path / "bench"
+        assert run_cli("bench-scaling", "--sizes", "8", "--deltas", "0.5",
+                       "--schemas", "9x1x1,2x1x2", "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: cell 8,0.5,9x1x1,naive,1: "
+            "schema 9x1x1 out of bounds for 8x8 times 8x8\n")
+        runs = (out / "runs.csv").read_text().splitlines()
+        assert runs[1].startswith("8,0.5,9x1x1,naive,1,error:ValueError,")
+        assert runs[-1].startswith("8,0.5,2x1x2,naive,1,total,")
+        assert (out / "fits.csv").read_text() == "metric,value\n"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):

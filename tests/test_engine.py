@@ -174,6 +174,15 @@ class TestRunJob:
                        shard_fn=lambda key: 7, workers=2)
         with pytest.raises(JobError):
             run_job(spec, [1])
+        # keys 9 and 5 are both out of range, 9 mapped first: the error names
+        # the smaller key at every worker count
+        for workers in (1, 2, 3, 8):
+            spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
+                           shard_fn=lambda key: {9: -1, 5: 100}.get(key, 0),
+                           workers=workers, name="placed")
+            with pytest.raises(JobError) as exc:
+                run_job(spec, [9, 2, 5, 0])
+            assert (exc.value.stage, exc.value.key) == ("placed/shuffle", 5), workers
 
     def test_unorderable_keys_rejected(self):
         spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
@@ -341,7 +350,7 @@ class TestCrossWorkerBytes:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=40),
-           workers=st.integers(1, 8), fanout=st.integers(0, 3), keys=st.integers(1, 12),
+           workers=st.integers(1, 64), fanout=st.integers(0, 3), keys=st.integers(1, 12),
            parallel=st.booleans(), pinned=st.booleans())
     def test_matches_sequential_reference(self, data, records, workers, fanout, keys,
                                           parallel, pinned):

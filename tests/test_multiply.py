@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -611,3 +613,53 @@ class TestThreadedStages:
         monkeypatch.undo()
         assert calls == [("partition", 3, False), ("summation", 3, True)]
         np.testing.assert_allclose(C.to_dense(), A.to_dense() @ A.to_dense(), rtol=1e-12)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started, real_start = [], threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestWorkersPlaceWork:
+    """--workers places keys on workers; it sizes neither the shuffle's
+    per-key memory nor the thread pool."""
+
+    def test_shuffle_memory_independent_of_workers(self, thread_starts):
+        # a 200^2 product of 3,833 summation records, too fine-grained to
+        # start threads: 2,000 workers cost the shuffle no memory per key,
+        # and the workers without input no chunk, task or output list
+        A = random_sparse(200, 200, 0.05, seed=93)
+        B = random_sparse(200, 200, 0.05, seed=94)
+        schema = PartitionSchema(10, 2, 10)
+        # the unmeasured first product also makes numpy's one-time
+        # allocations, which would otherwise count in the first peak only
+        reference, _ = partition_multiply(A, B, schema, "rand", 2)
+        peaks = {}
+        for workers in (2, 2000):
+            tracemalloc.start()
+            try:
+                C, _ = partition_multiply(A, B, schema, "rand", workers)
+                _, peaks[workers] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert C == reference
+        assert thread_starts == []
+        assert peaks[2000] <= 1.1 * peaks[2], peaks
+
+    def test_threads_at_most_one_per_core(self, thread_starts):
+        # a chunky dense product whose summation map goes to the pool: 16
+        # workers share at most one thread per core, with the same bits
+        rng = np.random.default_rng(19)
+        A = SparseMatrix.from_dense(rng.random((100, 100)) + 0.5)
+        schema = PartitionSchema(4, 1, 4)
+        C, _ = partition_multiply(A, A, schema, "rand", 16)
+        assert 1 <= len(thread_starts) <= (os.cpu_count() or 1)
+        assert C == partition_multiply(A, A, schema, "rand", 1)[0]
