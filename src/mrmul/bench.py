@@ -65,8 +65,8 @@ def run_scaling(cfg: BenchConfig):
     totals = {}  # (size, delta, schema, shard, workers) -> (ops, elapsed_ms, nnz_a+nnz_b)
     for size in cfg.sizes:
         for delta in cfg.deltas:
-            A = generate_random(GeneratorParams(size, size, delta, cfg.seed), max(cfg.workers))
-            B = generate_random(GeneratorParams(size, size, delta, cfg.seed + 1), max(cfg.workers))
+            A = generate_random(GeneratorParams(size, size, delta, cfg.seed))
+            B = generate_random(GeneratorParams(size, size, delta, cfg.seed + 1))
             for schema in cfg.schemas:
                 for shard in cfg.shards:
                     for w in cfg.workers:

@@ -95,7 +95,7 @@ def _require_finite(outputs):
 
 def cmd_generate(args):
     params = GeneratorParams(args.m, args.n, args.delta, args.seed)
-    M = generate_random(params, args.workers)
+    M = generate_random(params)
     mio.write_matrix(M, args.out)
     print(f"wrote {args.out}: {M.rows}x{M.cols} nnz={M.nnz}")
     return 0
@@ -250,7 +250,7 @@ def build_parser():
     p.add_argument("--delta", type=parse_sparsity, required=True,
                    help="nonzero fraction; accepts 2^-7 notation")
     p.add_argument("--out", required=True)
-    _add_common(p, seed=True)
+    _add_common(p, workers=False, seed=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("multiply", help="block matrix multiply two row-format files")
@@ -330,8 +330,8 @@ def _extract_config(argv):
 
 
 def _config_args(path):
-    """The config file's key=value lines as flags; a malformed line or a byte
-    that is not UTF-8 is a ValueError naming path:line."""
+    """The config file's key=value lines as flags; a malformed line, a
+    config= line or a byte that is not UTF-8 is a ValueError naming path:line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -346,7 +346,10 @@ def _config_args(path):
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        extra.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+        flag = key.strip().replace('_', '-')
+        if flag == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+        extra.append(f"--{flag}={value.strip()}")
     return extra
 
 

@@ -423,15 +423,13 @@ def _assemble(rows, cols, row_payloads):
 
 
 def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema,
-                       shard="naive", workers: int = 1):
+                       shard: str = "naive", workers: int = 1):
     """Block matrix product A x B over the two-stage partition/summation
-    pipeline. Returns (C, [partition metrics, summation metrics])."""
+    pipeline, its keys placed by the shard kind ('naive' or 'rand') over
+    `workers`. Returns (C, [partition metrics, summation metrics])."""
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
-    if isinstance(shard, str):
-        shard = ShardFunction(shard, workers)
-    elif shard.p != workers:
-        raise ValueError(f"shard bound to p={shard.p} but job has {workers} workers")
+    shard = ShardFunction(shard, workers)
     schema.validate_for(A, B)
 
     m, n, k = schema.m, schema.n, schema.k

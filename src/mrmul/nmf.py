@@ -59,25 +59,26 @@ _IDENTITY_MIN_SHARE = 2.0 ** -8
 
 @dataclass(frozen=True)
 class NmfState:
-    """Dense factor pair plus the reconstruction-error history. A
-    SparseMatrix factor is stored as its DenseMatrix."""
+    """Dense factor pair plus the reconstruction-error history; the rank k
+    is W's column count."""
 
     W: DenseMatrix
     H: DenseMatrix
-    k: int
     divergence_history: tuple = ()
 
     def __post_init__(self):
-        for name in ("W", "H"):
-            M = getattr(self, name)
-            if isinstance(M, SparseMatrix):
-                object.__setattr__(self, name, DenseMatrix(M.to_dense()))
+        if not (isinstance(self.W, DenseMatrix) and isinstance(self.H, DenseMatrix)):
+            raise TypeError("factors must be DenseMatrix")
         if self.k > min(self.W.rows, self.H.cols):
             raise ValueError(f"k={self.k} exceeds min(m, n)")
-        if self.W.cols != self.k or self.H.rows != self.k:
+        if self.H.rows != self.k:
             raise ValueError("factor shapes inconsistent with k")
         if self.W.values.min() < 0 or self.H.values.min() < 0:
             raise ValueError("factors must be nonnegative")
+
+    @property
+    def k(self) -> int:
+        return self.W.cols
 
 
 def nmf_init(A: SparseMatrix, k: int, seed: int = 0) -> NmfState:
@@ -89,11 +90,10 @@ def nmf_init(A: SparseMatrix, k: int, seed: int = 0) -> NmfState:
     rng = np.random.default_rng(seed)
     W = DenseMatrix(1.0 - rng.random((A.rows, k)))
     H = DenseMatrix(1.0 - rng.random((k, A.cols)))
-    return NmfState(W, H, k, (nmf_divergence(A, W, H),))
+    return NmfState(W, H, (nmf_divergence(A, W, H),))
 
 
-def nmf_divergence(A: SparseMatrix, W: DenseMatrix | SparseMatrix,
-                   H: DenseMatrix | SparseMatrix) -> float:
+def nmf_divergence(A: SparseMatrix, W: DenseMatrix, H: DenseMatrix) -> float:
     """Squared Frobenius reconstruction error of the factorization.
 
     Summed a row block at a time, with memory bounded by the block. A sparse
@@ -103,9 +103,11 @@ def nmf_divergence(A: SparseMatrix, W: DenseMatrix | SparseMatrix,
     subtracts A's stored entries in place and sums the squares. Either way
     the value is never negative.
     """
+    if not (isinstance(W, DenseMatrix) and isinstance(H, DenseMatrix)):
+        raise TypeError("factors must be DenseMatrix")
     if W.rows != A.rows or H.cols != A.cols or W.cols != H.rows:
         raise ValueError("shape mismatch")
-    Wd, Hd = W.to_dense(), H.to_dense()
+    Wd, Hd = W.values, H.values
     with np.errstate(over="ignore"):  # an overflowed trace sends blocks to the direct sum
         Ht, HHt = np.ascontiguousarray(Hd.T), Hd @ Hd.T
     sampled = min(Wd.min(initial=0.0), Hd.min(initial=0.0)) >= 0
@@ -180,8 +182,7 @@ def nmf_step(A: SparseMatrix, state: NmfState, workers: int = 1, eps: float = DI
         timing_sink.append((COMPONENT_X, (t1 - t0) * 1e3))
         timing_sink.append((COMPONENT_Y, (t2 - t1) * 1e3))
         timing_sink.append((COMPONENT_H, (t3 - t2) * 1e3))
-    return NmfState(W_new, H_new, state.k,
-                    state.divergence_history + (div,))
+    return NmfState(W_new, H_new, state.divergence_history + (div,))
 
 
 def run_nmf(A: SparseMatrix, k: int, iters: int, workers: int = 1, seed: int = 0,

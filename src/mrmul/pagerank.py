@@ -39,26 +39,35 @@ class PagerankError(RuntimeError):
 
 @dataclass(frozen=True)
 class PagerankProblem:
-    """Link matrix, damping and node count of a PageRank problem.
+    """Link matrix and damping of a PageRank problem.
 
-    `links` holds the real links only; a node with `outdeg` 0 is dangling and
-    its column of the transition matrix is uniform. `P` derives that full
-    column-stochastic matrix, N entries per dangling column, for oracles and
-    tests.
+    `links` holds the real links only, each non-empty column summing to 1;
+    N and `outdeg` derive from it. A node with an empty column is dangling,
+    its column of the transition matrix uniform; `P` derives that full
+    matrix, N entries per dangling column, for oracles and tests.
     """
 
     links: SparseMatrix
     d: float
-    N: int
-    outdeg: np.ndarray  # outlink count per node; 0 marks a dangling node
 
     def __post_init__(self):
+        L = self.links
+        if L.rows != L.cols:
+            raise ValueError("links must be square")
         if not 0.0 <= self.d <= 1.0:
             raise ValueError("damping factor must lie in [0, 1]")
-        if self.links.rows != self.N or self.links.cols != self.N:
-            raise ValueError("links must be N x N")
-        if np.shape(self.outdeg) != (self.N,):
-            raise ValueError("outdeg must have N entries")
+        sums = np.bincount(L.indices, weights=L.values, minlength=L.cols)
+        if not np.all(np.abs(sums - 1.0)[self.outdeg > 0] <= _COLUMN_SUM_TOL):
+            raise PagerankError("transition matrix is not column-stochastic")
+
+    @property
+    def N(self) -> int:
+        return self.links.rows
+
+    @property
+    def outdeg(self) -> np.ndarray:
+        """Outlink count per node, its column's entry count; 0 marks a dangling node."""
+        return np.bincount(self.links.indices, minlength=self.N)
 
     @property
     def P(self) -> SparseMatrix:
@@ -73,14 +82,6 @@ class PagerankProblem:
         return SparseMatrix.from_coo(N, N, rows_ids, cols_ids, vals)
 
 
-def _off_stochastic(links: SparseMatrix, outdeg: np.ndarray) -> bool:
-    """True when some column of the transition matrix, the column of `links`
-    plus 1 for a dangling node, misses 1 by more than the tolerance."""
-    sums = np.bincount(links.indices, weights=links.values, minlength=links.cols)
-    sums += outdeg == 0
-    return sums.size > 0 and bool(np.max(np.abs(sums - 1.0)) > _COLUMN_SUM_TOL)
-
-
 def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
     """Build the link matrix from (src, dst) links.
 
@@ -92,8 +93,6 @@ def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
         raise ValueError("N must be >= 1")
     if N > _MAX_NODES:
         raise ValueError(f"N must be <= {_MAX_NODES}")
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("damping factor must lie in [0, 1]")
     try:
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         bad = pairs[((pairs < 0) | (pairs >= N)).any(axis=1)]
@@ -104,10 +103,7 @@ def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
         raise ValueError(f"edge ({int(src)}, {int(dst)}) outside 0..{N - 1}")
     src, dst = np.divmod(np.unique(pairs[:, 0] * N + pairs[:, 1]), N)
     outdeg = np.bincount(src, minlength=N)
-    links = SparseMatrix.from_coo(N, N, dst, src, 1.0 / outdeg[src])
-    if _off_stochastic(links, outdeg):
-        raise PagerankError("column sums deviate from 1 beyond tolerance")
-    return PagerankProblem(links, d, N, outdeg)
+    return PagerankProblem(SparseMatrix.from_coo(N, N, dst, src, 1.0 / outdeg[src]), d)
 
 
 def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
@@ -122,8 +118,6 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
         raise ValueError("tol must be > 0")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    if _off_stochastic(prob.links, prob.outdeg):
-        raise PagerankError("transition matrix is not column-stochastic")
 
     N, d = prob.N, prob.d
     dangling = np.flatnonzero(prob.outdeg == 0)

@@ -284,8 +284,8 @@ def generate_random(p: GeneratorParams, workers: int = 1) -> SparseMatrix:
     values uniform in (0, 1). Deterministic in p.seed.
 
     Each row draws from its own RNG stream. workers (>= 1) names the worker
-    count of the run the matrix is made for; generation starts no thread,
-    and the matrix has the same bits for every worker count.
+    count of the run the matrix is made for and changes nothing: generation
+    starts no thread, and the matrix has the same bits for every count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

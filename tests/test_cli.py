@@ -378,12 +378,12 @@ class TestBenchScaling:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=9\nworkers=2\nm=32\nn=16\ndelta=0.2\n")
+        cfg.write_text("seed=9\nm=32\nn=16\ndelta=0.2\n")
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         assert run_cli("generate", "--config", cfg, "--out", a) == 0
         assert run_cli("generate", "--m", 32, "--n", 16, "--delta", "0.2",
-                       "--seed", 9, "--workers", 2, "--out", b) == 0
+                       "--seed", 9, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
         # explicit flag wins over the config value
         c = tmp_path / "c.txt"
@@ -416,6 +416,15 @@ class TestFlagScope:
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
+
+    def test_generate_rejects_workers(self, tmp_path, capsys):
+        out = tmp_path / "a.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--m", 4, "--n", 4, "--delta", "0.5", "--workers", 2,
+                    "--out", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestImpossibleFlags:
@@ -546,7 +555,8 @@ class TestErrorLinesNotTracebacks:
     @pytest.mark.parametrize("content, diagnostic", [
         (b"m 2\n", ":1: expected key=value, got 'm 2'"),
         (b"m=2\n# caf\xe9\n", ":2: byte 0xe9 is not UTF-8"),
-    ], ids=["no_equals", "not_utf8"])
+        (b"m=2\nconfig=other.cfg\n", ":2: a config file cannot name another config file"),
+    ], ids=["no_equals", "not_utf8", "nested_config"])
     def test_malformed_config_file(self, tmp_path, capsys, content, diagnostic):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(content)

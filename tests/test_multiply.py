@@ -155,12 +155,6 @@ class TestPartitionMultiply:
         with pytest.raises(ValueError, match="out of bounds"):
             partition_multiply(A, B, PartitionSchema(5, 1, 1))
 
-    def test_shard_worker_mismatch_rejected(self):
-        A = random_sparse(4, 4, 0.5, seed=1)
-        with pytest.raises(ValueError, match="shard bound"):
-            partition_multiply(A, A, PartitionSchema(1, 1, 1),
-                               ShardFunction("naive", 2), workers=4)
-
     def test_partition_ships_one_record_per_sub_block(self):
         A = random_sparse(60, 50, 0.15, seed=81)
         B = random_sparse(50, 70, 0.15, seed=82)

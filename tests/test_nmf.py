@@ -34,20 +34,20 @@ def reference_step(Ad, Wd, Hd, eps=DIVISION_EPS):
 
 class TestDivergence:
     def test_exact_factorization_is_zero(self):
-        W = random_sparse(6, 3, 1.0, seed=1)
-        H = random_sparse(3, 8, 1.0, seed=2)
-        A = SparseMatrix.from_dense(W.to_dense() @ H.to_dense())
+        W = DenseMatrix(random_sparse(6, 3, 1.0, seed=1).to_dense())
+        H = DenseMatrix(random_sparse(3, 8, 1.0, seed=2).to_dense())
+        A = SparseMatrix.from_dense(W.values @ H.values)
         assert nmf_divergence(A, W, H) < 1e-24
 
     def test_scalar_case(self):
         A = SparseMatrix.from_dense([[1.0]])
-        Z = SparseMatrix.from_dense([[0.0]])
+        Z = DenseMatrix([[0.0]])
         assert nmf_divergence(A, Z, Z) == 1.0
 
     def test_matches_naive_dense_sum(self):
         A = random_sparse(7, 9, 0.5, seed=3)
-        W = random_sparse(7, 4, 1.0, seed=4)
-        H = random_sparse(4, 9, 1.0, seed=5)
+        W = DenseMatrix(random_sparse(7, 4, 1.0, seed=4).to_dense())
+        H = DenseMatrix(random_sparse(4, 9, 1.0, seed=5).to_dense())
         naive = 0.0
         Ad, Wd, Hd = A.to_dense(), W.to_dense(), H.to_dense()
         R = Wd @ Hd
@@ -140,8 +140,7 @@ class TestStep:
     def test_scalar_hand_case(self):
         # A=[4], W=[2], H=[1]: H'=1*(2*4)/(2*2*1)=2, then W'=2*(4*2)/(2*2*2)=2
         A = SparseMatrix.from_dense([[4.0]])
-        state = NmfState(SparseMatrix.from_dense([[2.0]]),
-                         SparseMatrix.from_dense([[1.0]]), 1)
+        state = NmfState(DenseMatrix([[2.0]]), DenseMatrix([[1.0]]))
         out = nmf_step(A, state, eps=0.0)
         assert out.H.to_dense()[0, 0] == 2.0
         assert out.W.to_dense()[0, 0] == 2.0
@@ -152,7 +151,7 @@ class TestStep:
         Wd = 0.5 + 0.5 * rng.random((12, 4))
         Hd = 0.5 + 0.5 * rng.random((4, 10))
         A = SparseMatrix.from_dense(Wd @ Hd)
-        state = NmfState(SparseMatrix.from_dense(Wd), SparseMatrix.from_dense(Hd), 4)
+        state = NmfState(DenseMatrix(Wd), DenseMatrix(Hd))
         out = nmf_step(A, state)
         assert out.divergence_history[-1] < 1e-12
         assert np.max(np.abs(out.W.to_dense() - Wd)) < 1e-12
@@ -192,8 +191,14 @@ class TestStep:
 
     def test_rejects_negative_factors(self):
         with pytest.raises(ValueError):
-            NmfState(SparseMatrix.from_dense([[-1.0]]),
-                     SparseMatrix.from_dense([[1.0]]), 1)
+            NmfState(DenseMatrix([[-1.0]]), DenseMatrix([[1.0]]))
+
+    def test_rejects_sparse_factors(self):
+        W, H = SparseMatrix.from_dense([[2.0]]), DenseMatrix([[1.0]])
+        with pytest.raises(TypeError, match="DenseMatrix"):
+            NmfState(W, H)
+        with pytest.raises(TypeError, match="DenseMatrix"):
+            nmf_divergence(SparseMatrix.from_dense([[1.0]]), H, W)
 
     def test_shape_mismatch(self):
         A = random_sparse(5, 5, 0.5, seed=1)

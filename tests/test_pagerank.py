@@ -149,9 +149,18 @@ class TestPagerank:
 
     def test_rejects_non_stochastic_matrix(self):
         P = SparseMatrix.from_dense([[0.5, 0.0], [0.0, 0.5]])
-        prob = PagerankProblem(P, 0.85, 2, np.array([1, 1]))
         with pytest.raises(PagerankError, match="stochastic"):
-            pagerank(prob)
+            PagerankProblem(P, 0.85)
+
+    def test_problem_derives_n_and_outdeg(self):
+        L = SparseMatrix.from_dense([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        prob = PagerankProblem(L, 0.85)
+        assert prob.N == 3
+        assert prob.outdeg.tolist() == [2, 1, 0]
+        with pytest.raises(ValueError, match="square"):
+            PagerankProblem(SparseMatrix.from_dense([[1.0, 0.0]]), 0.85)
+        with pytest.raises(ValueError, match="damping"):
+            PagerankProblem(L, 1.5)
 
     def test_max_iters_caps_iterations(self):
         n = 80
