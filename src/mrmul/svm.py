@@ -5,16 +5,19 @@ The dual objective
     W(alpha) = sum_i alpha_i - 1/2 sum_ij y_i y_j alpha_i alpha_j K(x_i, x_j)
 
 is maximized subject to the box 0 <= alpha_i <= C; the bias is held at zero so
-no equality constraint applies. The linear kernel matrix K = T Tt is built
-once with partition_multiply and held as a DenseMatrix (it is nearly full).
-Each ascent step's one product K (y .* alpha) is row-local in K, so it runs
-through broadcast_multiply with the small vector broadcast to all workers; it
-also gives the objective value before the step.
+no equality constraint applies. The kernel is linear, K = T Tt, and training
+never forms it: each ascent step's one product K q, with q = y .* alpha, runs
+as T (Tt q), two broadcast_multiply calls with the small vector broadcast to
+all workers, in O(nnz(T)) time and memory, never O(examples^2). The problem
+transposes T once, on first use, and prediction's w = Tt q reuses that Tt. The
+product also gives the objective value before the step. svm_build_kernel still
+forms K (a partition multiply) for callers that want it; nothing here reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +49,17 @@ class SvmProblem:
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
+    @cached_property
+    def Tt(self) -> SparseMatrix:
+        """transpose(T), formed once per problem and shared by training and
+        prediction."""
+        return transpose(self.T)
+
 
 @dataclass
 class SvmState:
-    """Dual variables, the Gram matrix (None when the state only predicts),
-    and the objective history."""
+    """Dual variables, a Gram matrix the caller built (svm_train builds none,
+    and no function here reads it), and the objective history."""
 
     alpha: DenseVector
     K: DenseMatrix | None
@@ -70,11 +79,16 @@ def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> DenseMatrix:
 
 
 def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVector:
-    """Ascent direction g_i = eta * (1 - y_i * sum_j y_j alpha_j K_ij)."""
-    y = prob.y.values
-    d = y * state.alpha.values
-    kd = broadcast_multiply(state.K, DenseMatrix(d.reshape(-1, 1)), workers).values[:, 0]
-    return DenseVector(prob.eta * (1.0 - y * kd))
+    """Ascent direction g_i = eta * (1 - y_i * sum_j y_j alpha_j K_ij), with
+    K q computed as T (Tt q); a state.K is not read."""
+    kq = broadcast_multiply(prob.T, _weights(state, prob, workers), workers)
+    return DenseVector(prob.eta * (1.0 - prob.y.values * kq.values[:, 0]))
+
+
+def _weights(state: SvmState, prob: SvmProblem, workers: int) -> DenseMatrix:
+    """The primal weights w = Tt (y .* alpha), a features x 1 column."""
+    q = prob.y.values * state.alpha.values
+    return broadcast_multiply(prob.Tt, DenseMatrix(q.reshape(-1, 1)), workers)
 
 
 def svm_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -88,7 +102,7 @@ def svm_train(prob: SvmProblem, iters: int, workers: int = 1) -> SvmState:
     sum(alpha) / 2 + alpha . g / (2 eta); one last gradient gives W(alpha_iters)."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    state = SvmState(DenseVector(np.zeros(prob.T.rows)), svm_build_kernel(prob.T, workers))
+    state = SvmState(DenseVector(np.zeros(prob.T.rows)), None)
     for step in range(iters + 1):
         alpha = state.alpha.values
         g = svm_gradient(state, prob, workers).values
@@ -104,10 +118,8 @@ def svm_predict(state: SvmState, prob: SvmProblem, Q: SparseMatrix,
     classify by sign."""
     if Q.cols != prob.T.cols:
         raise ValueError(f"query width {Q.cols} != training width {prob.T.cols}")
-    d = prob.y.values * state.alpha.values
-    # w = Tt d, then scores = Q w: two row-local products.
-    w = broadcast_multiply(transpose(prob.T), DenseMatrix(d.reshape(-1, 1)), workers)
-    scores = broadcast_multiply(Q, w, workers)
+    # w = Tt (y .* alpha), then scores = Q w: two row-local products.
+    scores = broadcast_multiply(Q, _weights(state, prob, workers), workers)
     # + 0.0 turns a score whose every term is a signed zero into 0.0, so a
     # score file never reads -0.0
     return DenseVector(scores.values[:, 0] + 0.0)

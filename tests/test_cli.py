@@ -284,6 +284,35 @@ class TestSvm:
             assert err == ""
         assert (tmp_path / "svm_alpha.txt").exists()
 
+    def test_wide_sparse_outputs_identical_across_workers(self, tmp_path):
+        # more features than examples, and one example with none
+        rng = np.random.default_rng(5)
+        lines = []
+        for i in range(30):
+            cols = np.sort(rng.choice(400, size=0 if i == 7 else int(rng.integers(1, 8)),
+                                      replace=False))
+            feats = "".join(f" {c}:{rng.random():.4f}" for c in cols)
+            lines.append(("+1" if i % 2 else "-1") + feats)
+        data = tmp_path / "wide.svm"
+        data.write_text("\n".join(lines) + "\n")
+        outputs = {}
+        for w in (1, 2, 3, 8):
+            prefix = tmp_path / f"w{w}_"
+            assert run_cli("svm-train", "--data", data, "--eta", 0.01, "--iters", 30,
+                           "--workers", w, "--out-prefix", prefix) == 0
+            outputs[w] = [(tmp_path / f"w{w}_{f}").read_bytes()
+                          for f in ("alpha.txt", "objective.csv")]
+        assert all(outputs[w] == outputs[1] for w in (2, 3, 8))
+
+    def test_train_transposes_examples_once(self, tmp_path, monkeypatch):
+        # training and the training-accuracy prediction share one transpose(T)
+        import mrmul.svm as svm
+        real, calls = svm.transpose, []
+        monkeypatch.setattr(svm, "transpose", lambda M: calls.append(M.shape) or real(M))
+        assert run_cli("svm-train", "--data", IRIS, "--eta", 1e-4, "--iters", 5,
+                       "--out-prefix", tmp_path / "svm_") == 0
+        assert len(calls) == 1
+
     def test_objective_history_written(self, tmp_path):
         data = tmp_path / "toy.svm"
         data.write_text("+1 0:1.0\n-1 0:-1.0\n")

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mrmul.io import ParseError
-from mrmul.sparse import DenseMatrix, DenseVector, SparseMatrix
+from mrmul.sparse import DenseVector, SparseMatrix
 from mrmul.svm import (
     SvmProblem,
     SvmState,
@@ -94,6 +96,21 @@ class TestGradient:
             denom = np.maximum(np.abs(fd), 1e-9)
             assert np.max(np.abs(g - fd) / denom) < 1e-6
 
+    @pytest.mark.parametrize("l,width,density", [(12, 6, 0.7), (9, 40, 0.2), (30, 3, 0.5)])
+    def test_factored_product_matches_dense_kernel(self, l, width, density):
+        # tall and wide (more features than examples) problems, each with an
+        # example that has no features
+        rng = np.random.default_rng(l * width)
+        for _ in range(5):
+            Td = rng.random((l, width)) * (rng.random((l, width)) < density)
+            Td[rng.integers(l)] = 0.0
+            y = np.where(rng.random(l) < 0.5, -1.0, 1.0)
+            prob = SvmProblem(SparseMatrix.from_dense(Td), DenseVector(y), C=1.0, eta=0.01)
+            alpha = rng.random(l)
+            g = svm_gradient(SvmState(DenseVector(alpha), None), prob, workers=2).values
+            expected = prob.eta * (1.0 - y * ((Td @ Td.T) @ (y * alpha)))
+            assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestTrain:
     def test_zero_iterations_leaves_alpha_zero(self):
@@ -136,13 +153,34 @@ class TestTrain:
             assert st.alpha.values.tobytes() == base.alpha.values.tobytes()
             assert st.objective_history == base.objective_history
 
+    def test_memory_grows_with_nnz_not_examples_squared(self):
+        # 4x the examples and 4x the nonzeros: a held K = T Tt would grow 16x
+        def problem(l):
+            rng = np.random.default_rng(l)
+            Td = rng.random((l, 50)) * (rng.random((l, 50)) < 0.1)
+            y = np.where(rng.random(l) < 0.5, -1.0, 1.0)
+            return SvmProblem(SparseMatrix.from_dense(Td), DenseVector(y), C=1.0, eta=0.001)
+
+        def peak(prob):
+            tracemalloc.start()
+            try:
+                svm_train(prob, 3, workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(problem(400))  # warm up imports and lazy set-up
+        small = peak(problem(400))
+        assert peak(problem(1600)) < 6 * small
+
     @pytest.mark.parametrize("iters", [0, 1, 5, 25])
     def test_history_ends_at_reference_objective(self, iters):
         # each step's value comes from the gradient's product, not svm_objective
         prob = random_problem(17, l=20)
         state = svm_train(prob, iters)
         assert len(state.objective_history) == iters + 1
-        ref = svm_objective(state.alpha.values, prob.y.values, state.K.to_dense())
+        ref = svm_objective(state.alpha.values, prob.y.values,
+                            svm_build_kernel(prob.T).to_dense())
         assert state.objective_history[-1] == pytest.approx(ref, rel=1e-12)
 
     def test_one_kernel_product_per_step(self, monkeypatch):
@@ -155,9 +193,9 @@ class TestTrain:
 
         monkeypatch.setattr(mm, "run_job", recording_run_job)
         state = svm_train(random_problem(19, l=14), 25, workers=2)
-        assert isinstance(state.K, DenseMatrix)
-        # the kernel build, then one product of K per step plus one for W(alpha_25)
-        assert stages == ["partition", "summation"] + ["broadcast-multiply"] * 26
+        assert state.K is None
+        # K q = T (Tt q), two broadcasts per step plus two for W(alpha_25)
+        assert stages == ["broadcast-multiply"] * 52
 
 
 class TestPredict:
