@@ -19,8 +19,9 @@ broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
 operand is cut into one contiguous row block per worker; each block's product
 is one segmented sum over its rows (a DenseMatrix block is cut the same way
-and multiplied by one row-independent einsum), shipped as one record to the
-worker that computed it. Each row is still formed from that row alone, and
+and multiplied by one row-independent einsum), shipped as one record, its
+raw float64 bytes, to the worker that computed it; the result is the
+blocks' bytes joined once. Each row is still formed from that row alone, and
 the result is a DenseMatrix whatever the large operand's type.
 """
 
@@ -394,6 +395,13 @@ def _row_block(M: SparseMatrix, lo, hi):
     return M.indptr[lo:hi + 1] - p_lo, M.indices[p_lo:p_hi], M.values[p_lo:p_hi], lo
 
 
+def _row_sums(vals, cols, starts, rhs):
+    """Segmented sum of the products vals[e] * rhs[cols[e]]: one row of sums
+    per entry of starts, the ascending first entries of non-empty rows, the
+    first of them 0. Each row's products are added in column order."""
+    return np.add.reduceat(vals[:, None] * rhs.take(cols, axis=0), starts, axis=0)
+
+
 def _cut_columns(indptr, cols, vals, split: _Splitter):
     """Cut a CSR row block at the column bounds of `split`. Yields
     (column block, local row per entry, block-local cols, vals) for each
@@ -586,8 +594,9 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
 
     A is cut into one contiguous row block per worker, and each block is one
     input record; B_small is broadcast once per call and never shuffled. A
-    block's map task ships one record, its dense product, to its own worker.
-    The result is a DenseMatrix for either type of A.
+    block's map task ships one record, its dense product as raw float64
+    bytes, to its own worker. The result is a DenseMatrix for either type
+    of A.
     """
     if A.cols != B_small.rows:
         raise ValueError(
@@ -607,16 +616,20 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
         b, *block = rec
         rhs = store.get("rhs")
         if dense:
-            return [(b, np.einsum("ij,jk->ik", block[0], rhs))]
+            return [(b, np.einsum("ij,jk->ik", block[0], rhs).tobytes())]
         indptr, cols, vals, _ = block
-        out = np.zeros((indptr.size - 1, rhs.shape[1]))
+        width = rhs.shape[1]
+        out = np.zeros((indptr.size - 1, width))
         rows = np.flatnonzero(np.diff(indptr))
-        starts = indptr[rows]
-        for lo, hi in _bounded_batches(indptr[rows + 1] * rhs.shape[1], _SPARSE_BATCH_PRODUCTS):
-            p_lo, p_hi = starts[lo], indptr[rows[hi - 1] + 1]
-            prod = vals[p_lo:p_hi, None] * rhs[cols[p_lo:p_hi]]
-            out[rows[lo:hi]] = np.add.reduceat(prod, starts[lo:hi] - p_lo, axis=0)
-        return [(b, out)]
+        starts = indptr[rows]  # starts[0] is 0, as the block's indptr is
+        if cols.size * width <= _SPARSE_BATCH_PRODUCTS:  # one batch
+            out[rows] = _row_sums(vals, cols, starts, rhs)
+        else:
+            for lo, hi in _bounded_batches(indptr[rows + 1] * width, _SPARSE_BATCH_PRODUCTS):
+                p_lo, p_hi = starts[lo], indptr[rows[hi - 1] + 1]
+                out[rows[lo:hi]] = _row_sums(vals[p_lo:p_hi], cols[p_lo:p_hi],
+                                             starts[lo:hi] - p_lo, rhs)
+        return [(b, out.tobytes())]
 
     def reducer(key, values):
         return [(key, values[0])]
@@ -628,7 +641,8 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
                    workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
                    parallel=False)
     out, _ = run_job(spec, [(b, *cut(A, *split.range(b))) for b in range(split.parts)])
-    return DenseMatrix(np.vstack([block for _, block in out]))
+    product = np.frombuffer(b"".join([block for _, block in out]), dtype=np.float64)
+    return DenseMatrix(product.reshape(A.rows, B_small.cols))
 
 
 def suggest_schema(rows_a, cols_a, cols_b, nnz_a, nnz_b, workers,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mrmul.engine import serialize_record
 from mrmul.multiply import (
     PartitionSchema,
     ShardFunction,
@@ -434,7 +435,33 @@ class TestBroadcastMultiply:
         # one record per block, shuffled to the worker that computed it
         assert m.records_per_worker == [1] * blocks + [0] * (workers - blocks)
         assert m.cross_worker_bytes == 0
+        # each record is (block, the block's product as float64 bytes)
+        split = _Splitter(rows, blocks)
+        assert m.shuffle_bytes == sum(
+            len(serialize_record(b, bytes(8 * (hi - lo) * B.cols)))
+            for b, (lo, hi) in enumerate(map(split.range, range(blocks))))
         np.testing.assert_allclose(R.to_dense(), A.to_dense() @ B.values, atol=1e-12)
+
+    def test_product_bits_pinned(self):
+        # A has leading, inner and trailing empty rows; each product hashes
+        # to the digest of the product whose blocks were shipped as arrays
+        # and gathered with fancy indexing, at any worker count
+        holes = random_sparse(50, 40, 0.3, seed=71).to_dense()
+        holes[[0, 1, 17, 18, 30, 48, 49]] = 0.0
+        A = SparseMatrix.from_dense(holes)
+        rng = np.random.default_rng(72)
+        B1 = DenseMatrix(rng.uniform(-1.0, 1.0, (40, 1)))
+        B8 = DenseMatrix(rng.uniform(-1.0, 1.0, (40, 8)))
+        D = DenseMatrix(rng.uniform(-1.0, 1.0, (37, 40)))
+        pinned = [
+            (A, B1, "f11193de425f33ac12c205c1dec126399a461fd3ba21eb4d565bc9a5df7757eb"),
+            (A, B8, "57eb8fc6241b11f9310f6b10094094637f7f9cde22bbfd927c58fa437c53ae34"),
+            (D, B8, "11133cdb2bf8da60f95417f783eda89726b1f3e218bde7f6266f977ecada2e51"),
+        ]
+        for L, R, digest in pinned:
+            for workers in (1, 2, 3):
+                out = broadcast_multiply(L, R, workers).values
+                assert hashlib.sha256(out.tobytes()).hexdigest() == digest, (R.cols, workers)
 
     def test_shape_mismatch(self):
         A = random_sparse(4, 5, 0.5, seed=1)
@@ -488,14 +515,30 @@ class TestBroadcastKernel:
             assert out[r].tobytes() == alone.tobytes()
         np.testing.assert_allclose(out, A.to_dense() @ B.values, rtol=1e-12, atol=1e-12)
 
-    def test_row_batches_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("holes", [False, True], ids=["full", "empty-ends"])
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_row_batches_bit_identical(self, monkeypatch, width, holes):
         import mrmul.multiply as mm
         A = random_sparse(40, 40, 0.2, seed=63)
-        B = DenseMatrix(np.random.default_rng(64).random((40, 3)))
+        if holes:
+            dense = A.to_dense()
+            dense[[0, -1]] = 0.0
+            A = SparseMatrix.from_dense(dense)
+        B = DenseMatrix(np.random.default_rng(64).random((40, width)))
         whole = broadcast_multiply(A, B, 2)
-        # about 24 scratch values per row against a bound of 64: many batches
-        monkeypatch.setattr(mm, "_SPARSE_BATCH_PRODUCTS", 64)
+        # about 8 x width scratch values per row against a bound of 32:
+        # batches of about four rows at width 1, of one row at width 8
+        real_batches, batches = mm._bounded_batches, []
+
+        def recording_batches(end, bound):
+            for span in real_batches(end, bound):
+                batches.append(span)
+                yield span
+
+        monkeypatch.setattr(mm, "_SPARSE_BATCH_PRODUCTS", 32)
+        monkeypatch.setattr(mm, "_bounded_batches", recording_batches)
         assert _csr_bytes(broadcast_multiply(A, B, 2)) == _csr_bytes(whole)
+        assert len(batches) > 2 * 2  # each of the 2 blocks is cut into several
 
 
 class TestSuggestSchema:
