@@ -23,8 +23,8 @@ from .io import read_svm_file
 from .multiply import PartitionSchema, partition_multiply
 from .nmf import run_nmf
 from .pagerank import pagerank, pagerank_build
-from .sparse import GeneratorParams, SparseMatrix, generate_random
-from .svm import SvmProblem, accuracy, svm_predict, svm_train
+from .sparse import DenseVector, GeneratorParams, SparseMatrix, generate_random
+from .svm import SvmProblem, SvmState, accuracy, svm_predict, svm_train
 
 __all__ = ["main"]
 
@@ -180,8 +180,6 @@ def cmd_svm_predict(args):
         print(f"error: {args.alpha} has {len(alphas)} values for {T.rows} "
               f"examples in {args.data}", file=sys.stderr)
         return 1
-    from .sparse import DenseVector
-    from .svm import SvmState
     # prediction reads only the alphas, the labels and the examples
     state = SvmState(DenseVector(np.array(alphas)), None)
     prob = SvmProblem(T, y)

@@ -24,7 +24,7 @@ import re
 
 import numpy as np
 
-from .sparse import DenseVector, SparseMatrix, csr_indptr
+from .sparse import DenseVector, SparseMatrix, csr_indptr, sorted_distinct
 
 __all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges"]
 
@@ -158,7 +158,7 @@ def read_svm_file(path, cols=None):
         raise ParseError(path, 1, "no features in file")
 
     y = np.array(labels)
-    uniq = np.unique(y)
+    uniq = sorted_distinct(y)
     if not set(uniq.tolist()) <= {-1.0, 1.0}:
         if len(uniq) != 2:
             raise ParseError(path, 1, f"expected two label values, found {len(uniq)}")

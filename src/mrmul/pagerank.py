@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiply import broadcast_multiply
-from .sparse import DenseMatrix, DenseVector, SparseMatrix, csr_rows
+from .sparse import DenseMatrix, DenseVector, SparseMatrix, csr_rows, sorted_distinct
 
 __all__ = ["PagerankProblem", "PagerankError", "pagerank_build", "pagerank"]
 
@@ -101,7 +101,7 @@ def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
     if len(bad):
         src, dst = bad[0]
         raise ValueError(f"edge ({int(src)}, {int(dst)}) outside 0..{N - 1}")
-    src, dst = np.divmod(np.unique(pairs[:, 0] * N + pairs[:, 1]), N)
+    src, dst = np.divmod(sorted_distinct(pairs[:, 0] * N + pairs[:, 1]), N)
     outdeg = np.bincount(src, minlength=N)
     return PagerankProblem(SparseMatrix.from_coo(N, N, dst, src, 1.0 / outdeg[src]), d)
 

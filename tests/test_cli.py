@@ -1,9 +1,14 @@
+import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrmul
 from mrmul.cli import main, parse_schema, parse_sparsity
 from mrmul.io import ParseError, read_matrix, write_matrix
 from mrmul.multiply import PartitionSchema
@@ -623,3 +628,56 @@ class TestErrorLinesNotTracebacks:
                        "--out-prefix", tmp_path / "pr_") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("pr_*"))
+
+
+# Runs one command in a fresh interpreter and prints, as JSON, its exit code
+# and the modules it loaded that importing mrmul.cli had not.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import mrmul.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = mrmul.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestImportsOnlyWhatItUses:
+    """A command imports no numpy submodule it does not use: none loads
+    numpy.ma, and only generate and nmf, which draw random numbers, load
+    numpy.random. Where numpy loads both with itself (numpy 1.x), the
+    snapshot taken after importing mrmul.cli already holds them."""
+
+    @pytest.mark.parametrize("command", ["multiply", "nmf", "svm-train", "svm-predict",
+                                         "pagerank", "generate"])
+    def test_no_unused_numpy_submodule(self, tmp_path, command):
+        a = tmp_path / "a.txt"
+        write_matrix(random_sparse(6, 6, 0.5, 1), a)
+        svm = tmp_path / "d.svm"
+        svm.write_text("0 0:1.0\n1 0:-1.0 1:2.0\n")  # labels mapped to -1/+1
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.5\n0.5\n")
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t2\n0\t1\n2\t0\n")  # one edge repeated
+        argv = {
+            "multiply": ["--a", a, "--b", a, "--schema", "2x1x2", "--shard", "rand",
+                         "--out", tmp_path / "c.txt"],
+            "nmf": ["--input", a, "--k", 2, "--iters", 2, "--out-prefix", tmp_path / "nmf_"],
+            "svm-train": ["--data", svm, "--iters", 2, "--out-prefix", tmp_path / "svm_"],
+            "svm-predict": ["--data", svm, "--alpha", alpha, "--query", svm,
+                            "--out", tmp_path / "scores.txt"],
+            "pagerank": ["--edges", edges, "--out-prefix", tmp_path / "pr_"],
+            "generate": ["--m", 4, "--n", 3, "--delta", 0.5, "--out", tmp_path / "g.txt"],
+        }[command]
+        src = str(Path(mrmul.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, command,
+                               *map(str, argv)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["rc"] == 0
+        assert not [m for m in result["new"] if m.startswith("numpy.ma")]
+        if command not in ("generate", "nmf"):
+            assert not [m for m in result["new"] if m.startswith("numpy.random")]

@@ -203,6 +203,21 @@ class TestReadMatrixFuzz:
         assert exc.value.lineno == at + 1
 
 
+class TestSvmLabels:
+    @pytest.mark.parametrize("labels", [("0", "-0", "1"), ("-0", "0", "1"), ("1", "0.0", "-0.0")])
+    def test_signed_zeros_are_one_label(self, tmp_path, labels):
+        path = tmp_path / "d.svm"
+        path.write_text("".join(f"{lab} 0:1.0\n" for lab in labels))
+        _, y = read_svm_file(path)
+        assert y.values.tolist() == [1.0 if lab == "1" else -1.0 for lab in labels]
+
+    def test_three_label_values_rejected(self, tmp_path):
+        path = tmp_path / "d.svm"
+        path.write_text("0 0:1.0\n1 0:1.0\n2 0:1.0\n")
+        with pytest.raises(ParseError, match="expected two label values, found 3"):
+            read_svm_file(path)
+
+
 class TestReadSvmFileFuzz:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -47,6 +47,18 @@ class TestBuild:
         prob = pagerank_build([(0, 1), (0, 1), (0, 2)], 0.85, 3)
         assert prob.outdeg[0] == 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repeated_shuffled_edges_build_the_distinct_links(self, seed):
+        distinct = random_graph(seed, 60)
+        rng = np.random.default_rng(seed)
+        repeated = [distinct[i] for i in rng.integers(0, len(distinct), size=len(distinct))]
+        edges = [distinct[i] for i in rng.permutation(len(distinct))] + repeated
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        want = pagerank_build(distinct, 0.85, 60).links
+        got = pagerank_build(edges, 0.85, 60).links
+        for field in ("indptr", "indices", "values"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
     def test_columns_sum_to_one(self):
         edges = random_graph(5, 40)
         prob = pagerank_build(edges, 0.85, 40)
