@@ -10,7 +10,6 @@ from .engine import (
     JobMetrics,
     JobSpec,
     KeyedRecord,
-    broadcast,
     current_worker,
     run_job,
 )
@@ -20,8 +19,6 @@ from .multiply import (
     ShardFunction,
     broadcast_multiply,
     partition_multiply,
-    shard_naive,
-    shard_rand,
     suggest_schema,
 )
 from .nmf import NmfState, nmf_divergence, nmf_init, nmf_step, run_nmf

@@ -39,7 +39,6 @@ __all__ = [
     "JobError",
     "BroadcastError",
     "run_job",
-    "broadcast",
     "current_worker",
     "serialize_record",
     "METRICS_CSV_HEADER",
@@ -103,11 +102,6 @@ class BroadcastStore:
             return self._values[name]
         except KeyError:
             raise BroadcastError(f"no broadcast payload named {name!r}") from None
-
-
-def broadcast(store: BroadcastStore, name, payload) -> None:
-    """Publish a read-only payload to all workers under a unique name."""
-    store.put(name, payload)
 
 
 @dataclass

@@ -33,40 +33,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Accumulator, BroadcastStore, JobSpec, broadcast, run_job
+from .engine import Accumulator, BroadcastStore, JobSpec, run_job
 from .sparse import DenseMatrix, SparseMatrix, csr_indptr, csr_rows
 
 __all__ = [
     "PartitionSchema",
     "ShardFunction",
-    "shard_naive",
-    "shard_rand",
-    "splitmix64",
     "partition_multiply",
     "broadcast_multiply",
     "suggest_schema",
 ]
 
-_U64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """SplitMix64 finalizer: a fixed published 64-bit mixing function."""
-    x = (x + 0x9E3779B97F4A7C15) & _U64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
-    return x ^ (x >> 31)
-
-
-def _mix(*parts) -> int:
-    h = 0
-    for p in parts:
-        h = splitmix64(h ^ splitmix64(int(p)))
-    return h
-
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 of every element of a uint64 array (arithmetic wraps mod 2**64)."""
+    """The SplitMix64 finalizer, a fixed published 64-bit mixing function, of
+    every element of a uint64 array (arithmetic wraps mod 2**64)."""
     x = x + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -74,8 +55,8 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _mix_array(*parts) -> np.ndarray:
-    """_mix over broadcast integer arrays: element-wise equal to _mix of the
-    broadcast elements."""
+    """Hash of broadcast integer arrays, element-wise: h = 0, then
+    h = splitmix64(h ^ splitmix64(part)) for each part in turn."""
     h = np.uint64(0)
     for p in parts:
         # ndmin=1: 0-d operands would make numpy scalars, which warn on wrapping
@@ -106,20 +87,6 @@ class PartitionSchema:
         return f"{self.m}x{self.n}x{self.k}"
 
 
-def shard_naive(key, p: int) -> int:
-    """Locality-preserving shard: alpha mod p."""
-    if p < 1:
-        raise ValueError("worker count must be >= 1")
-    return key[0] % p
-
-
-def shard_rand(key, p: int) -> int:
-    """Load-uniform shard: deterministic hash of (alpha, beta, gamma) mod p."""
-    if p < 1:
-        raise ValueError("worker count must be >= 1")
-    return _mix(key[0], key[1], key[2]) % p
-
-
 # Salt separating row-level placement from block-level placement so the two
 # hash streams are uncorrelated.
 _ROW_SALT = 0x5AB1E5
@@ -139,20 +106,9 @@ class ShardFunction:
         if self.p < 1:
             raise ValueError("worker count must be >= 1")
 
-    def block(self, key) -> int:
-        if self.kind == "naive":
-            return shard_naive(key, self.p)
-        return shard_rand(key, self.p)
-
-    def row(self, key) -> int:
-        """Placement of the summation group for output row key=(alpha, i)."""
-        if self.kind == "naive":
-            return key[0] % self.p
-        return _mix(_ROW_SALT, key[0], key[1]) % self.p
-
     def block_table(self, m, k, n) -> np.ndarray:
-        """block((alpha, beta, gamma)) for every key of an m x n x k schema,
-        as an int64 array indexed [alpha, beta, gamma]."""
+        """The worker of every block key (alpha, beta, gamma) of an m x n x k
+        schema, as an int64 array indexed [alpha, beta, gamma]."""
         alpha = np.arange(m, dtype=np.uint64)[:, None, None]
         if self.kind == "naive":
             return np.broadcast_to(alpha % np.uint64(self.p), (m, k, n)).astype(np.int64)
@@ -161,8 +117,8 @@ class ShardFunction:
         return (_mix_array(alpha, beta, gamma) % np.uint64(self.p)).astype(np.int64)
 
     def row_table(self, alpha) -> np.ndarray:
-        """row((alpha[i], i)) for every row i, as an int64 array; alpha is
-        the block-row of each row."""
+        """The worker of the summation group of every output row i, keyed
+        (alpha[i], i), as an int64 array; alpha is the block-row of each row."""
         alpha = np.asarray(alpha, dtype=np.uint64)
         if self.kind == "naive":
             return (alpha % np.uint64(self.p)).astype(np.int64)
@@ -604,7 +560,7 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     store = BroadcastStore()
-    broadcast(store, "rhs", B_small.values)
+    store.put("rhs", B_small.values)
     split = _Splitter(A.rows, min(workers, A.rows))
     dense = isinstance(A, DenseMatrix)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiply import broadcast_multiply
-from .sparse import DenseMatrix, DenseVector, SparseMatrix, csr_rows, sorted_distinct
+from .sparse import DenseMatrix, DenseVector, SparseMatrix, csr_indptr, csr_rows
 
 __all__ = ["PagerankProblem", "PagerankError", "pagerank_build", "pagerank"]
 
@@ -101,9 +101,16 @@ def pagerank_build(edges, d: float, N: int) -> PagerankProblem:
     if len(bad):
         src, dst = bad[0]
         raise ValueError(f"edge ({int(src)}, {int(dst)}) outside 0..{N - 1}")
-    src, dst = np.divmod(sorted_distinct(pairs[:, 0] * N + pairs[:, 1]), N)
+    # one sort into L's CSR order (row dst, then column src), then drop each
+    # link equal to its neighbour
+    order = np.lexsort((pairs[:, 0], pairs[:, 1]))
+    src, dst = pairs[order, 0], pairs[order, 1]
+    keep = np.ones(src.size, dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst = src[keep], dst[keep]
     outdeg = np.bincount(src, minlength=N)
-    return PagerankProblem(SparseMatrix.from_coo(N, N, dst, src, 1.0 / outdeg[src]), d)
+    links = SparseMatrix(N, N, csr_indptr(np.bincount(dst, minlength=N)), src, 1.0 / outdeg[src])
+    return PagerankProblem(links, d)
 
 
 def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,

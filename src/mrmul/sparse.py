@@ -2,14 +2,14 @@
 
 All values are float64. SparseMatrix is row-compressed (CSR-style arrays)
 with strictly ascending column indices per row and no explicit zeros. It has
-one constructor, and every builder (from_rows, from_coo, from_dense,
-transpose, generate_random, the file readers and the multiply's assembly)
-goes through it: it copies the arrays it is given into arrays of its own,
-validates them, drops explicit zeros and makes them read-only, so instances
-are immutable and safe to share across workers. csr_indptr and csr_rows are
-the format's two index idioms, row pointers from row counts and the row of
-each stored entry, for every module that works on the arrays; sorted_distinct
-is the dedupe the readers and builders share.
+one constructor, and every builder (from_coo, from_dense, transpose,
+generate_random, the file readers, PageRank's link matrix and the multiply's
+assembly) goes through it: it copies the arrays it is given into arrays of
+its own, validates them, drops explicit zeros and makes them read-only, so
+instances are immutable and safe to share across workers. csr_indptr and
+csr_rows are the format's two index idioms, row pointers from row counts and
+the row of each stored entry, for every module that works on the arrays;
+sorted_distinct is the SVM reader's label dedupe.
 """
 
 from __future__ import annotations
@@ -103,20 +103,6 @@ class SparseMatrix:
             a.setflags(write=False)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def empty(cls, rows, cols):
-        return cls(rows, cols, np.zeros(rows + 1, dtype=np.int64), [], [])
-
-    @classmethod
-    def from_rows(cls, rows, cols, row_entries):
-        """Build from an iterable of per-row [(col, value), ...] lists."""
-        row_entries = [list(entries) for entries in row_entries]
-        if len(row_entries) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(row_entries)}")
-        entries = [e for row in row_entries for e in row]
-        return cls(rows, cols, csr_indptr([len(row) for row in row_entries]),
-                   [c for c, _ in entries], [v for _, v in entries])
 
     @classmethod
     def from_coo(cls, rows, cols, row_ids, col_ids, vals):

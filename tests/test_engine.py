@@ -13,7 +13,6 @@ from mrmul.engine import (
     JobError,
     JobSpec,
     KeyedRecord,
-    broadcast,
     current_worker,
     run_job,
     serialize_record,
@@ -273,7 +272,7 @@ class TestBroadcastStore:
     def test_payload_visible_to_all_workers(self):
         store = BroadcastStore()
         payload = np.arange(9).reshape(3, 3)
-        broadcast(store, "C", payload)
+        store.put("C", payload)
         seen = []
 
         def mapper(rec):
@@ -287,9 +286,9 @@ class TestBroadcastStore:
 
     def test_rebroadcast_same_epoch_rejected(self):
         store = BroadcastStore()
-        broadcast(store, "C", 1)
+        store.put("C", 1)
         with pytest.raises(BroadcastError):
-            broadcast(store, "C", 2)
+            store.put("C", 2)
 
     def test_missing_name(self):
         store = BroadcastStore()

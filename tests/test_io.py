@@ -157,6 +157,12 @@ def sparse_rows(draw, max_rows=6, max_cols=7):
     return cols, rows
 
 
+def matrix_of(cols, rows):
+    """The matrix whose row i holds the (col, value) pairs of rows[i]."""
+    entries = [(i, c, v) for i, row in enumerate(rows) for c, v in row]
+    return SparseMatrix.from_coo(len(rows), cols, *zip(*entries))
+
+
 CORRUPTIONS = ("nan", "inf", "zero", "x", "negative", "out of range", "repeat", "no colon")
 
 
@@ -185,7 +191,7 @@ class TestReadMatrixFuzz:
     @given(data=st.data())
     def test_round_trip_and_one_corrupt_token(self, tmp_path_factory, data):
         cols, rows = data.draw(sparse_rows())
-        M = SparseMatrix.from_rows(len(rows), cols, rows)
+        M = matrix_of(cols, rows)
         path = tmp_path_factory.mktemp("fuzz") / "m.txt"
         write_matrix(M, path)
         assert read_matrix(path) == M
@@ -230,7 +236,7 @@ class TestReadSvmFileFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "d.svm"
         path.write_text("\n".join(lines) + "\n")
         width = 1 + max(c for row in rows for c, _ in row)
-        T = SparseMatrix.from_rows(len(rows), width, rows)
+        T = matrix_of(width, rows)
         for cols in (None, width):
             back, y = read_svm_file(path, cols=cols)
             assert back == T

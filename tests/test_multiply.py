@@ -13,15 +13,11 @@ from mrmul.engine import serialize_record
 from mrmul.multiply import (
     PartitionSchema,
     ShardFunction,
-    _mix,
     _mix_array,
     _splitmix64_array,
     _Splitter,
     broadcast_multiply,
     partition_multiply,
-    shard_naive,
-    shard_rand,
-    splitmix64,
     suggest_schema,
 )
 from mrmul.sparse import DenseMatrix, SparseMatrix
@@ -29,56 +25,82 @@ from mrmul.sparse import DenseMatrix, SparseMatrix
 from conftest import dense_product_oracle, random_sparse, triple_loop_product
 
 
+# The SplitMix64 finalizer of each wrap-edge input, and the mix of
+# (top, x, reversed x), as the scalar Python form of the hash gave them.
+_TOP = 2**64 - 1
+_WRAP_EDGES = [0, 1, 2**63 - 1, 2**63, 2**63 + 1] + [_TOP - d for d in (0, 1, 2, 7919, 2**32)]
+_WRAP_SPLITMIX64 = [
+    0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0x2A67D7552E039EA7, 0x481EC0A212A9F3DB,
+    0xDC29F439BCBDDA2A, 0xE4D971771B652C20, 0xF3203E9039F4A821, 0xF75F04CBB5A1A1DD,
+    0x3126C02519678805, 0x19BA2418AFBBFAE1]
+_WRAP_MIX = [
+    0xB485F6B757629CDF, 0x89E0DB7674340EF2, 0x81F1397CF8EFB740, 0x3A42753B9C3884AA,
+    0x2DFF9AC6AEC44002, 0x7865C3CBF5109C45, 0xAAEFDE90D6297422, 0xB59E7A11DA6441B7,
+    0xF96FBE0BBAE5176E, 0xB74527611B85BE78]
+
+# sha256 of block_table(m, k, n) then row_table over 97 rows split m ways, as
+# int64 bytes, for each of _TABLE_SCHEMAS in turn; taken from the scalar
+# per-key form of both shards, which the tables replaced.
+_TABLE_SCHEMAS = ((1, 1, 1), (5, 3, 4), (7, 2, 11), (20, 6, 20))
+_TABLE_DIGESTS = {
+    ("naive", 1): "15081696a808075e9a79aa6cbf4ccbc942aad139ecc0d9f27142e48de536b339",
+    ("rand", 1): "15081696a808075e9a79aa6cbf4ccbc942aad139ecc0d9f27142e48de536b339",
+    ("naive", 3): "8703cadf22621b6956012119895f7e866d62c06fa6931a90e996dbeb7da046ef",
+    ("rand", 3): "83627146985a9212fe777cb2d434d59e84d96c5e6d538a6238c51962816989ea",
+    ("naive", 8): "2fd0d93d1efa8bbca94ee9c1c98224dd80f19dfb988043369d59c303cce30b53",
+    ("rand", 8): "c3332c877c000d20f479ae272e4cb1e7f91a27b8fe379d1ce70dd358b6d763f3",
+}
+
+
 class TestShardFunctions:
     def test_naive_examples(self):
-        assert shard_naive((5, 9, 2), 4) == 1
-        assert shard_naive((0, 3, 7), 7) == 0
-        assert shard_naive((13, 0, 0), 5) == 3
+        assert ShardFunction("naive", 4).block_table(6, 10, 3)[5, 9, 2] == 1
+        assert ShardFunction("naive", 7).block_table(1, 4, 8)[0, 3, 7] == 0
+        assert ShardFunction("naive", 5).block_table(14, 1, 1)[13, 0, 0] == 3
 
     def test_naive_depends_on_alpha_only(self):
-        workers = {shard_naive((3, b, g), 4) for b in range(10) for g in range(10)}
-        assert workers == {3}
+        table = ShardFunction("naive", 4).block_table(8, 10, 10)
+        assert (table == np.arange(8)[:, None, None] % 4).all()
 
     def test_rand_deterministic(self):
-        assert shard_rand((4, 5, 6), 8) == shard_rand((4, 5, 6), 8)
+        shard = ShardFunction("rand", 8)
+        assert np.array_equal(shard.block_table(7, 6, 7), shard.block_table(7, 6, 7))
+        # a key's worker does not depend on the schema it is read from
+        assert shard.block_table(5, 6, 7)[4, 5, 6] == shard.block_table(9, 9, 9)[4, 5, 6]
 
     def test_rand_single_worker(self):
-        assert shard_rand((9, 9, 9), 1) == 0
+        shard = ShardFunction("rand", 1)
+        assert not shard.block_table(10, 10, 10).any()
+        assert not shard.row_table(_Splitter(97, 10).block_of(np.arange(97))).any()
 
     def test_rand_uniformity_chi_square(self):
         p = 8
-        counts = np.zeros(p)
-        keys = [(a, b, g) for a in range(25) for b in range(20) for g in range(20)]
-        for key in keys:  # 10,000 distinct keys
-            counts[shard_rand(key, p)] += 1
-        expected = len(keys) / p
+        table = ShardFunction("rand", p).block_table(25, 20, 20)  # 10,000 distinct keys
+        counts = np.bincount(table.ravel(), minlength=p)
+        expected = table.size / p
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < stats.chi2.ppf(0.999, p - 1), f"chi2={chi2:.1f}"
 
     def test_splitmix64_known_vector(self):
         # first output of the published sequence for seed 0
-        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert _splitmix64_array(np.zeros(1, dtype=np.uint64)).tolist() == [0xE220A8397B1DCDAF]
 
     @pytest.mark.parametrize("p", [1, 3, 8])
-    def test_placement_tables_match_shard_function(self, p):
+    def test_placement_tables_pinned(self, p):
         for kind in ("naive", "rand"):
             shard = ShardFunction(kind, p)
-            for m, n, k in ((1, 1, 1), (5, 3, 4), (7, 2, 11), (20, 6, 20)):
+            h = hashlib.sha256()
+            for m, n, k in _TABLE_SCHEMAS:
                 table = shard.block_table(m, k, n)
-                assert table.shape == (m, k, n)
-                assert table.tolist() == [[[shard.block((a, b, g)) for g in range(n)]
-                                           for b in range(k)] for a in range(m)]
-                alpha = _Splitter(97, m).block_of(np.arange(97))
-                assert shard.row_table(alpha).tolist() == [
-                    shard.row((a, i)) for i, a in enumerate(alpha.tolist())]
+                assert table.shape == (m, k, n) and table.dtype == np.int64
+                h.update(table.tobytes())
+                h.update(shard.row_table(_Splitter(97, m).block_of(np.arange(97))).tobytes())
+            assert h.hexdigest() == _TABLE_DIGESTS[kind, p], kind
 
-    def test_splitmix64_array_wraps_like_scalar(self):
-        top = 2**64 - 1
-        values = [0, 1, 2**63 - 1, 2**63, 2**63 + 1] + [top - d for d in (0, 1, 2, 7919, 2**32)]
-        x = np.array(values, dtype=np.uint64)
-        assert _splitmix64_array(x).tolist() == [splitmix64(v) for v in values]
-        assert _mix_array(top, x, x[::-1]).tolist() == [
-            _mix(top, a, b) for a, b in zip(values, values[::-1])]
+    def test_splitmix64_array_wraps_pinned(self):
+        x = np.array(_WRAP_EDGES, dtype=np.uint64)
+        assert _splitmix64_array(x).tolist() == _WRAP_SPLITMIX64
+        assert _mix_array(_TOP, x, x[::-1]).tolist() == _WRAP_MIX
 
     def test_shard_function_validation(self):
         with pytest.raises(ValueError):
@@ -129,7 +151,7 @@ class TestPartitionMultiply:
         assert np.allclose(C.to_dense(), oracle, rtol=1e-10, atol=1e-12)
 
     def test_zero_matrix(self):
-        Z = SparseMatrix.empty(6, 6)
+        Z = SparseMatrix.from_coo(6, 6, [], [], [])
         B = random_sparse(6, 6, 0.8, seed=5)
         C, metrics = partition_multiply(Z, B, PartitionSchema(2, 2, 2), "naive", 2)
         assert C.nnz == 0
@@ -217,7 +239,7 @@ class TestDeterminism:
 class TestShuffleAccounting:
     def test_a_payload_duplicated_k_times(self):
         A = random_sparse(24, 24, 0.5, seed=8)
-        Z = SparseMatrix.empty(24, 24)  # no B payload at all
+        Z = SparseMatrix.from_coo(24, 24, [], [], [])  # no B payload at all
         base, _ = partition_multiply(A, Z, PartitionSchema(3, 2, 1), "naive", 1)
         _, m1 = partition_multiply(A, Z, PartitionSchema(3, 2, 1), "naive", 1)
         _, mk = partition_multiply(A, Z, PartitionSchema(3, 2, 4), "naive", 1)
@@ -226,7 +248,7 @@ class TestShuffleAccounting:
 
     def test_b_payload_duplicated_m_times(self):
         B = random_sparse(24, 24, 0.5, seed=9)
-        Z = SparseMatrix.empty(24, 24)
+        Z = SparseMatrix.from_coo(24, 24, [], [], [])
         _, m1 = partition_multiply(Z, B, PartitionSchema(1, 2, 3), "naive", 1)
         _, mm = partition_multiply(Z, B, PartitionSchema(5, 2, 3), "naive", 1)
         ratio = mm[0].shuffle_bytes / m1[0].shuffle_bytes

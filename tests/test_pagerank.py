@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrmul.pagerank import PagerankError, PagerankProblem, pagerank, pagerank_build
 from mrmul.sparse import SparseMatrix
@@ -56,6 +58,20 @@ class TestBuild:
         edges = [edges[i] for i in rng.permutation(len(edges))]
         want = pagerank_build(distinct, 0.85, 60).links
         got = pagerank_build(edges, 0.85, 60).links
+        for field in ("indptr", "indices", "values"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=60))))
+    def test_links_are_built_from_the_set_of_edges(self, graph):
+        N, edges = graph
+        distinct = sorted(set(edges))
+        outdeg = np.bincount([s for s, _ in distinct], minlength=N)
+        want = SparseMatrix.from_coo(N, N, [t for _, t in distinct], [s for s, _ in distinct],
+                                     [1.0 / outdeg[s] for s, _ in distinct])
+        got = pagerank_build(edges, 0.85, N).links
         for field in ("indptr", "indices", "values"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 

@@ -21,8 +21,8 @@ from conftest import random_sparse
 
 
 class TestSortedDistinct:
-    """The dedupe the edge and label readers share gives np.unique's values
-    and bits: -0.0 and 0.0 collapse to the one np.unique keeps."""
+    """The label reader's dedupe gives np.unique's values and bits: -0.0 and
+    0.0 collapse to the one np.unique keeps."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-2**62, 2**62) | st.sampled_from([0, 1, 7])))
@@ -40,25 +40,25 @@ class TestSortedDistinct:
 
 class TestConstruction:
     def test_rejects_empty_shape(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_rows(0, 0, [])
+        with pytest.raises(ValueError, match="shape must be positive"):
+            SparseMatrix(0, 0, [0], [], [])
         with pytest.raises(ValueError):
             DenseMatrix(np.zeros((0, 3)))
 
     def test_rejects_descending_columns(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_rows(1, 4, [[(2, 1.0), (1, 3.0)]])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SparseMatrix(1, 4, [0, 2], [2, 1], [1.0, 3.0])
 
     def test_rejects_duplicate_columns(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_rows(1, 4, [[(2, 1.0), (2, 3.0)]])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SparseMatrix(1, 4, [0, 2], [2, 2], [1.0, 3.0])
 
     def test_rejects_out_of_range_column(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_rows(1, 2, [[(2, 1.0)]])
+        with pytest.raises(ValueError, match="column index out of range"):
+            SparseMatrix(1, 2, [0, 1], [2], [1.0])
 
     def test_explicit_zeros_dropped(self):
-        M = SparseMatrix.from_rows(2, 3, [[(0, 1.0), (1, 0.0)], [(2, 4.0)]])
+        M = SparseMatrix(2, 3, [0, 2, 3], [0, 1, 2], [1.0, 0.0, 4.0])
         assert M.nnz == 2
         assert M.to_dense()[0, 1] == 0.0
 
@@ -310,7 +310,7 @@ BUILDERS = {
     "from_coo": _from_coo,
     "from_dense": _from_dense,
     "transpose": lambda tmp_path: (transpose(random_sparse(5, 7, 0.3, seed=2)), []),
-    "transpose_all_zero": lambda tmp_path: (transpose(SparseMatrix.empty(3, 5)), []),
+    "transpose_all_zero": lambda tmp_path: (transpose(SparseMatrix.from_coo(3, 5, [], [], [])), []),
     "generate_delta_0": lambda tmp_path: (generate_random(GeneratorParams(4, 6, 0.0, 1)), []),
     "generate_delta_1": lambda tmp_path: (generate_random(GeneratorParams(4, 6, 1.0, 1)), []),
     "read_matrix": _read_matrix,
