@@ -32,10 +32,10 @@ class BenchConfig:
     sizes: tuple
     deltas: tuple
     schemas: tuple
-    shards: tuple = ("naive",)
-    workers: tuple = (1,)
-    seed: int = 0
-    out_dir: Path | None = None
+    shards: tuple
+    workers: tuple
+    seed: int
+    out_dir: Path
 
     def __post_init__(self):
         for name in ("sizes", "deltas", "schemas", "shards", "workers"):
@@ -58,8 +58,8 @@ def pearson(xs, ys) -> float:
 
 
 def run_scaling(cfg: BenchConfig):
-    """Run the grid; returns (run rows, fit rows, failed cells) and writes
-    runs.csv and fits.csv under cfg.out_dir when set. A failed cell gets an
+    """Run the grid, write runs.csv and fits.csv under cfg.out_dir and
+    return (run rows, fit rows, failed cells). A failed cell gets an
     error row and a "cell <key columns>: <message>" line, and the grid goes on."""
     rows, failures = [], []
     totals = {}  # (size, delta, schema, shard, workers) -> (ops, elapsed_ms, nnz_a+nnz_b)
@@ -97,11 +97,9 @@ def run_scaling(cfg: BenchConfig):
                         totals[(size, delta, str(schema), shard, w)] = (ops, elapsed, A.nnz + B.nnz)
 
     fits = _fit_rows(cfg, totals)
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "runs.csv").write_text("".join(f"{line}\n" for line in [RUNS_CSV_HEADER] + rows))
-        (out / "fits.csv").write_text("".join(f"{line}\n" for line in [FITS_CSV_HEADER] + fits))
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    (cfg.out_dir / "runs.csv").write_text("".join(f"{line}\n" for line in [RUNS_CSV_HEADER] + rows))
+    (cfg.out_dir / "fits.csv").write_text("".join(f"{line}\n" for line in [FITS_CSV_HEADER] + fits))
     return rows, fits, failures
 
 

@@ -20,13 +20,17 @@ from . import io as mio
 from .bench import BenchConfig, run_scaling
 from .engine import METRICS_CSV_HEADER
 from .io import read_svm_file
-from .multiply import PartitionSchema, partition_multiply
+from .multiply import SHARD_KINDS, PartitionSchema, partition_multiply
 from .nmf import run_nmf
 from .pagerank import pagerank, pagerank_build
 from .sparse import DenseVector, GeneratorParams, SparseMatrix, generate_random
 from .svm import SvmProblem, SvmState, accuracy, svm_predict, svm_train
 
 __all__ = ["main"]
+
+# Every job sizes one list by the worker count, so a bound here caps that
+# list at 8 MB; the library itself takes any count >= 1.
+MAX_WORKERS = 2 ** 20
 
 
 def parse_sparsity(text: str) -> float:
@@ -54,24 +58,20 @@ def parse_schema(text: str) -> PartitionSchema:
     return PartitionSchema(m, n, k)
 
 
-def _int_list(text):
-    return tuple(int(t) for t in text.split(",") if t)
+def _shard_kind(text):
+    if text not in SHARD_KINDS:
+        raise argparse.ArgumentTypeError(f"unknown shard kind {text!r}")
+    return text
 
 
-def _sparsity_list(text):
-    return tuple(parse_sparsity(t) for t in text.split(",") if t)
-
-
-def _schema_list(text):
-    return tuple(parse_schema(t) for t in text.split(",") if t)
-
-
-def _shard_list(text):
-    kinds = tuple(t.strip() for t in text.split(",") if t.strip())
-    for kind in kinds:
-        if kind not in ("naive", "rand"):
-            raise argparse.ArgumentTypeError(f"unknown shard kind {kind!r}")
-    return kinds
+def _list_of(parse):
+    """An argparse type reading a comma-separated list, each item by parse;
+    empty items are skipped."""
+    def parse_list(text):
+        items = (t.strip() for t in text.split(","))
+        return tuple(parse(t) for t in items if t)
+    parse_list.__name__ = f"{parse.__name__} list"
+    return parse_list
 
 
 def _write_column(path, values, index=None, header=None):
@@ -226,23 +226,36 @@ def cmd_bench_scaling(args):
 
 
 def _add_common(p, workers=True, seed=False):
-    """Add --config and, for the subcommands that read them, --workers and --seed."""
+    """Add --workers and --seed to the subcommands that read them."""
     if workers:
-        p.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help=f"worker count, 1 to {MAX_WORKERS} (default 1)")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+
+
+def _config_parser():
+    """The parser of --config alone: main reads it off the whole line first,
+    and every subcommand lists it as a parent so that --help shows it."""
+    p = argparse.ArgumentParser(prog="mrmul", add_help=False, allow_abbrev=False)
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults for these flags")
+    return p
 
 
 def build_parser():
     top = argparse.ArgumentParser(
-        prog="mrmul",
+        prog="mrmul", allow_abbrev=False,
         description="Multi-worker multiplicative models: block matrix multiplication, "
                     "NMF, SVM, and PageRank with a scaling benchmark harness.")
     sub = top.add_subparsers(dest="command", required=True)
+    config = _config_parser()
 
-    p = sub.add_parser("generate", help="generate a random sparse matrix")
+    def subcommand(name, summary):
+        # a flag or a config key matches only when spelled in full
+        return sub.add_parser(name, help=summary, parents=[config], allow_abbrev=False)
+
+    p = subcommand("generate", "generate a random sparse matrix")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=parse_sparsity, required=True,
@@ -251,18 +264,18 @@ def build_parser():
     _add_common(p, workers=False, seed=True)
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("multiply", help="block matrix multiply two row-format files")
+    p = subcommand("multiply", "block matrix multiply two row-format files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--schema", type=parse_schema, default=PartitionSchema(1, 1, 1),
                    help="partition schema MxNxK (default 1x1x1)")
-    p.add_argument("--shard", choices=("naive", "rand"), default="naive")
+    p.add_argument("--shard", choices=SHARD_KINDS, default="naive")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None, help="also write a metrics CSV here")
     _add_common(p)
     p.set_defaults(fn=cmd_multiply)
 
-    p = sub.add_parser("nmf", help="factorize a matrix with multiplicative updates")
+    p = subcommand("nmf", "factorize a matrix with multiplicative updates")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=50)
@@ -270,7 +283,7 @@ def build_parser():
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_nmf)
 
-    p = sub.add_parser("svm-train", help="train the fixed-bias dual SVM")
+    p = subcommand("svm-train", "train the fixed-bias dual SVM")
     p.add_argument("--data", required=True, help="label-prefixed sparse examples")
     p.add_argument("--c", type=float, default=1.0, help="box bound C (default 1)")
     p.add_argument("--eta", type=float, default=0.001, help="step size (default 0.001)")
@@ -279,7 +292,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_svm_train)
 
-    p = sub.add_parser("svm-predict", help="score query examples with trained alphas")
+    p = subcommand("svm-predict", "score query examples with trained alphas")
     p.add_argument("--data", required=True, help="training examples used to fit")
     p.add_argument("--alpha", required=True, help="alpha file from svm-train")
     p.add_argument("--query", required=True)
@@ -287,7 +300,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_svm_predict)
 
-    p = sub.add_parser("pagerank", help="rank an edge-list graph")
+    p = subcommand("pagerank", "rank an edge-list graph")
     p.add_argument("--edges", required=True)
     p.add_argument("--nodes", type=int, default=None, help="node count (default max id + 1)")
     p.add_argument("--damping", type=float, default=0.85)
@@ -297,34 +310,16 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_pagerank)
 
-    # without abbreviations, so that --workers is refused, not read as --workers-list
-    p = sub.add_parser("bench-scaling", help="run the scaling experiment grid", allow_abbrev=False)
-    p.add_argument("--sizes", type=_int_list, default=(256, 512, 1024))
-    p.add_argument("--deltas", type=_sparsity_list, default=(2.0 ** -7,))
-    p.add_argument("--schemas", type=_schema_list, default=(PartitionSchema(20, 6, 20),))
-    p.add_argument("--shards", type=_shard_list, default=("naive",))
-    p.add_argument("--workers-list", type=_int_list, default=(1,))
+    p = subcommand("bench-scaling", "run the scaling experiment grid")
+    p.add_argument("--sizes", type=_list_of(int), default=(256, 512, 1024))
+    p.add_argument("--deltas", type=_list_of(parse_sparsity), default=(2.0 ** -7,))
+    p.add_argument("--schemas", type=_list_of(parse_schema), default=(PartitionSchema(20, 6, 20),))
+    p.add_argument("--shards", type=_list_of(_shard_kind), default=("naive",))
+    p.add_argument("--workers-list", type=_list_of(int), default=(1,))
     p.add_argument("--out-dir", required=True)
     _add_common(p, workers=False, seed=True)
     p.set_defaults(fn=cmd_bench_scaling)
     return top
-
-
-def _extract_config(argv):
-    rest, cfg_path = [], None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(tok)
-            i += 1
-    return rest, cfg_path
 
 
 def _config_args(path):
@@ -353,10 +348,10 @@ def _config_args(path):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    rest, cfg_path = _extract_config(argv)
-    if cfg_path:
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config:
         try:
-            extra = _config_args(cfg_path)
+            extra = _config_args(known.config)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
@@ -371,6 +366,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(rest)
     try:
+        workers = getattr(args, "workers_list", ()) + (getattr(args, "workers", 1),)
+        if max(workers) > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}")
         # an overflow or a nan shows up in the result, which the commands
         # check (_require_finite) before they write it; numpy's own warning
         # would only repeat that, with a source line

@@ -24,7 +24,7 @@ import re
 
 import numpy as np
 
-from .sparse import DenseVector, SparseMatrix, csr_indptr, sorted_distinct
+from .sparse import DenseVector, SparseMatrix, csr_indptr
 
 __all__ = ["ParseError", "read_matrix", "write_matrix", "read_svm_file", "read_edges"]
 
@@ -158,11 +158,12 @@ def read_svm_file(path, cols=None):
         raise ParseError(path, 1, "no features in file")
 
     y = np.array(labels)
-    uniq = sorted_distinct(y)
-    if not set(uniq.tolist()) <= {-1.0, 1.0}:
-        if len(uniq) != 2:
-            raise ParseError(path, 1, f"expected two label values, found {len(uniq)}")
-        y = np.where(y == uniq[0], -1.0, 1.0)
+    # finite floats, so the set holds each value once, -0.0 and 0.0 as one
+    distinct = set(labels)
+    if not distinct <= {-1.0, 1.0}:
+        if len(distinct) != 2:
+            raise ParseError(path, 1, f"expected two label values, found {len(distinct)}")
+        y = np.where(y == min(distinct), -1.0, 1.0)
     T = SparseMatrix(len(labels), width, indptr, indices, values)
     return T, DenseVector(y)
 

@@ -37,6 +37,7 @@ from .engine import Accumulator, BroadcastStore, JobSpec, run_job
 from .sparse import DenseMatrix, SparseMatrix, csr_indptr, csr_rows
 
 __all__ = [
+    "SHARD_KINDS",
     "PartitionSchema",
     "ShardFunction",
     "partition_multiply",
@@ -92,6 +93,10 @@ class PartitionSchema:
 _ROW_SALT = 0x5AB1E5
 
 
+# The shard policies, as ShardFunction.kind names them.
+SHARD_KINDS = ("naive", "rand")
+
+
 @dataclass(frozen=True)
 class ShardFunction:
     """A shard policy bound to a worker count: 'naive' (alpha mod p) or
@@ -101,7 +106,7 @@ class ShardFunction:
     p: int
 
     def __post_init__(self):
-        if self.kind not in ("naive", "rand"):
+        if self.kind not in SHARD_KINDS:
             raise ValueError(f"unknown shard kind {self.kind!r}")
         if self.p < 1:
             raise ValueError("worker count must be >= 1")

@@ -8,8 +8,7 @@ assembly) goes through it: it copies the arrays it is given into arrays of
 its own, validates them, drops explicit zeros and makes them read-only, so
 instances are immutable and safe to share across workers. csr_indptr and
 csr_rows are the format's two index idioms, row pointers from row counts and
-the row of each stored entry, for every module that works on the arrays;
-sorted_distinct is the SVM reader's label dedupe.
+the row of each stored entry, for every module that works on the arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "GeneratorParams",
     "csr_indptr",
     "csr_rows",
-    "sorted_distinct",
     "transpose",
     "elementwise_update",
     "generate_random",
@@ -43,19 +41,6 @@ def csr_indptr(counts):
 def csr_rows(indptr):
     """The row index of every stored entry, from the row pointers."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-
-
-def sorted_distinct(values):
-    """The distinct values of a NaN-free 1-D array, ascending, as np.unique
-    gives them (equal values such as -0.0 and 0.0 collapse to the first in
-    sorted order), by a sort and a neighbour comparison. Plain np.unique
-    would first ask np.ma whether the array is masked, and under numpy 2 that
-    imports numpy.ma on first use, a cost of milliseconds per process."""
-    out = np.sort(values)
-    keep = np.empty(out.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
 
 
 class SparseMatrix:

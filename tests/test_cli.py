@@ -461,6 +461,101 @@ class TestFlagScope:
         assert not out.exists()
 
 
+class TestExactFlags:
+    """A flag, or a config key, matches only when spelled in full; --config
+    is read wherever it stands on the line."""
+
+    def _argv(self, tmp_path, command):
+        """Full flags that make command run, each output under tmp_path/out*."""
+        a = tmp_path / "a.txt"
+        write_matrix(random_sparse(6, 6, 0.5, 1), a)
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t0\n")
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.5\n0.5\n")
+        svm = tmp_path / "d.svm"
+        svm.write_text("+1 0:1.0\n-1 0:-1.0\n")
+        return {
+            "generate": ["--m", 2, "--n", 2, "--delta", 1, "--out", tmp_path / "out.txt"],
+            "multiply": ["--a", a, "--b", a, "--out", tmp_path / "out.txt"],
+            "nmf": ["--input", a, "--k", 1, "--iters", 1, "--out-prefix", tmp_path / "out_"],
+            "svm-train": ["--data", svm, "--iters", 1, "--out-prefix", tmp_path / "out_"],
+            "svm-predict": ["--data", svm, "--alpha", alpha, "--query", svm,
+                            "--out", tmp_path / "out.txt"],
+            "pagerank": ["--edges", edges, "--out-prefix", tmp_path / "out_"],
+            "bench-scaling": ["--sizes", 8, "--deltas", 0.5, "--schemas", "1x1x1",
+                              "--out-dir", tmp_path / "out"],
+        }[command]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--conf", "bad.cfg"),
+        ("generate", "--see", 3),
+        ("multiply", "--sch", "2x1x2"),
+        ("nmf", "--out", "P"),
+        ("svm-train", "--et", 0.1),
+        ("svm-predict", "--work", 2),
+        ("pagerank", "--work", 2),
+        ("bench-scaling", "--shard", "rand"),
+    ])
+    def test_abbreviated_flag_refused(self, tmp_path, capsys, command, flag, value):
+        # the config file would be refused if it were read
+        (tmp_path / "bad.cfg").write_text("m 2\n")
+        argv = self._argv(tmp_path, command)
+        assert run_cli(command, *argv) == 0
+        for out in tmp_path.glob("out*"):
+            out.rename(tmp_path / f"full_{out.name}")
+        capsys.readouterr()
+        value = tmp_path / value if flag == "--conf" else value
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_abbreviated_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("see=3\n")
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--config", cfg, "--m", 2, "--n", 2, "--delta", 1, "--out", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --see=3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("placement", ["after", "equals", "before"])
+    def test_config_read_wherever_it_stands(self, tmp_path, placement):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=9\nm=32\nn=16\ndelta=0.2\n")
+        want, got = tmp_path / "want.txt", tmp_path / "got.txt"
+        assert run_cli("generate", "--m", 32, "--n", 16, "--delta", "0.2", "--seed", 9,
+                       "--out", want) == 0
+        argv = {
+            "after": ["generate", "--out", got, "--config", cfg],
+            "equals": ["generate", f"--config={cfg}", "--out", got],
+            "before": ["--config", cfg, "generate", "--out", got],
+        }[placement]
+        assert run_cli(*argv) == 0
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_config_without_value(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--m", 2, "--n", 2, "--delta", 1, "--out", out, "--config")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mrmul") and "--config: expected one argument" in err
+        assert not out.exists()
+
+    def test_c_is_not_config(self, tmp_path):
+        # --c is the SVM's box bound, never a shortening of --config
+        data = tmp_path / "toy.svm"
+        data.write_text("+1 0:1.0\n-1 0:-1.0\n")
+        assert run_cli("svm-train", "--data", data, "--eta", 0.1, "--c", 0.25,
+                       "--iters", 200, "--out-prefix", tmp_path / "svm_") == 0
+        alphas = [float(x) for x in (tmp_path / "svm_alpha.txt").read_text().split()]
+        assert alphas == [0.25, 0.25]
+
+
 class TestImpossibleFlags:
     """A solver flag outside its range fails before any output is written."""
 
@@ -514,6 +609,20 @@ class TestImpossibleFlags:
                     "--out", tmp_path / "out_scores.txt"]
         assert run_cli(command, *args, "--workers", 0) == 1
         assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not list(tmp_path.glob("out_*"))
+
+    @pytest.mark.parametrize("command", ["pagerank", "bench-scaling"])
+    def test_workers_above_bound(self, tmp_path, capsys, command):
+        # each job sizes a list by the worker count; past 2^20 it is refused
+        # before any input is read
+        if command == "pagerank":
+            args = ["--edges", tmp_path / "absent.txt", "--workers", 2 ** 20 + 1,
+                    "--out-prefix", tmp_path / "out_"]
+        else:
+            args = ["--sizes", 8, "--workers-list", f"1,{2 ** 20 + 1}",
+                    "--out-dir", tmp_path / "out_bench"]
+        assert run_cli(command, *args) == 1
+        assert capsys.readouterr().err == "error: workers must be <= 1048576\n"
         assert not list(tmp_path.glob("out_*"))
 
 

@@ -13,29 +13,10 @@ from mrmul.sparse import (
     SparseMatrix,
     elementwise_update,
     generate_random,
-    sorted_distinct,
     transpose,
 )
 
 from conftest import random_sparse
-
-
-class TestSortedDistinct:
-    """The label reader's dedupe gives np.unique's values and bits: -0.0 and
-    0.0 collapse to the one np.unique keeps."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-2**62, 2**62) | st.sampled_from([0, 1, 7])))
-    def test_integers_match_unique(self, xs):
-        x = np.array(xs, dtype=np.int64)
-        got = sorted_distinct(x)
-        assert got.dtype == np.int64 and got.tolist() == np.unique(x).tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0])))
-    def test_floats_match_unique_bits(self, xs):
-        x = np.array(xs, dtype=np.float64)
-        assert sorted_distinct(x).tobytes() == np.unique(x).tobytes()
 
 
 class TestConstruction:

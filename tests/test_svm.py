@@ -242,6 +242,12 @@ class TestDataFile:
         _, y = read_svm_file(p)
         assert y.values.tolist() == [-1.0, 1.0, -1.0]
 
+    def test_signed_zero_labels_are_one_value(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_text("-0.0 0:1\n2 0:2\n0 1:1\n")
+        _, y = read_svm_file(p)
+        assert y.values.tolist() == [-1.0, 1.0, -1.0]
+
     def test_rejects_three_labels(self, tmp_path):
         p = tmp_path / "d.svm"
         p.write_text("1 0:1\n2 0:1\n3 0:1\n")
