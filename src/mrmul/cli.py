@@ -164,18 +164,15 @@ def cmd_svm_train(args):
 def cmd_svm_predict(args):
     T, y = read_svm_file(args.data)
     alphas = []
-    with open(args.alpha, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                alpha = float(line)
-            except ValueError:
-                raise mio.ParseError(args.alpha, lineno, f"bad alpha {line.strip()!r}") from None
-            if not (np.isfinite(alpha) and alpha >= 0):
-                raise mio.ParseError(args.alpha, lineno,
-                                     f"alpha must be finite and >= 0, got {line.strip()}")
-            alphas.append(alpha)
+    for lineno, line in mio.data_lines(args.alpha):
+        try:
+            alpha = float(line)
+        except ValueError:
+            raise mio.ParseError(args.alpha, lineno, f"bad alpha {line.strip()!r}") from None
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise mio.ParseError(args.alpha, lineno,
+                                 f"alpha must be finite and >= 0, got {line.strip()}")
+        alphas.append(alpha)
     if len(alphas) != T.rows:
         print(f"error: {args.alpha} has {len(alphas)} values for {T.rows} "
               f"examples in {args.data}", file=sys.stderr)
@@ -325,12 +322,7 @@ def build_parser():
 def _config_args(path):
     """The config file's key=value lines as flags; a malformed line, a
     config= line or a byte that is not UTF-8 is a ValueError naming path:line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    text = mio.decode_text(Path(path).read_bytes(), path, "utf-8")
     extra = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

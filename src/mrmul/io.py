@@ -15,12 +15,16 @@ caller gives (a query file must stay inside its training width).
 
 Edge list: one "src TAB dst" pair of 0-based node ids per line, any
 whitespace between them; blank lines are skipped.
+
+Every data file is ASCII with no '_', which int() and float() would read as a
+digit separator; lines are numbered as text mode's universal newlines split them.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +44,35 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = str(path)
         self.lineno = lineno
+
+
+def decode_text(data: bytes, path, encoding) -> str:
+    """data decoded, each line end made a newline as text mode's universal
+    newlines make it; a byte that `encoding` cannot decode is a ParseError
+    naming its line."""
+    if b"\r" in data:  # a one-byte search costs far less than the two-byte replace
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"byte 0x{data[exc.start]:02x} is not {encoding.upper()}") from None
+
+
+def data_lines(path):
+    """(number, text) of each non-blank line of an ASCII data file, read a
+    line at a time. A byte that is not ASCII, or a '_', which int() and
+    float() read as a digit separator, is a ParseError naming its line."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if "_" in line:
+                    raise ParseError(path, lineno, "'_' in a number")
+                if not line.isspace():
+                    yield lineno, line
+    except UnicodeDecodeError:
+        decode_text(Path(path).read_bytes(), path, "ascii")  # raises, naming the line
+        raise
 
 
 def write_matrix(M: SparseMatrix, path) -> None:
@@ -84,46 +117,43 @@ def _read_entries(tokens, width, indices, values, path, lineno):
 
 def read_matrix(path) -> SparseMatrix:
     """Parse a row-format matrix file, rejecting malformed or inconsistent input."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError(path, 1, "missing header line")
-        parts = header.split()
-        if len(parts) != 3:
-            raise ParseError(path, 1, f"header must be '<rows> <cols> <nnz>', got {header.strip()!r}")
-        try:
-            rows, cols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(path, 1, f"non-integer header field in {header.strip()!r}") from None
-        if not (1 <= rows <= _MAX_COLS and 1 <= cols <= _MAX_COLS):
-            raise ParseError(path, 1, f"matrix shape {rows}x{cols} outside 1..{_MAX_COLS}")
-        if nnz < 0:
-            raise ParseError(path, 1, "negative nnz in header")
+    lines = data_lines(path)
+    lineno, header = next(lines, (0, ""))
+    if lineno != 1:
+        raise ParseError(path, 1, "missing header line")
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError(path, 1, f"header must be '<rows> <cols> <nnz>', got {header.strip()!r}")
+    try:
+        rows, cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError(path, 1, f"non-integer header field in {header.strip()!r}") from None
+    if not (1 <= rows <= _MAX_COLS and 1 <= cols <= _MAX_COLS):
+        raise ParseError(path, 1, f"matrix shape {rows}x{cols} outside 1..{_MAX_COLS}")
+    if nnz < 0:
+        raise ParseError(path, 1, "negative nnz in header")
 
-        counts = [0] * rows
-        indices, values = [], []
-        prev_row = -1
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            head, tab, rest = line.partition("\t")
-            if not tab:
-                raise ParseError(path, lineno, "expected '<row>\\t<col>:<value> ...'")
-            try:
-                i = int(head)
-            except ValueError:
-                raise ParseError(path, lineno, f"bad row index {head!r}") from None
-            if not 0 <= i < rows:
-                raise ParseError(path, lineno, f"row index {i} outside 0..{rows - 1}")
-            if i <= prev_row:
-                raise ParseError(path, lineno, f"row index {i} not strictly ascending")
-            prev_row = i
-            start = len(indices)
-            _read_entries(rest.split(), cols, indices, values, path, lineno)
-            counts[i] = len(indices) - start
-        if len(indices) != nnz:
-            raise ParseError(path, 1, f"header declares nnz={nnz} but file has {len(indices)} entries")
+    counts = [0] * rows
+    indices, values = [], []
+    prev_row = -1
+    for lineno, line in lines:
+        head, tab, rest = line.partition("\t")
+        if not tab:
+            raise ParseError(path, lineno, "expected '<row>\\t<col>:<value> ...'")
+        try:
+            i = int(head)
+        except ValueError:
+            raise ParseError(path, lineno, f"bad row index {head!r}") from None
+        if not 0 <= i < rows:
+            raise ParseError(path, lineno, f"row index {i} outside 0..{rows - 1}")
+        if i <= prev_row:
+            raise ParseError(path, lineno, f"row index {i} not strictly ascending")
+        prev_row = i
+        start = len(indices)
+        _read_entries(rest.split(), cols, indices, values, path, lineno)
+        counts[i] = len(indices) - start
+    if len(indices) != nnz:
+        raise ParseError(path, 1, f"header declares nnz={nnz} but file has {len(indices)} entries")
     return SparseMatrix(rows, cols, csr_indptr(counts), indices, values)
 
 
@@ -137,20 +167,17 @@ def read_svm_file(path, cols=None):
     """
     bound = _MAX_COLS if cols is None else cols
     labels, indptr, indices, values = [], [0], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks:
-                continue
-            try:
-                label = float(toks[0])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad label {toks[0]!r}") from None
-            if not math.isfinite(label):
-                raise ParseError(path, lineno, f"non-finite label {toks[0]!r}")
-            labels.append(label)
-            _read_entries(toks[1:], bound, indices, values, path, lineno)
-            indptr.append(len(indices))
+    for lineno, line in data_lines(path):
+        toks = line.split()
+        try:
+            label = float(toks[0])
+        except ValueError:
+            raise ParseError(path, lineno, f"bad label {toks[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(path, lineno, f"non-finite label {toks[0]!r}")
+        labels.append(label)
+        _read_entries(toks[1:], bound, indices, values, path, lineno)
+        indptr.append(len(indices))
     if not labels:
         raise ParseError(path, 1, "no examples in file")
     width = cols if cols is not None else max(indices, default=-1) + 1
@@ -179,8 +206,7 @@ _PLAIN_EDGES = re.compile(rf"(?:{_EDGE}\n|{_WS}*\n|{_WS}+{_EDGE}\n)*{_WS}*(?:{_E
 def read_edges(path) -> np.ndarray:
     """Parse an edge-list file into an int64 array of (src, dst) rows, one per
     non-blank line in file order."""
-    with open(path, "r", encoding="ascii") as fh:
-        data = fh.read()
+    data = decode_text(Path(path).read_bytes(), path, "ascii")
     if _PLAIN_EDGES.fullmatch(data):
         try:
             return np.array(data.split(), dtype=np.int64).reshape(-1, 2)
@@ -195,6 +221,8 @@ def _read_edge_lines(data, path) -> np.ndarray:
     for lineno, line in enumerate(data.split("\n"), start=1):
         if not line.strip():
             continue
+        if "_" in line:
+            raise ParseError(path, lineno, "'_' in a number")
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'src dst', got {line.strip()!r}")

@@ -6,14 +6,14 @@ ships each group to the worker chosen by the shard function; stage two
 multiplies the paired sub-blocks where they landed and sums partial rows per
 output row, ascending gamma, so results are bit-identical for any worker
 count and shard choice. Stage one's reducer pairs each key's A and B
-sub-blocks without decoding them, so stage two's input is one record per
-worker holding the byte strings of all of its block pairs. Its mapper
-decodes them a bounded batch at a time, with one join per array, straight
-into one stacked CSR whose product is one vectorised pass; a dense-path
-block is multiplied alone by BLAS. A sparse-path block sums its products in
-a dense accumulator when it has few output cells per product, else by a
-sort; the choice is the block's own, so no sum depends on the batching.
-Every block still emits one record per non-empty output row.
+sub-blocks, rows sent as row counts, without decoding them, so stage two's
+input is one record per worker holding the byte strings of all of its block
+pairs. Its mapper decodes them a bounded batch at a time, with one join per
+array, straight into one stacked CSR whose product is one vectorised pass;
+a dense-path block is multiplied alone by BLAS. A sparse-path block sums its
+products in a dense accumulator when it has few output cells per product,
+else by a sort; the choice is the block's own, so no sum depends on the
+batching. Every block still emits one record per non-empty output row.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -153,22 +153,20 @@ class _Splitter:
 class _Block(NamedTuple):
     """CSR operands of one product, a sub-block pair or a stack of them: A's
     rows, whose column indices point at B's rows, against B's rows, whose
-    block-local columns run over [0, beta_width). A stack's B rows hold an
-    unused empty row between blocks (see _decode_stack)."""
+    block-local columns run over [0, beta_width)."""
 
     row_ids: np.ndarray     # output row of each of A's rows
     a_indptr: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    b_indptr: np.ndarray    # over the gamma_width rows of B
+    b_indptr: np.ndarray    # over the gamma width rows of B
     b_cols: np.ndarray
     b_vals: np.ndarray
-    gamma_width: int
     beta_width: int
 
 
-# A paired sub-block travels from the partition job to the summation job as
-# the byte strings of _Block's seven arrays, in field order, of these dtypes.
+# A paired sub-block travels between the two jobs as the byte strings of
+# _Block's arrays in field order, each indptr as its row counts, of these dtypes.
 _PAYLOAD_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.int64, np.float64)
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -250,7 +248,7 @@ def _expand_rows(blk, len_k, cum, lo_row, hi_row, accumulate):
 
 
 def _sparse_product(blk, accumulate):
-    """The sparse path: (indptr, cols, sums) of blk's product, each (row,
+    """The sparse path: (row counts, cols, sums) of blk's product, each (row,
     col) sum formed from its products in A-entry order. Its scratch, the
     products and, for the accumulator, the output cells, is cut into row
     batches within _SPARSE_BATCH_PRODUCTS."""
@@ -267,8 +265,7 @@ def _sparse_product(blk, accumulate):
     else:
         uniq = np.concatenate([u for u, _ in parts])
         sums = np.concatenate([s for _, s in parts])
-    indptr = csr_indptr(np.bincount(uniq // width, minlength=blk.row_ids.size))
-    return indptr, uniq % width, sums
+    return np.bincount(uniq // width, minlength=blk.row_ids.size), uniq % width, sums
 
 
 def _takes_dense_path(tot, nr, gw, bw):
@@ -279,26 +276,24 @@ def _takes_dense_path(tot, nr, gw, bw):
 
 
 def _dense_product(blk: _Block):
-    """BLAS product of one dense-path block as (indptr, local cols, values),
-    skipping zeros of the result; its bits depend on the block alone."""
-    nr, gw = blk.row_ids.size, blk.gamma_width
+    """BLAS product of one dense-path block as (row counts, local cols,
+    values), skipping zeros of the result; its bits depend on the block alone."""
+    nr, gw = blk.row_ids.size, blk.b_indptr.size - 1
     Ad = np.zeros((nr, gw))
     Ad[csr_rows(blk.a_indptr), blk.a_cols] = blk.a_vals
     Bd = np.zeros((gw, blk.beta_width))
     Bd[csr_rows(blk.b_indptr), blk.b_cols] = blk.b_vals
     Cd = Ad @ Bd
     rr, cc = np.nonzero(Cd)
-    return csr_indptr(np.bincount(rr, minlength=nr)), cc.astype(np.int64), Cd[rr, cc]
+    return np.bincount(rr, minlength=nr), cc.astype(np.int64), Cd[rr, cc]
 
 
-def _product_counts(a_cols, b_indptr, na, gw):
+def _product_counts(a_cols, b_counts, na, gw):
     """The product count (a[i,k]*b[k,j] terms) of every block of a worker, in
-    one pass over the A columns and the B indptrs of all of its blocks, each
-    joined end to end; na and gw are the blocks' A entries and gamma widths."""
-    # block i's B rows start at b_row[i] of the joined indptrs; the differences
-    # across block boundaries are never read, as A's columns stay in their block
-    b_row = csr_indptr(gw + 1)[:-1]
-    len_k = np.diff(b_indptr)[a_cols + np.repeat(b_row, na)]
+    one pass over the A columns and the B row counts of all of its blocks,
+    each joined end to end; na and gw are the blocks' A entries and gamma
+    widths."""
+    len_k = b_counts[a_cols + np.repeat(csr_indptr(gw)[:-1], na)]
     return np.add.reduceat(len_k, csr_indptr(na)[:-1])  # every block has A entries
 
 
@@ -324,30 +319,21 @@ def _summation_batches(tot, nr, gw, bw, size):
             yield at[lo:hi], path
 
 
-def _decode_stack(fields, at, nr, na, gw, nb, bw):
+def _decode_stack(fields, at, na, gw, bw):
     """The _Block whose product is that of blocks `at` side by side, decoded
-    from their payload fields with one join per field; nr, na, gw, nb and bw
-    are the blocks' rows, A entries, gamma widths, B entries and beta widths.
+    from their payload fields with one join per field; na, gw and bw are the
+    blocks' A entries, gamma widths and beta widths.
 
-    The blocks' A rows follow one another, and so do their B rows, with
-    each block's B indptr kept whole: the last pointer of one block and the
-    first of the next make an empty B row that no A entry points at. Each A
-    entry points into its own block's B rows. B's columns stay block-local,
-    so the stack is as wide as its widest block."""
+    The blocks' A rows follow one another, and so do their B rows, so each
+    indptr is that of the joined row counts. Each A entry points into its
+    own block's B rows. B's columns stay block-local, so the stack is as
+    wide as its widest block."""
     sel = at.tolist()
-    row_ids, a_indptr, a_cols, a_vals, b_indptr, b_cols, b_vals = (
+    row_ids, a_counts, a_cols, a_vals, b_counts, b_cols, b_vals = (
         np.frombuffer(b"".join([f[i] for i in sel]), dtype=t)
         for f, t in zip(fields, _PAYLOAD_DTYPES))
-    a_ptrs, b_ptrs = nr + 1, gw + 1
-    # the joined A indptrs, shifted past the entries of the blocks before;
-    # all but the first block's leading 0 then repeat a pointer, and go
-    keep = np.ones(a_indptr.size, dtype=bool)
-    keep[csr_indptr(a_ptrs)[1:-1]] = False
-    a_indptr = (a_indptr + np.repeat(csr_indptr(na)[:-1], a_ptrs))[keep]
-    b_row = csr_indptr(b_ptrs)
-    return _Block(row_ids, a_indptr, a_cols + np.repeat(b_row[:-1], na), a_vals,
-                  b_indptr + np.repeat(csr_indptr(nb)[:-1], b_ptrs), b_cols, b_vals,
-                  int(b_row[-1]) - 1, int(bw.max()))
+    return _Block(row_ids, csr_indptr(a_counts), a_cols + np.repeat(csr_indptr(gw)[:-1], na),
+                  a_vals, csr_indptr(b_counts), b_cols, b_vals, int(bw.max()))
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -417,15 +403,15 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         if tag == "A":
             for gamma, rows, lcols, lvals in _cut_columns(indptr, cols, vals, isplit):
                 row_ids, counts = np.unique(rows, return_counts=True)
-                payload = ("A", (row_ids + first_row).tobytes(), csr_indptr(counts).tobytes(),
+                payload = ("A", (row_ids + first_row).tobytes(), counts.tobytes(),
                            lcols.tobytes(), lvals.tobytes())
                 out += [((blk, beta, gamma), payload) for beta in range(k)]
             ops.add(cols.size * k)
         else:
             gw = indptr.size - 1
             for beta, rows, lcols, lvals in _cut_columns(indptr, cols, vals, csplit):
-                b_indptr = csr_indptr(np.bincount(rows, minlength=gw))
-                payload = ("B", b_indptr.tobytes(), lcols.tobytes(), lvals.tobytes())
+                counts = np.bincount(rows, minlength=gw)
+                payload = ("B", counts.tobytes(), lcols.tobytes(), lvals.tobytes())
                 out += [((alpha, beta, blk), payload) for alpha in range(m)]
             ops.add(cols.size * m)
         return out
@@ -454,42 +440,35 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         fields = tuple(zip(*payloads))
         nr, na, gw, nb = (np.fromiter(map(len, fields[f]), np.int64, len(keys)) >> 3
                           for f in (0, 2, 4, 5))
-        gw -= 1  # a B indptr is one longer than the gamma width
         tot = _product_counts(np.frombuffer(b"".join(fields[2]), dtype=np.int64),
                               np.frombuffer(b"".join(fields[4]), dtype=np.int64), na, gw)
         ops.add(int(tot.sum()))
         beta = np.array([key[1] for key in keys], dtype=np.int64)
         bw, col_off = col_width[beta], col_start[beta]
-        sizes = np.stack([nr, na, gw, nb, bw])
-        row_block, row_ids, starts, ends, cols, vals = [], [], [], [], [], []
-        done = 0  # entries of the batches before this one
+        row_block, row_ids, row_counts, cols, vals = [], [], [], [], []
         for at, path in _summation_batches(tot, nr, gw, bw, na + nb + gw):
-            at_sizes = sizes[:, at]
-            blk = _decode_stack(fields, at, *at_sizes)
+            blk = _decode_stack(fields, at, na[at], gw[at], bw[at])
             if path == _DENSE:
-                indptr, c, v = _dense_product(blk)
+                counts, c, v = _dense_product(blk)
             else:
-                indptr, c, v = _sparse_product(blk, path == _ACCUMULATE)
-            on_row = np.repeat(at, at_sizes[0])  # block of each of the stack's rows
-            counts = np.diff(indptr)
+                counts, c, v = _sparse_product(blk, path == _ACCUMULATE)
+            on_row = np.repeat(at, nr[at])  # block of each of the stack's rows
             rows = np.flatnonzero(counts)
             row_block.append(on_row[rows])
             row_ids.append(blk.row_ids[rows])
-            starts.append(indptr[rows] + done)
-            ends.append(indptr[rows + 1] + done)
+            row_counts.append(counts[rows])
             c += np.repeat(col_off[on_row], counts)
             cols.append(c)
             vals.append(v)
-            done += c.size
         if not cols:
             return []
         cb = np.concatenate(cols).tobytes()
         vb = np.concatenate(vals).tobytes()
+        bounds = (csr_indptr(np.concatenate(row_counts)) << 3).tolist()
         return [((alpha, i), (beta, gamma, cb[lo:hi], vb[lo:hi]))
                 for (alpha, beta, gamma), i, lo, hi in zip(
                     map(keys.__getitem__, np.concatenate(row_block).tolist()),
-                    np.concatenate(row_ids).tolist(),
-                    (np.concatenate(starts) << 3).tolist(), (np.concatenate(ends) << 3).tolist())]
+                    np.concatenate(row_ids).tolist(), bounds, bounds[1:])]
 
     # A row's partials each hold distinct columns, and a column comes from one
     # beta, so its addends are one per gamma: with the partials in ascending

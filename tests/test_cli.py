@@ -698,8 +698,9 @@ class TestErrorLinesNotTracebacks:
     @pytest.mark.parametrize("content, diagnostic", [
         (b"m 2\n", ":1: expected key=value, got 'm 2'"),
         (b"m=2\n# caf\xe9\n", ":2: byte 0xe9 is not UTF-8"),
+        (b"m=2\r# caf\xe9\r", ":2: byte 0xe9 is not UTF-8"),
         (b"m=2\nconfig=other.cfg\n", ":2: a config file cannot name another config file"),
-    ], ids=["no_equals", "not_utf8", "nested_config"])
+    ], ids=["no_equals", "not_utf8", "not_utf8_cr", "nested_config"])
     def test_malformed_config_file(self, tmp_path, capsys, content, diagnostic):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(content)

@@ -140,6 +140,54 @@ class TestReadEdges:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.txt"]
 
 
+class TestAsciiWithoutUnderscore:
+    """A byte that is not ASCII, or a '_', which int() and float() read as a
+    digit separator, fails at its line in every data file, lines numbered as
+    text mode's universal newlines number them; the command exits 1 and
+    writes nothing."""
+
+    BAD = {"underscore": ("1_0", "'_' in a number"),
+           "non-ascii": ("\u0661", "byte 0xd9 is not ASCII")}  # an Arabic-Indic 1
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_edge_list(self, tmp_path, capsys, bad, eol):
+        token, message = self.BAD[bad]
+        path = tmp_path / "e.txt"
+        path.write_bytes(eol.join(["0\t1", "", f"{token}\t0", "2\t0", ""]).encode("utf-8"))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_edges(path)
+        assert run_cli("pagerank", "--edges", path, "--out-prefix", tmp_path / "pr_") == 1
+        assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.txt"]
+
+    # 3,000 rows put the bad line past the first chunk that text mode decodes
+    @pytest.mark.parametrize("rows", [2, 3000])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_matrix_file(self, tmp_path, capsys, bad, rows):
+        token, message = self.BAD[bad]
+        lines = [f"{rows} 2 {rows}"] + [f"{i}\t0:1.0" for i in range(rows - 1)]
+        path = tmp_path / "a.txt"
+        path.write_bytes("\r\n".join(lines + [f"{rows - 1}\t1:{token}", ""]).encode("utf-8"))
+        out = tmp_path / "c.txt"
+        assert run_cli("multiply", "--a", path, "--b", path, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {path}:{rows + 1}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_alpha_file(self, tmp_path, capsys, bad):
+        token, message = self.BAD[bad]
+        data = tmp_path / "train.svm"
+        data.write_text("\n".join(GOOD_LINES) + "\n")
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_bytes(f"0.5\n{token}\n".encode("utf-8"))
+        scores = tmp_path / "scores.txt"
+        assert run_cli("svm-predict", "--data", data, "--alpha", alpha,
+                       "--query", data, "--out", scores) == 1
+        assert capsys.readouterr().err == f"error: {alpha}:2: {message}\n"
+        assert not scores.exists()
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 values = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
@@ -163,7 +211,11 @@ def matrix_of(cols, rows):
     return SparseMatrix.from_coo(len(rows), cols, *zip(*entries))
 
 
-CORRUPTIONS = ("nan", "inf", "zero", "x", "negative", "out of range", "repeat", "no colon")
+CORRUPTIONS = ("nan", "inf", "zero", "x", "negative", "out of range", "repeat", "no colon",
+               "non-ascii", "underscore")
+# non-ASCII characters, an Arabic-Indic digit among them, that int() or
+# float() would read as part of a number or str.split() as a gap
+NON_ASCII = ("\u0661", "\u00e9", "\u00a0")
 
 
 def corrupt(draw, token, prev, width):
@@ -183,6 +235,11 @@ def corrupt(draw, token, prev, width):
         return kind, f"{width + draw(st.integers(0, 3))}:{v}"
     if kind == "repeat":
         return kind, f"{prev.partition(':')[0]}:{v}"
+    if kind == "non-ascii":
+        return kind, f"{c}:{v}{draw(st.sampled_from(NON_ASCII))}"
+    if kind == "underscore":  # a digit separator to int() and float(), both accept it
+        sign, digits = ("-", v[1:]) if v.startswith("-") else ("", v)
+        return kind, draw(st.sampled_from([f"0_{c}:{v}", f"{c}:{sign}0_{digits}"]))
     return kind, c + v
 
 
@@ -203,7 +260,7 @@ class TestReadMatrixFuzz:
         j = data.draw(st.integers(0, len(toks) - 1))
         _, toks[j] = corrupt(data.draw, toks[j], toks[j - 1] if j else None, cols)
         lines[at] = f"{head}\t{' '.join(toks)}"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             read_matrix(path)
         assert exc.value.lineno == at + 1
@@ -246,7 +303,8 @@ class TestReadSvmFileFuzz:
         toks = lines[at].split()
         j = data.draw(st.integers(1, len(toks) - 1))  # a feature, never the label
         kind, toks[j] = corrupt(data.draw, toks[j], toks[j - 1] if j > 1 else None, width)
-        path.write_text("\n".join(lines[:at] + [" ".join(toks)] + lines[at + 1:]) + "\n")
+        path.write_text("\n".join(lines[:at] + [" ".join(toks)] + lines[at + 1:]) + "\n",
+                        encoding="utf-8")
         # without a width, an index past the training width only widens T
         for cols in (width,) if kind == "out of range" else (None, width):
             with pytest.raises(ParseError) as exc:

@@ -388,6 +388,27 @@ class TestBatchedSummation:
         assert m.shuffle_bytes == 82927
         assert m.cross_worker_bytes == 57438
 
+    def test_partition_job_shape(self, monkeypatch):
+        import mrmul.multiply as mm
+        real_run_job, jobs = mm.run_job, []
+
+        def recording_run_job(spec, records):
+            out, m = real_run_job(spec, records)
+            jobs.append(m)
+            return out, m
+
+        monkeypatch.setattr(mm, "run_job", recording_run_job)
+        A = random_sparse(60, 50, 0.15, seed=81)
+        B = random_sparse(50, 70, 0.15, seed=82)
+        partition_multiply(A, B, PartitionSchema(5, 3, 4), "rand", 3)
+        m = jobs[0]
+        assert m.stage == "partition"
+        # one record per shipped sub-block; each carries its rows as row
+        # counts, one int64 per A row or per gamma row of B
+        assert m.records_per_worker == [26, 38, 56]
+        assert m.shuffle_bytes == 93332
+        assert m.cross_worker_bytes == 54057
+
     def test_memory_bounded(self):
         A = random_sparse(1000, 1000, 2.0 ** -7, seed=91)
         B = random_sparse(1000, 1000, 2.0 ** -7, seed=92)
