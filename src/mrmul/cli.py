@@ -320,20 +320,20 @@ def build_parser():
 
 
 def _config_args(path):
-    """The config file's key=value lines as flags; a malformed line, a
-    config= line or a byte that is not UTF-8 is a ValueError naming path:line."""
-    text = mio.decode_text(Path(path).read_bytes(), path, "utf-8")
+    """The config file's key=value lines, read by text_lines as a data file's
+    are, as flags; a malformed line, a config= line or a byte that is not
+    UTF-8 is a ParseError naming path:line."""
     extra = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in mio.text_lines(path, "utf-8"):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise mio.ParseError(path, lineno, f"expected key=value, got {line!r}")
         flag = key.strip().replace('_', '-')
         if flag == "config":
-            raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+            raise mio.ParseError(path, lineno, "a config file cannot name another config file")
         extra.append(f"--{flag}={value.strip()}")
     return extra
 

@@ -17,7 +17,8 @@ Edge list: one "src TAB dst" pair of 0-based node ids per line, any
 whitespace between them; blank lines are skipped.
 
 Every data file is ASCII with no '_', which int() and float() would read as a
-digit separator; lines are numbered as text mode's universal newlines split them.
+digit separator. The lines of every text input, config files too, are numbered
+and checked by text_lines alone, so the first bad line in file order is reported.
 """
 
 from __future__ import annotations
@@ -46,33 +47,31 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def decode_text(data: bytes, path, encoding) -> str:
-    """data decoded, each line end made a newline as text mode's universal
-    newlines make it; a byte that `encoding` cannot decode is a ParseError
-    naming its line."""
-    if b"\r" in data:  # a one-byte search costs far less than the two-byte replace
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        return data.decode(encoding)
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
-                         f"byte 0x{data[exc.start]:02x} is not {encoding.upper()}") from None
+def text_lines(path, encoding):
+    """(number, text) of each non-blank line of a text file, split by text
+    mode's universal newlines (LF, CRLF and CR only); a byte that `encoding`
+    cannot decode is a ParseError naming its line."""
+    with open(path, encoding=encoding, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode(encoding)
+                except UnicodeEncodeError as exc:  # an escaped byte, U+DC80..U+DCFF
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(path, lineno,
+                                     f"byte 0x{byte:02x} is not {encoding.upper()}") from None
+            if not line.isspace():
+                yield lineno, line
 
 
 def data_lines(path):
-    """(number, text) of each non-blank line of an ASCII data file, read a
-    line at a time. A byte that is not ASCII, or a '_', which int() and
-    float() read as a digit separator, is a ParseError naming its line."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if "_" in line:
-                    raise ParseError(path, lineno, "'_' in a number")
-                if not line.isspace():
-                    yield lineno, line
-    except UnicodeDecodeError:
-        decode_text(Path(path).read_bytes(), path, "ascii")  # raises, naming the line
-        raise
+    """(number, text) of each non-blank line of an ASCII data file. A byte
+    that is not ASCII, or a '_', which int() and float() read as a digit
+    separator, is a ParseError naming its line."""
+    for lineno, line in text_lines(path, "ascii"):
+        if "_" in line:
+            raise ParseError(path, lineno, "'_' in a number")
+        yield lineno, line
 
 
 def write_matrix(M: SparseMatrix, path) -> None:
@@ -206,23 +205,20 @@ _PLAIN_EDGES = re.compile(rf"(?:{_EDGE}\n|{_WS}*\n|{_WS}+{_EDGE}\n)*{_WS}*(?:{_E
 def read_edges(path) -> np.ndarray:
     """Parse an edge-list file into an int64 array of (src, dst) rows, one per
     non-blank line in file order."""
-    data = decode_text(Path(path).read_bytes(), path, "ascii")
+    # a bad byte reads as a surrogate, which fails the match: the line loop names it
+    data = Path(path).read_text(encoding="ascii", errors="surrogateescape")
     if _PLAIN_EDGES.fullmatch(data):
         try:
             return np.array(data.split(), dtype=np.int64).reshape(-1, 2)
         except OverflowError:  # an id past int64: the line loop names it
             pass
-    return _read_edge_lines(data, path)
+    return _read_edge_lines(path)
 
 
-def _read_edge_lines(data, path) -> np.ndarray:
+def _read_edge_lines(path) -> np.ndarray:
     """Parse an edge list line by line, rejecting the first malformed line."""
     edges = []
-    for lineno, line in enumerate(data.split("\n"), start=1):
-        if not line.strip():
-            continue
-        if "_" in line:
-            raise ParseError(path, lineno, "'_' in a number")
+    for lineno, line in data_lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'src dst', got {line.strip()!r}")

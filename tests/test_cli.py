@@ -424,6 +424,16 @@ class TestConfigFile:
         assert run_cli("generate", "--config", cfg, "--seed", 10, "--out", c) == 0
         assert c.read_bytes() != a.read_bytes()
 
+    def test_utf8_config_read(self, tmp_path):
+        # valid UTF-8 beyond ASCII, in a comment and in a path, is read
+        cfg = tmp_path / "run.cfg"
+        got = tmp_path / "caf\u00e9.txt"
+        cfg.write_bytes(f"# caf\u00e9\nm=3\nn=2\ndelta=1\nout={got}\n".encode("utf-8"))
+        assert run_cli("generate", "--config", cfg) == 0
+        want = tmp_path / "want.txt"
+        assert run_cli("generate", "--m", 3, "--n", 2, "--delta", 1, "--out", want) == 0
+        assert got.read_bytes() == want.read_bytes()
+
     def test_missing_config_errors(self, tmp_path, capsys):
         assert run_cli("generate", "--config", tmp_path / "absent.cfg",
                        "--m", 2, "--n", 2, "--delta", "1",
@@ -707,6 +717,20 @@ class TestErrorLinesNotTracebacks:
         out = tmp_path / "x.txt"
         assert run_cli("generate", "--config", cfg, "--n", 2, "--delta", "1", "--out", out) == 1
         assert capsys.readouterr().err == f"error: {cfg}{diagnostic}\n"
+        assert not out.exists()
+
+    # only LF, CRLF and CR end a config line, as they end a data file's: the
+    # m value here is "2<sep>n=3", which no integer parse accepts
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x85", "\u2028"],
+                             ids=["ff", "vt", "fs", "nel", "ls"])
+    def test_config_line_ends_only_at_newlines(self, tmp_path, capsys, sep):
+        cfg = tmp_path / "sep.cfg"
+        cfg.write_bytes(f"m=2{sep}n=3\n".encode("utf-8"))
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--config", cfg, "--delta", "1", "--out", out)
+        assert exc.value.code == 2
+        assert "argument --m: invalid int value" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -1,6 +1,7 @@
-"""The two sparse readers: SVM example files rejected at the offending line,
-and fuzzed valid files that must parse back exactly and, with one token
-corrupted, fail with a ParseError naming that token's line."""
+"""The text readers (row-format matrices, SVM examples, alphas, edge lists
+and config files): bad input rejected at the first offending line in file
+order, and fuzzed valid files that must parse back exactly and, with one
+token corrupted, fail with a ParseError naming that token's line."""
 
 import re
 
@@ -161,7 +162,8 @@ class TestAsciiWithoutUnderscore:
         assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.txt"]
 
-    # 3,000 rows put the bad line past the first chunk that text mode decodes
+    # 3,000 rows (about 35 KB) put the bad line past the first chunk that
+    # text mode reads, so its number is counted across chunks
     @pytest.mark.parametrize("rows", [2, 3000])
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_matrix_file(self, tmp_path, capsys, bad, rows):
@@ -186,6 +188,35 @@ class TestAsciiWithoutUnderscore:
                        "--query", data, "--out", scores) == 1
         assert capsys.readouterr().err == f"error: {alpha}:2: {message}\n"
         assert not scores.exists()
+
+    # each file's line 2 is bad and a later line holds a byte that is not
+    # ASCII (or UTF-8, for the config); the reader names line 2
+    FIRST_BAD = {
+        "matrix": (b"3 2 3\n0\t0:1_0\n1\t0:1.0\n2\t0:\xc3\n", "'_' in a number",
+                   lambda f, out: ["multiply", "--a", f, "--b", f, "--out", out / "c.txt"]),
+        "svm": (b"+1 0:1.0\n-1 0:1_0\n+1 1:1.0\n-1 1:\xc3\n", "'_' in a number",
+                lambda f, out: ["svm-train", "--data", f, "--out-prefix", out / "s_"]),
+        "alpha": (b"0.5\n1_0\n\xc3\n", "'_' in a number",
+                  lambda f, out: ["svm-predict", "--data", f.parent / "train.svm", "--alpha", f,
+                                  "--query", f.parent / "train.svm", "--out", out / "s.txt"]),
+        "edges": (b"0\t1\n1_0\t0\n\xc3\t0\n", "'_' in a number",
+                  lambda f, out: ["pagerank", "--edges", f, "--out-prefix", out / "pr_"]),
+        "config": (b"m=2\nm 2\n# caf\xe9\n", "expected key=value, got 'm 2'",
+                   lambda f, out: ["generate", "--config", f, "--n", 2, "--delta", 1,
+                                   "--out", out / "a.txt"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FIRST_BAD))
+    def test_first_bad_line_in_file_order(self, tmp_path, capsys, kind):
+        content, message, command = self.FIRST_BAD[kind]
+        (tmp_path / "train.svm").write_text("\n".join(GOOD_LINES) + "\n")
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli(*command(path, out)) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not list(out.iterdir())
 
 
 # -- fuzzing ------------------------------------------------------------------
@@ -340,4 +371,4 @@ class TestReadEdgesFuzz:
         fast = read_edges(path)
         assert fast.dtype == np.int64 and fast.shape == (len(pairs), 2)
         assert fast.tolist() == pairs
-        assert np.array_equal(fast, _read_edge_lines(text, path))
+        assert np.array_equal(fast, _read_edge_lines(path))
