@@ -10,6 +10,7 @@ from .engine import (
     JobMetrics,
     JobSpec,
     KeyedRecord,
+    RecordBatch,
     current_worker,
     run_job,
 )

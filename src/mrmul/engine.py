@@ -5,16 +5,28 @@ enforces the MapReduce contract: user functions communicate only through the
 shuffle, the broadcast store, and accumulators; no reducer starts before all
 mappers finish. Output is deterministic for any worker count: map emissions
 are collected in task order, shuffle groups are sorted by key, and values
-within a group are sorted by their serialized form before reduction.
+within a group are sorted by their serialized form (in a batch job, by their
+order column) before reduction.
+
+A mapper emits its records in one of two forms. (key, value) pairs are
+pickled one by one (protocol 5), and each key group is reduced by its own
+reducer call. A RecordBatch holds many records as columns: int64 keys, an
+int64 order column and payload arrays. A batch job's records are placed by
+one vectorised shard_fn call over the key columns, sorted by (key, order)
+with one stable sort, and each worker's records are reduced by one reducer
+call, in key order. A repeated (key, order) is refused, so no value order
+comes from arrival order.
 
 Map tasks run on a thread pool, at most one thread per core, and each task
 still runs as its worker, when the job asks for it (JobSpec.parallel); else
-one worker after another on the caller's thread.
-Reducers run on the caller's thread in one pass in key order, each with its
-shard-named worker as current_worker().
+one worker after another on the caller's thread. Reducers run on the
+caller's thread, one key or one worker's batch at a time in key order, each
+with its shard-named worker as current_worker(); a failure names the first
+failing key in key order at any worker count.
 
-Shuffle volume is measured by really serializing every mapper-emitted record
-(pickle protocol 5), so byte counts are comparable across shard strategies.
+Shuffle volume is measured on the bytes that really travel: a pair's pickled
+form, or a batch record's key and order int64s plus its slice of every
+payload column. So byte counts are comparable across shard strategies.
 """
 
 from __future__ import annotations
@@ -30,8 +42,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
+import numpy as np
+
 __all__ = [
     "KeyedRecord",
+    "RecordBatch",
     "JobSpec",
     "JobMetrics",
     "Accumulator",
@@ -48,6 +63,17 @@ __all__ = [
 class KeyedRecord(NamedTuple):
     key: Any
     value: Any
+
+
+class RecordBatch(NamedTuple):
+    """Records as columns. Record r has the key keys[r], an int64 row of
+    the key width, and the value-order order[r]; its payload is counts[r]
+    entries of each column, those after the entries of records 0..r-1."""
+
+    keys: np.ndarray      # (n, w) int64
+    order: np.ndarray     # (n,) int64
+    counts: np.ndarray    # (n,) int64
+    columns: tuple        # 1-D arrays, each counts.sum() long
 
 
 class JobError(RuntimeError):
@@ -113,6 +139,13 @@ class JobSpec:
     key group on a worker in [0, workers). map_affinity optionally pins input
     records to the worker where they already reside (modeling data locality
     from a previous stage); by default input is split into contiguous chunks.
+
+    In a batch job every mapper returns one RecordBatch (or nothing) instead
+    of pairs. shard_fn then takes the tuple of key columns and returns the
+    worker of every record as an int array, and reducer(batch) is called once
+    per worker that holds records, with those records sorted by (key, order),
+    and returns a RecordBatch. The job's output is the reducers' batches
+    merged into one, sorted by (key, order).
     """
 
     mapper: Callable[[Any], Iterable[tuple]]
@@ -127,7 +160,7 @@ class JobSpec:
     # GIL handoffs gains from it (in mrmul, the summation stage of a chunky
     # product); False runs the tasks one at a time on the caller's thread
     # with the same worker placement, metrics, and output. Reducers always
-    # run on the caller's thread, one key at a time.
+    # run on the caller's thread.
     parallel: bool = True
 
 
@@ -167,7 +200,7 @@ def serialize_record(key, value) -> bytes:
 
 def _map_task(chunk, mapper, stage, worker):
     _worker_ctx.worker = worker
-    out = []
+    out, batches = [], []
     append = out.append
     try:
         for rec in chunk:
@@ -175,12 +208,14 @@ def _map_task(chunk, mapper, stage, worker):
                 emitted = mapper(rec)
             except Exception as exc:
                 raise JobError(f"{stage}/map", rec, exc) from exc
-            if emitted:
+            if isinstance(emitted, RecordBatch):
+                batches.append(emitted)
+            elif emitted:
                 for key, value in emitted:
                     append((serialize_record(key, value), key, value))
     finally:
         _worker_ctx.worker = None
-    return worker, out
+    return worker, out, batches
 
 
 def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
@@ -210,11 +245,12 @@ def _sorted_keys(groups, stage):
         raise JobError(stage, bad, exc) from exc
 
 
-def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
+def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch, JobMetrics]:
     """Execute one job; returns key-sorted output and stage metrics.
 
     The output equals the sequential reference semantics (map everything,
     group by key, reduce each group in key order) for every worker count.
+    A batch job's output is one RecordBatch, or [] when it has no records.
     """
     # A job allocates a few tuples per record and frees them by reference
     # counting. Those allocations would start the cyclic collector every few
@@ -229,7 +265,7 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
             gc.enable()
 
 
-def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
+def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch, JobMetrics]:
     if spec.workers < 1:
         raise ValueError("workers must be >= 1")
     records = records if isinstance(records, list) else list(records)
@@ -250,43 +286,14 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
                          spec.parallel)
     t1 = time.perf_counter()
 
-    # Shuffle: a key's worker is a pure function of the key, so it is fixed
-    # when the key's group is created; a record's bytes change workers when
-    # the worker that emitted it is not its key's.
-    groups: dict[Any, tuple] = {}
-    shuffle_bytes = cross_worker_bytes = 0
-    for src_worker, out in map_out:
-        for blob, key, value in out:
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = (spec.shard_fn(key), [])
-            group[1].append((blob, value))
-            shuffle_bytes += len(blob)
-            if group[0] != src_worker:
-                cross_worker_bytes += len(blob)
-    ordered_keys = _sorted_keys(groups, f"{spec.name}/shuffle")
-    records_per_worker = [0] * nw
-    for key in ordered_keys:
-        dest, bucket = groups[key]
-        if not 0 <= dest < nw:
-            raise JobError(f"{spec.name}/shuffle", key, ValueError(f"shard {dest} outside 0..{nw - 1}"))
-        records_per_worker[dest] += len(bucket)
-        bucket.sort(key=itemgetter(0))
-        groups[key] = (dest, [value for _, value in bucket])
-    t2 = time.perf_counter()
-
-    # Reducers run one key at a time in key order, each on its key's worker,
-    # so a failure names the first failing key whatever the worker count.
-    output = []
-    try:
-        for key in ordered_keys:
-            _worker_ctx.worker, values = groups[key]
-            try:
-                output.extend(KeyedRecord(k, v) for k, v in spec.reducer(key, values))
-            except Exception as exc:
-                raise JobError(f"{spec.name}/reduce", key, exc) from exc
-    finally:
-        _worker_ctx.worker = None
+    if any(batches for _, _, batches in map_out):
+        plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_batches(spec, map_out)
+        t2 = time.perf_counter()
+        output = _reduce_batches(spec, plan)
+    else:
+        plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_pairs(spec, map_out)
+        t2 = time.perf_counter()
+        output = _reduce_pairs(spec, plan)
     t3 = time.perf_counter()
 
     metrics = JobMetrics(
@@ -301,3 +308,173 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord], JobMetrics]:
         scalar_ops=(spec.ops.value - ops_before) if spec.ops is not None else 0,
     )
     return output, metrics
+
+
+def _shuffle_pairs(spec, map_out):
+    """Group the pairs by key. Returns the (key, worker, values) of every
+    group in key order, each group's values in serialized order, with the
+    byte totals and the records per worker."""
+    nw = spec.workers
+    # A key's worker is a pure function of the key, so it is fixed when the
+    # key's group is created; a record's bytes change workers when the worker
+    # that emitted it is not its key's.
+    groups: dict[Any, tuple] = {}
+    shuffle_bytes = cross_worker_bytes = 0
+    for src_worker, out, _ in map_out:
+        for blob, key, value in out:
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (spec.shard_fn(key), [])
+            group[1].append((blob, value))
+            shuffle_bytes += len(blob)
+            if group[0] != src_worker:
+                cross_worker_bytes += len(blob)
+    plan = []
+    records_per_worker = [0] * nw
+    for key in _sorted_keys(groups, f"{spec.name}/shuffle"):
+        dest, bucket = groups[key]
+        if not 0 <= dest < nw:
+            raise JobError(f"{spec.name}/shuffle", key, ValueError(f"shard {dest} outside 0..{nw - 1}"))
+        records_per_worker[dest] += len(bucket)
+        bucket.sort(key=itemgetter(0))
+        plan.append((key, dest, [value for _, value in bucket]))
+    return plan, shuffle_bytes, cross_worker_bytes, records_per_worker
+
+
+def _reduce_pairs(spec, plan):
+    # Reducers run one key at a time in key order, each on its key's worker,
+    # so a failure names the first failing key whatever the worker count.
+    output = []
+    try:
+        for key, _worker_ctx.worker, values in plan:
+            try:
+                output.extend(KeyedRecord(k, v) for k, v in spec.reducer(key, values))
+            except Exception as exc:
+                raise JobError(f"{spec.name}/reduce", key, exc) from exc
+    finally:
+        _worker_ctx.worker = None
+    return output
+
+
+def _key_of(keys, r):
+    return tuple(keys[r].tolist())
+
+
+def _runs(rows):
+    """Bounds of the runs of equal rows of the 2-D array rows: [0, ends...]."""
+    starts = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    return np.flatnonzero(starts).tolist() + [rows.shape[0]]
+
+
+def _concat(batches):
+    if len(batches) == 1:
+        return batches[0]
+    return RecordBatch(np.concatenate([b.keys for b in batches]),
+                       np.concatenate([b.order for b in batches]),
+                       np.concatenate([b.counts for b in batches]),
+                       tuple(map(np.concatenate, zip(*[b.columns for b in batches]))))
+
+
+def _ends(batch):
+    return np.concatenate(([0], np.cumsum(batch.counts)))
+
+
+def _take(batch, perm):
+    """The records perm of batch, in that order, with their entries."""
+    counts = batch.counts[perm]
+    # entry t of the result is entry t - moved + first of its record
+    first, moved = _ends(batch)[perm], np.cumsum(counts) - counts
+    at = np.repeat(first - moved, counts) + np.arange(counts.sum())
+    return RecordBatch(batch.keys[perm], batch.order[perm], counts,
+                       tuple(c[at] for c in batch.columns))
+
+
+def _records(batch, lo, hi, ends):
+    """A view of records [lo, hi) of batch; ends[r] is the entries of the
+    records before r."""
+    return RecordBatch(batch.keys[lo:hi], batch.order[lo:hi], batch.counts[lo:hi],
+                       tuple(c[ends[lo]:ends[hi]] for c in batch.columns))
+
+
+def _key_order(batch, stage):
+    """The stable permutation that sorts batch's records by (key, order). A
+    repeated (key, order) raises a JobError naming the key, as its records'
+    order would otherwise be their arrival order."""
+    perm = np.lexsort((batch.order, *batch.keys.T[::-1]))
+    keys, order = batch.keys[perm], batch.order[perm]
+    repeated = (keys[1:] == keys[:-1]).all(axis=1) & (order[1:] == order[:-1])
+    if repeated.any():
+        r = int(np.argmax(repeated))
+        raise JobError(stage, _key_of(keys, r), ValueError(f"order {order[r]} repeated"))
+    return perm
+
+
+def _shuffle_batches(spec, map_out):
+    """Join the mappers' RecordBatches, then place and sort their records.
+    Returns the records sorted by (worker, key, order) and the worker of
+    each, with the byte totals and the records per worker."""
+    nw = spec.workers
+    stage = f"{spec.name}/shuffle"
+    if any(pairs for _, pairs, _ in map_out):
+        raise JobError(f"{spec.name}/map", None,
+                       TypeError("mappers returned both pairs and RecordBatches"))
+    pieces = [(w, batch) for w, _, batches in map_out for batch in batches]
+    whole = _concat([batch for _, batch in pieces])
+    src = np.repeat([w for w, _ in pieces], [batch.counts.size for _, batch in pieces])
+    del pieces
+    map_out.clear()  # the mappers' batches are freed once joined
+    perm = _key_order(whole, stage)
+    keys = whole.keys[perm]
+    dest = np.asarray(spec.shard_fn(tuple(keys.T)), dtype=np.int64)
+    outside = (dest < 0) | (dest >= nw)
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise JobError(stage, _key_of(keys, r), ValueError(f"shard {dest[r]} outside 0..{nw - 1}"))
+    nbytes = 8 * (keys.shape[1] + 1) + whole.counts[perm] * sum(c.itemsize for c in whole.columns)
+    by_worker = np.argsort(dest, kind="stable")  # keeps each worker's records in key order
+    return ((_take(whole, perm[by_worker]), dest[by_worker]), int(nbytes.sum()),
+            int(nbytes[dest != src[perm]].sum()), np.bincount(dest, minlength=nw).tolist())
+
+
+def _reduce_batches(spec, plan):
+    """One reducer call per worker that holds records, in worker order, on
+    views of the sorted records; the outputs merged in (key, order)."""
+    whole, workers = plan
+    ends = _ends(whole)
+    bounds = _runs(workers[:, None])
+    outs = []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            _worker_ctx.worker = int(workers[lo])
+            part = _records(whole, lo, hi, ends)
+            try:
+                outs.append(spec.reducer(part))
+            except Exception as exc:
+                _raise_first_failure(spec, whole, workers, part, exc)
+    finally:
+        _worker_ctx.worker = None
+    if not outs:
+        return []
+    merged = _concat(outs)
+    outs.clear()  # freed before the sorted copy is made
+    return _take(merged, _key_order(merged, f"{spec.name}/reduce"))
+
+
+def _raise_first_failure(spec, whole, workers, failed, exc):
+    """A worker's reducer call raised exc on its records `failed`: rerun
+    every key's records alone, in key order, each on its worker, and raise a
+    JobError naming the first key that fails, so the key named does not
+    depend on how keys fall on workers."""
+    stage = f"{spec.name}/reduce"
+    perm = np.lexsort(whole.keys.T[::-1])  # stable: a key's records stay in order
+    whole, workers = _take(whole, perm), workers[perm]
+    ends = _ends(whole)
+    bounds = _runs(whole.keys)
+    for lo, hi in zip(bounds, bounds[1:]):
+        _worker_ctx.worker = int(workers[lo])
+        try:
+            spec.reducer(_records(whole, lo, hi, ends))
+        except Exception as key_exc:
+            raise JobError(stage, _key_of(whole.keys, lo), key_exc) from key_exc
+    raise JobError(stage, _key_of(failed.keys, 0), exc) from exc

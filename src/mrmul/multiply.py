@@ -13,7 +13,12 @@ array, straight into one stacked CSR whose product is one vectorised pass;
 a dense-path block is multiplied alone by BLAS. A sparse-path block sums its
 products in a dense accumulator when it has few output cells per product,
 else by a sort; the choice is the block's own, so no sum depends on the
-batching. Every block still emits one record per non-empty output row.
+batching. Every block still emits one record per non-empty output row:
+a worker emits them as one RecordBatch, keyed (alpha, i), ordered by
+gamma * k + beta, its payload the rows' columns and values. The engine sorts
+them by (key, order), and each worker's reducer sums all of its rows in one
+segmented pass, a stable sort by cell and one bincount; C is built straight
+from the output batch's row counts and columns.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -33,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Accumulator, BroadcastStore, JobSpec, run_job
+from .engine import Accumulator, BroadcastStore, JobSpec, RecordBatch, run_job
 from .sparse import DenseMatrix, SparseMatrix, csr_indptr, csr_rows
 
 __all__ = [
@@ -363,20 +368,6 @@ def _cut_columns(indptr, cols, vals, split: _Splitter):
         yield b, rows[sel], cols[sel] - split.starts[b], vals[sel]
 
 
-def _assemble(rows, cols, row_payloads):
-    """Build a SparseMatrix from (row index, col bytes, value bytes) triples
-    arriving in ascending row order."""
-    counts = np.zeros(rows, dtype=np.int64)
-    col_blobs, val_blobs = [], []
-    for i, cb, vb in row_payloads:
-        counts[i] = len(cb) >> 3
-        col_blobs.append(cb)
-        val_blobs.append(vb)
-    indices = np.frombuffer(b"".join(col_blobs), dtype=np.int64)
-    values = np.frombuffer(b"".join(val_blobs), dtype=np.float64)
-    return SparseMatrix(rows, cols, csr_indptr(counts), indices, values)
-
-
 def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema,
                        shard: str = "naive", workers: int = 1):
     """Block matrix product A x B over the two-stage partition/summation
@@ -433,7 +424,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     # The input is one record per worker: the (key, payload) pairs the
     # partition job placed there. Each batch's payloads are decoded straight
     # into one stack, and every non-empty output row of a block is one
-    # record, its bytes cut from one buffer for the whole worker.
+    # record of the worker's one RecordBatch: key (alpha, i), order
+    # gamma * k + beta, and its columns and values as payload.
     def summation_mapper(rec):
         _, placed = rec
         keys, payloads = zip(*placed)
@@ -443,8 +435,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         tot = _product_counts(np.frombuffer(b"".join(fields[2]), dtype=np.int64),
                               np.frombuffer(b"".join(fields[4]), dtype=np.int64), na, gw)
         ops.add(int(tot.sum()))
-        beta = np.array([key[1] for key in keys], dtype=np.int64)
-        bw, col_off = col_width[beta], col_start[beta]
+        block_keys = np.array(keys, dtype=np.int64)  # (alpha, beta, gamma) per block
+        bw, col_off = col_width[block_keys[:, 1]], col_start[block_keys[:, 1]]
         row_block, row_ids, row_counts, cols, vals = [], [], [], [], []
         for at, path in _summation_batches(tot, nr, gw, bw, na + nb + gw):
             blk = _decode_stack(fields, at, na[at], gw[at], bw[at])
@@ -462,35 +454,36 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
             vals.append(v)
         if not cols:
             return []
-        cb = np.concatenate(cols).tobytes()
-        vb = np.concatenate(vals).tobytes()
-        bounds = (csr_indptr(np.concatenate(row_counts)) << 3).tolist()
-        return [((alpha, i), (beta, gamma, cb[lo:hi], vb[lo:hi]))
-                for (alpha, beta, gamma), i, lo, hi in zip(
-                    map(keys.__getitem__, np.concatenate(row_block).tolist()),
-                    np.concatenate(row_ids).tolist(), bounds, bounds[1:])]
+        alpha, beta, gamma = block_keys[np.concatenate(row_block)].T
+        return RecordBatch(np.column_stack((alpha, np.concatenate(row_ids))), gamma * k + beta,
+                           np.concatenate(row_counts),
+                           (np.concatenate(cols), np.concatenate(vals)))
 
     # A row's partials each hold distinct columns, and a column comes from one
-    # beta, so its addends are one per gamma: with the partials in ascending
-    # gamma, a stable sort of the columns lines each column's addends up in
-    # that order, and bincount adds them in it.
-    def summation_reducer(key, partials):
-        if len(partials) == 1:
-            _, _, cb, vb = partials[0]
-            ops.add(len(vb) >> 3)
-            return [(key, (cb, vb))]
-        partials = sorted(partials, key=itemgetter(1))  # ascending gamma
-        cols = np.frombuffer(b"".join([p[2] for p in partials]), dtype=np.int64)
-        vals = np.frombuffer(b"".join([p[3] for p in partials]), dtype=np.float64)
+    # beta, so a cell's addends are one per gamma, and the batch holds them in
+    # ascending gamma, its order. A stable sort by cell, key index * B.cols +
+    # column, keeps that order within each cell, and bincount adds each
+    # cell's addends in it.
+    def summation_reducer(batch):
+        keys, _, counts, (cols, vals) = batch
         ops.add(vals.size)
-        order = np.argsort(cols, kind="stable")
-        cols = cols[order]
-        first = np.empty(cols.size, dtype=bool)
+        new_key = np.empty(keys.shape[0], dtype=bool)
+        new_key[0] = True
+        np.any(keys[1:] != keys[:-1], axis=1, out=new_key[1:])
+        cell = np.repeat(np.cumsum(new_key) - 1, counts)  # key index of each entry
+        cell *= B.cols
+        cell += cols
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        first = np.empty(cell.size, dtype=bool)
         first[0] = True
-        np.not_equal(cols[1:], cols[:-1], out=first[1:])
-        # cumsum numbers the distinct columns from 1, so bin 0 stays empty
-        sums = np.bincount(np.cumsum(first), weights=vals[order])[1:]
-        return [(key, (cols[first].tobytes(), sums.tobytes()))]
+        np.not_equal(cell[1:], cell[:-1], out=first[1:])
+        sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+        cell = cell[first]
+        out_keys = keys[new_key]
+        return RecordBatch(out_keys, np.zeros(out_keys.shape[0], dtype=np.int64),
+                           np.bincount(cell // B.cols, minlength=out_keys.shape[0]),
+                           (cell % B.cols, sums))
 
     records = [("A", alpha, *_row_block(A, *asplit.range(alpha))) for alpha in range(m)]
     records += [("B", gamma, *_row_block(B, *isplit.range(gamma))) for gamma in range(n)]
@@ -506,9 +499,10 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     else:
         per_block_work = total_products // blocks
     # Placements are tabled once per call: block_place[alpha][beta][gamma],
-    # and row_place[i] for output row i of block-row alpha.
+    # and the array row_place, whose entry i places output row i of block-row
+    # alpha; one lookup of a batch's i column places all of its records.
     block_place = shard.block_table(m, k, n).tolist()
-    row_place = shard.row_table(asplit.block_of(np.arange(A.rows))).tolist()
+    row_place = shard.row_table(asplit.block_of(np.arange(A.rows)))
     job1 = JobSpec(partition_mapper, partition_reducer,
                    shard_fn=lambda key: block_place[key[0]][key[1]][key[2]],
                    workers=workers, name="partition", ops=ops, parallel=False)
@@ -524,8 +518,12 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
                    parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK)
     summed, m2 = run_job(job2, sorted(on_worker.items()))
 
-    C = _assemble(A.rows, B.cols, ((i, cb, vb) for (alpha, i), (cb, vb) in summed))
-    return C, [m1, m2]
+    counts = np.zeros(A.rows, dtype=np.int64)
+    indices = values = ()
+    if summed:  # a RecordBatch, or [] when no block pair has a product
+        counts[summed.keys[:, 1]] = summed.counts
+        indices, values = summed.columns
+    return SparseMatrix(A.rows, B.cols, csr_indptr(counts), indices, values), [m1, m2]
 
 
 def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,

@@ -13,6 +13,7 @@ from mrmul.engine import (
     JobError,
     JobSpec,
     KeyedRecord,
+    RecordBatch,
     current_worker,
     run_job,
     serialize_record,
@@ -393,3 +394,147 @@ class TestCallerContext:
         with np.errstate(over="ignore"):
             out, _ = run_job(spec, [0, 1, 2])
         assert [v for _, v in out] == [np.inf] * 3
+
+
+def _batch(keys, order, counts, ints, floats):
+    return RecordBatch(np.array(keys, dtype=np.int64).reshape(-1, 2), np.array(order, dtype=np.int64),
+                       np.array(counts, dtype=np.int64),
+                       (np.array(ints, dtype=np.int32), np.array(floats, dtype=np.float64)))
+
+
+def _identity_reducer(batch):
+    return batch
+
+
+class TestBatchJobs:
+    """Jobs whose mappers return a RecordBatch: one vectorised placement,
+    one sort by (key, order), one reducer call per worker."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=30),
+           workers=st.integers(1, 8), fanout=st.integers(0, 3), parallel=st.booleans(),
+           pinned=st.booleans())
+    def test_matches_sequential_reference(self, data, records, workers, fanout, parallel,
+                                          pinned):
+        table = np.array(data.draw(st.lists(st.integers(0, workers - 1), min_size=12,
+                                            max_size=12))).reshape(3, 4)
+        place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
+        calls = []
+
+        def emitted(rec):
+            # record j of input record (i, v): key (v % 3, (v + j) % 4), an
+            # order unique to it, and v % 3 + j entries
+            i, v = rec
+            return [((v % 3, (v + j) % 4), 4 * i + j, list(range(v % 3 + j)),
+                     [v * 0.5 + e for e in range(v % 3 + j)]) for j in range(v % (fanout + 1))]
+
+        def mapper(rec):
+            out = emitted(rec)
+            if not out:
+                return []
+            keys, order, ints, floats = zip(*out)
+            return _batch(keys, order, [len(e) for e in ints], sum(ints, []), sum(floats, []))
+
+        def reducer(batch):
+            calls.append(current_worker())
+            return batch
+
+        spec = JobSpec(mapper, reducer, lambda cols: table[cols[0], cols[1]], workers=workers,
+                       parallel=parallel,
+                       map_affinity=(lambda rec: place[rec[1]]) if pinned else None)
+        inputs = list(enumerate(records))
+        out, metrics = run_job(spec, inputs)
+
+        if pinned:
+            source = [place[v] for v in records]
+        else:  # contiguous chunks of the input, one per worker
+            bounds = [len(records) * w // workers for w in range(workers + 1)]
+            source = [w for w in range(workers) for _ in range(bounds[w], bounds[w + 1])]
+        reference = sorted((key, order, ints, floats, src)
+                           for rec, src in zip(inputs, source)
+                           for key, order, ints, floats in emitted(rec))
+        if not reference:
+            assert out == [] and calls == []
+        else:
+            assert [tuple(k) for k in out.keys.tolist()] == [r[0] for r in reference]
+            assert out.order.tolist() == [r[1] for r in reference]
+            assert out.counts.tolist() == [len(r[2]) for r in reference]
+            assert out.columns[0].tolist() == sum((r[2] for r in reference), [])
+            assert out.columns[1].tolist() == sum((r[3] for r in reference), [])
+            # one reducer call per worker that holds records, in worker order
+            assert calls == sorted({int(table[r[0]]) for r in reference})
+        per_worker = [0] * workers
+        for r in reference:
+            per_worker[table[r[0]]] += 1
+        assert metrics.records_per_worker == per_worker
+        nbytes = [8 * (2 + 1) + len(r[2]) * (4 + 8) for r in reference]
+        assert metrics.shuffle_bytes == sum(nbytes)
+        assert metrics.cross_worker_bytes == sum(b for b, r in zip(nbytes, reference)
+                                                 if table[r[0]] != r[4])
+
+    def test_repeated_order_rejected(self):
+        def mapper(rec):
+            return _batch([(1, 2), (0, 5), (1, 2)], [7, 3, 7], [1, 1, 1], [1, 2, 3], [0.5] * 3)
+
+        spec = JobSpec(mapper, _identity_reducer, lambda cols: cols[0] * 0, name="dup")
+        with pytest.raises(JobError) as exc:
+            run_job(spec, [0])
+        assert (exc.value.stage, exc.value.key) == ("dup/shuffle", (1, 2))
+
+    def test_shard_out_of_range_rejected(self):
+        # keys (0, 9) and (0, 5) are both placed out of range, (0, 9) mapped
+        # first: the error names the smaller key at every worker count
+        def mapper(rec):
+            return _batch([(0, rec)], [0], [1], [rec], [0.0])
+
+        for workers in (1, 2, 3, 8):
+            spec = JobSpec(mapper, _identity_reducer,
+                           lambda cols: np.select([cols[1] == 9, cols[1] == 5], [-1, 100], 0),
+                           workers=workers, name="placed")
+            with pytest.raises(JobError) as exc:
+                run_job(spec, [9, 2, 5, 0])
+            assert (exc.value.stage, exc.value.key) == ("placed/shuffle", (0, 5)), workers
+
+    def test_reducer_failure_names_first_failing_key(self):
+        # keys (0, 2) and (0, 4) both fail. From 2 workers on, (0, 4) is on
+        # worker 0, whose call fails first, and (0, 2) on the last worker; the
+        # keys are rerun one at a time in key order, so (0, 2) is named
+        def mapper(rec):
+            return _batch([(0, rec)], [0], [1], [rec], [0.0])
+
+        def reducer(batch):
+            bad = np.isin(batch.keys[:, 1], (2, 4))
+            if bad.any():
+                raise ValueError(f"cannot reduce {batch.keys[bad][0]}")
+            return batch
+
+        for workers in (1, 2, 3):
+            spec = JobSpec(mapper, reducer, lambda cols: (workers - 1) * (cols[1] != 4),
+                           workers=workers, name="fails")
+            with pytest.raises(JobError) as exc:
+                run_job(spec, [5, 4, 3, 2, 1, 0])
+            assert (exc.value.stage, exc.value.key) == ("fails/reduce", (0, 2)), workers
+            assert isinstance(exc.value.cause, ValueError)
+
+    def test_reduce_runs_on_sharded_worker(self):
+        seen = []
+
+        def mapper(rec):
+            return _batch([(rec % 2, rec)], [0], [1], [rec], [0.0])
+
+        def reducer(batch):
+            seen.append((current_worker(), (batch.keys[:, 1] % 4).tolist()))
+            return batch
+
+        spec = JobSpec(mapper, reducer, lambda cols: cols[1] % 4, workers=4)
+        run_job(spec, list(range(10)))
+        assert seen == [(w, [w] * len(range(w, 10, 4))) for w in range(4)]
+
+    def test_pairs_and_batches_not_mixed(self):
+        def mapper(rec):
+            return [(rec, 1)] if rec else _batch([(0, 0)], [0], [1], [0], [0.0])
+
+        spec = JobSpec(mapper, _identity_reducer, lambda cols: 0, workers=2, name="mixed")
+        with pytest.raises(JobError) as exc:
+            run_job(spec, [0, 1])
+        assert exc.value.stage == "mixed/map"

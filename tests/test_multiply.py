@@ -366,27 +366,38 @@ class TestBatchedSummation:
                                       scratch) == reference
 
     def test_summation_job_shape(self, monkeypatch):
+        import mrmul.engine as engine
         import mrmul.multiply as mm
         real_run_job, jobs = mm.run_job, []
+        real_serialize, serialized = engine.serialize_record, []
+
+        def counting_serialize(key, value):
+            serialized.append(key)
+            return real_serialize(key, value)
 
         def recording_run_job(spec, records):
+            before = len(serialized)
             out, m = real_run_job(spec, records)
-            jobs.append((spec, records, m))
+            jobs.append((spec, records, m, len(serialized) - before))
             return out, m
 
         monkeypatch.setattr(mm, "run_job", recording_run_job)
+        monkeypatch.setattr(engine, "serialize_record", counting_serialize)
         A = random_sparse(60, 50, 0.15, seed=81)
         B = random_sparse(50, 70, 0.15, seed=82)
         partition_multiply(A, B, PartitionSchema(5, 3, 4), "rand", 3)
-        spec, records, m = jobs[1]
+        spec, records, m, serialize_calls = jobs[1]
         assert m.stage == "summation"
         # at most one input record per worker, each pinned to its own worker
         placed = [spec.map_affinity(rec) for rec in records]
         assert len(placed) == len(set(placed)) <= 3
         # the records the blocks emit are those of one product per block
         assert m.records_per_worker == [238, 198, 235]
-        assert m.shuffle_bytes == 82927
-        assert m.cross_worker_bytes == 57438
+        # they travel as column batches, no record pickled alone: a record's
+        # bytes are its key and order int64s and its column and value entries
+        assert serialize_calls == 0
+        assert m.shuffle_bytes == 76888
+        assert m.cross_worker_bytes == 53280
 
     def test_partition_job_shape(self, monkeypatch):
         import mrmul.multiply as mm
