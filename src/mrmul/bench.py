@@ -15,16 +15,25 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import JobMetrics
 from .multiply import partition_multiply
 from .sparse import GeneratorParams, generate_random
 
-__all__ = ["BenchConfig", "RUNS_CSV_HEADER", "FITS_CSV_HEADER", "run_scaling",
-           "loglog_slope", "pearson"]
+__all__ = ["BenchConfig", "JOB_COLUMNS", "job_fields", "RUNS_CSV_HEADER", "FITS_CSV_HEADER",
+           "run_scaling", "loglog_slope", "pearson"]
 
-RUNS_CSV_HEADER = ("size,delta,schema,shard,workers,stage,shuffle_bytes,"
-                   "cross_worker_bytes,map_ms,shuffle_ms,reduce_ms,scalar_ops,"
-                   "elapsed_ms,nnz_a,nnz_b,nnz_c")
+# The columns of one engine job, in runs.csv and in multiply --metrics alike.
+JOB_COLUMNS = ("stage", "shuffle_bytes", "cross_worker_bytes", "map_ms", "shuffle_ms",
+               "reduce_ms", "scalar_ops")
+RUNS_CSV_HEADER = ",".join(("size,delta,schema,shard,workers", *JOB_COLUMNS,
+                            "elapsed_ms,nnz_a,nnz_b,nnz_c"))
 FITS_CSV_HEADER = "metric,value"
+
+
+def job_fields(m: JobMetrics) -> list[str]:
+    """The JOB_COLUMNS of one job as CSV fields, its times to the microsecond."""
+    return [m.stage, str(m.shuffle_bytes), str(m.cross_worker_bytes), f"{m.map_ms:.3f}",
+            f"{m.shuffle_ms:.3f}", f"{m.reduce_ms:.3f}", str(m.scalar_ops)]
 
 
 @dataclass(frozen=True)
@@ -77,24 +86,17 @@ def run_scaling(cfg: BenchConfig):
                             elapsed = (time.perf_counter() - t0) * 1e3
                         except Exception as exc:
                             failures.append(f"cell {cell}: {exc}")
-                            rows.append(f"{cell},error:{type(exc).__name__},0,0,0,0,0,0,0,"
-                                        f"{A.nnz},{B.nnz},0")
+                            error = job_fields(JobMetrics(f"error:{type(exc).__name__}", w))
+                            rows.append(",".join([cell, *error, "0.000", f"{A.nnz},{B.nnz},0"]))
                             continue
-                        ops = sum(m.scalar_ops for m in metrics)
-                        for m in metrics:
-                            rows.append(
-                                f"{cell},{m.stage},{m.shuffle_bytes},{m.cross_worker_bytes},"
-                                f"{m.map_ms:.3f},{m.shuffle_ms:.3f},{m.reduce_ms:.3f},"
-                                f"{m.scalar_ops},,{A.nnz},{B.nnz},{C.nnz}")
-                        rows.append(
-                            f"{cell},total,"
-                            f"{sum(m.shuffle_bytes for m in metrics)},"
-                            f"{sum(m.cross_worker_bytes for m in metrics)},"
-                            f"{sum(m.map_ms for m in metrics):.3f},"
-                            f"{sum(m.shuffle_ms for m in metrics):.3f},"
-                            f"{sum(m.reduce_ms for m in metrics):.3f},"
-                            f"{ops},{elapsed:.3f},{A.nnz},{B.nnz},{C.nnz}")
-                        totals[(size, delta, str(schema), shard, w)] = (ops, elapsed, A.nnz + B.nnz)
+                        # the total row sums the stage rows, and it alone carries elapsed_ms
+                        total = JobMetrics("total", w, **{
+                            c: sum(getattr(m, c) for m in metrics) for c in JOB_COLUMNS[1:]})
+                        nnz = f"{A.nnz},{B.nnz},{C.nnz}"
+                        rows += [",".join([cell, *job_fields(m), "", nnz]) for m in metrics]
+                        rows.append(",".join([cell, *job_fields(total), f"{elapsed:.3f}", nnz]))
+                        totals[(size, delta, str(schema), shard, w)] = (
+                            total.scalar_ops, elapsed, A.nnz + B.nnz)
 
     fits = _fit_rows(cfg, totals)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .bench import BenchConfig, run_scaling
-from .engine import METRICS_CSV_HEADER
+from .bench import JOB_COLUMNS, BenchConfig, job_fields, run_scaling
 from .io import read_svm_file
 from .multiply import SHARD_KINDS, PartitionSchema, partition_multiply
 from .nmf import run_nmf
@@ -105,17 +104,17 @@ def cmd_multiply(args):
     A = mio.read_matrix(args.a)
     B = mio.read_matrix(args.b)
     if A.cols != B.rows:
-        print(f"error: cannot multiply {args.a} ({A.rows}x{A.cols}) by "
-              f"{args.b} ({B.rows}x{B.cols}): inner dimensions differ", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot multiply {args.a} ({A.rows}x{A.cols}) by "
+                         f"{args.b} ({B.rows}x{B.cols}): inner dimensions differ")
     C, metrics = partition_multiply(A, B, args.schema, args.shard, args.workers)
     _require_finite([(args.out, C.values)])
     mio.write_matrix(C, args.out)
     if args.metrics:
+        run = [str(args.workers), str(args.schema), args.shard]
+        lines = [[*JOB_COLUMNS, "workers", "schema", "shard"]]
+        lines += [job_fields(m) + run for m in metrics]
         with open(args.metrics, "w", encoding="ascii") as fh:
-            fh.write(METRICS_CSV_HEADER + ",schema,shard\n")
-            for m in metrics:
-                fh.write(f"{m.to_csv_row()},{args.schema},{args.shard}\n")
+            fh.write("".join(",".join(line) + "\n" for line in lines))
     print(f"wrote {args.out}: nnz={C.nnz}")
     return 0
 
@@ -174,9 +173,8 @@ def cmd_svm_predict(args):
                                  f"alpha must be finite and >= 0, got {line.strip()}")
         alphas.append(alpha)
     if len(alphas) != T.rows:
-        print(f"error: {args.alpha} has {len(alphas)} values for {T.rows} "
-              f"examples in {args.data}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.alpha} has {len(alphas)} values for {T.rows} "
+                         f"examples in {args.data}")
     # prediction reads only the alphas, the labels and the examples
     state = SvmState(DenseVector(np.array(alphas)), None)
     prob = SvmProblem(T, y)
@@ -194,8 +192,7 @@ def cmd_pagerank(args):
     if n is None:
         n = int(np.max(edges, initial=-1)) + 1
         if n < 1:
-            print("error: empty graph and no --nodes given", file=sys.stderr)
-            return 1
+            raise ValueError("empty graph and no --nodes given")
     prob = pagerank_build(edges, args.damping, n)
     residuals = []
     pi, iters = pagerank(prob, args.tol, args.max_iters, args.workers, residual_sink=residuals)
@@ -240,19 +237,7 @@ def _config_parser():
     return p
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="mrmul", allow_abbrev=False,
-        description="Multi-worker multiplicative models: block matrix multiplication, "
-                    "NMF, SVM, and PageRank with a scaling benchmark harness.")
-    sub = top.add_subparsers(dest="command", required=True)
-    config = _config_parser()
-
-    def subcommand(name, summary):
-        # a flag or a config key matches only when spelled in full
-        return sub.add_parser(name, help=summary, parents=[config], allow_abbrev=False)
-
-    p = subcommand("generate", "generate a random sparse matrix")
+def _generate_args(p):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=parse_sparsity, required=True,
@@ -261,7 +246,8 @@ def build_parser():
     _add_common(p, workers=False, seed=True)
     p.set_defaults(fn=cmd_generate)
 
-    p = subcommand("multiply", "block matrix multiply two row-format files")
+
+def _multiply_args(p):
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--schema", type=parse_schema, default=PartitionSchema(1, 1, 1),
@@ -272,7 +258,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_multiply)
 
-    p = subcommand("nmf", "factorize a matrix with multiplicative updates")
+
+def _nmf_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iters", type=int, default=50)
@@ -280,7 +267,8 @@ def build_parser():
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_nmf)
 
-    p = subcommand("svm-train", "train the fixed-bias dual SVM")
+
+def _svm_train_args(p):
     p.add_argument("--data", required=True, help="label-prefixed sparse examples")
     p.add_argument("--c", type=float, default=1.0, help="box bound C (default 1)")
     p.add_argument("--eta", type=float, default=0.001, help="step size (default 0.001)")
@@ -289,7 +277,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_svm_train)
 
-    p = subcommand("svm-predict", "score query examples with trained alphas")
+
+def _svm_predict_args(p):
     p.add_argument("--data", required=True, help="training examples used to fit")
     p.add_argument("--alpha", required=True, help="alpha file from svm-train")
     p.add_argument("--query", required=True)
@@ -297,7 +286,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_svm_predict)
 
-    p = subcommand("pagerank", "rank an edge-list graph")
+
+def _pagerank_args(p):
     p.add_argument("--edges", required=True)
     p.add_argument("--nodes", type=int, default=None, help="node count (default max id + 1)")
     p.add_argument("--damping", type=float, default=0.85)
@@ -307,7 +297,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_pagerank)
 
-    p = subcommand("bench-scaling", "run the scaling experiment grid")
+
+def _bench_scaling_args(p):
     p.add_argument("--sizes", type=_list_of(int), default=(256, 512, 1024))
     p.add_argument("--deltas", type=_list_of(parse_sparsity), default=(2.0 ** -7,))
     p.add_argument("--schemas", type=_list_of(parse_schema), default=(PartitionSchema(20, 6, 20),))
@@ -316,6 +307,36 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     _add_common(p, workers=False, seed=True)
     p.set_defaults(fn=cmd_bench_scaling)
+
+
+# Each subcommand's summary and the function that adds its arguments.
+_SUBCOMMANDS = {
+    "generate": ("generate a random sparse matrix", _generate_args),
+    "multiply": ("block matrix multiply two row-format files", _multiply_args),
+    "nmf": ("factorize a matrix with multiplicative updates", _nmf_args),
+    "svm-train": ("train the fixed-bias dual SVM", _svm_train_args),
+    "svm-predict": ("score query examples with trained alphas", _svm_predict_args),
+    "pagerank": ("rank an edge-list graph", _pagerank_args),
+    "bench-scaling": ("run the scaling experiment grid", _bench_scaling_args),
+}
+
+
+def build_parser(command=None):
+    """The parser of the whole command line. Every subcommand is listed, so
+    help and usage read the same whichever is built; when command names a
+    subcommand, only its subparser gets its arguments, as only it will parse
+    any."""
+    top = argparse.ArgumentParser(
+        prog="mrmul", allow_abbrev=False,
+        description="Multi-worker multiplicative models: block matrix multiplication, "
+                    "NMF, SVM, and PageRank with a scaling benchmark harness.")
+    sub = top.add_subparsers(dest="command", required=True)
+    config = _config_parser()
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        # a flag or a config key matches only when spelled in full
+        p = sub.add_parser(name, help=summary, parents=[config], allow_abbrev=False)
+        if command not in _SUBCOMMANDS or command == name:
+            add_arguments(p)
     return top
 
 
@@ -355,8 +376,7 @@ def main(argv=None) -> int:
             rest = [rest[0]] + extra + rest[1:]
         else:
             rest = extra + rest
-    parser = build_parser()
-    args = parser.parse_args(rest)
+    args = build_parser(rest[0] if rest else None).parse_args(rest)
     try:
         workers = getattr(args, "workers_list", ()) + (getattr(args, "workers", 1),)
         if max(workers) > MAX_WORKERS:

@@ -139,17 +139,18 @@ class ShardFunction:
 class _Splitter:
     """Balanced contiguous split of a length into `parts` blocks."""
 
-    __slots__ = ("total", "parts", "starts")
+    __slots__ = ("parts", "starts")
 
     def __init__(self, total, parts):
-        self.total = total
         self.parts = parts
         # start of block b is ceil(b * total / parts); block_of below is its inverse
         self.starts = np.array(
             [(b * total + parts - 1) // parts for b in range(parts + 1)], dtype=np.int64)
 
     def block_of(self, i):
-        return i * self.parts // self.total
+        # the last block starting at or before i, which is i * parts // total
+        # without forming i * parts, as that wraps int64 for a wide matrix
+        return np.searchsorted(self.starts, i, side="right") - 1
 
     def range(self, b):
         return int(self.starts[b]), int(self.starts[b + 1])
@@ -275,7 +276,10 @@ def _sparse_product(blk, accumulate):
 
 def _takes_dense_path(tot, nr, gw, bw):
     """Whether blocks of tot products are multiplied as dense arrays, by
-    _dense_product, rather than on the sparse path; elementwise over arrays."""
+    _dense_product, rather than on the sparse path; elementwise over arrays.
+    The sizes are formed in float64, which is exact below 2**53 and cannot
+    wrap as int64 would for a block of 2**60 columns."""
+    tot, nr, gw, bw = (np.asarray(x, dtype=np.float64) for x in (tot, nr, gw, bw))
     dense_bytes = 8 * (nr * gw + gw * bw + nr * bw)
     return (tot * _DENSE_WORK_FACTOR >= nr * gw * bw) & (dense_bytes <= _DENSE_BYTES_CAP)
 
@@ -317,7 +321,7 @@ def _summation_batches(tot, nr, gw, bw, size):
     sparse &= ~dense
     for at in np.flatnonzero(dense)[:, None]:
         yield at, _DENSE
-    accumulate = nr * bw <= 2 * tot
+    accumulate = nr.astype(np.float64) * bw <= 2 * tot  # float64, as in _takes_dense_path
     for path, on in ((_ACCUMULATE, sparse & accumulate), (_SORT, sparse & ~accumulate)):
         at = np.flatnonzero(on)
         for lo, hi in _bounded_batches(np.cumsum(size[at]), _SUMMATION_BATCH):
@@ -375,6 +379,11 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     `workers`. Returns (C, [partition metrics, summation metrics])."""
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
+    # a cell of C is keyed row * B.cols + col in int64, in _expand_rows and
+    # summation_reducer alike
+    if A.rows * B.cols > np.iinfo(np.int64).max:
+        raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}: "
+                         f"the product's {A.rows} x {B.cols} cells pass 2^63-1")
     shard = ShardFunction(shard, workers)
     schema.validate_for(A, B)
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import mrmul
-from mrmul.cli import main, parse_schema, parse_sparsity
+from mrmul.bench import JOB_COLUMNS, job_fields
+from mrmul.cli import _SUBCOMMANDS, build_parser, main, parse_schema, parse_sparsity
+from mrmul.engine import JobError, JobSpec, run_job
 from mrmul.io import ParseError, read_matrix, write_matrix
-from mrmul.multiply import PartitionSchema
+from mrmul.multiply import PartitionSchema, partition_multiply
 
 from conftest import random_sparse
 
@@ -158,6 +160,18 @@ class TestMultiply:
             metrics.append(m.read_text())
         assert outs[0] == outs[1]
         assert metrics[0] != metrics[1]
+        # one row per job, under the job columns and the run's own three; the
+        # naive shard sums every row where its blocks were multiplied
+        cross = []
+        for text, shard in zip(metrics, ("naive", "rand")):
+            header, *rows = [line.split(",") for line in text.splitlines()]
+            assert header == ["stage", "shuffle_bytes", "cross_worker_bytes", "map_ms",
+                              "shuffle_ms", "reduce_ms", "scalar_ops", "workers", "schema",
+                              "shard"]
+            assert [(r[0], r[-3:]) for r in rows] == [
+                (stage, ["2", "4x3x4", shard]) for stage in ("partition", "summation")]
+            cross.append(int(rows[1][2]))
+        assert cross[0] == 0 < cross[1]
 
     def test_mismatched_shapes_diagnostic_names_both_files(self, tmp_path, capsys):
         A = random_sparse(4, 5, 0.5, seed=5)
@@ -181,6 +195,18 @@ class TestMultiply:
                     "--shard", "rand", "--workers", 4, "--out", o)
             outs.append(o.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestMetricsCsv:
+    """Every job row, of runs.csv and of multiply --metrics, is job_fields."""
+
+    def test_csv_row_shape(self):
+        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, sum(v))],
+                       lambda k: ord(k) % 2, workers=2, name="wordcount")
+        _, metrics = run_job(spec, ["a", "b"])
+        parts = job_fields(metrics)
+        assert parts[0] == "wordcount"
+        assert len(parts) == len(JOB_COLUMNS) == 7
 
 
 class TestNmf:
@@ -363,8 +389,19 @@ class TestBenchScaling:
                        "--schemas", "2x2x2", "--shards", "naive,rand",
                        "--workers-list", "1,2", "--out-dir", out) == 0
         runs = (out / "runs.csv").read_text().splitlines()
-        assert runs[0].startswith("size,delta,schema,shard,workers,stage")
-        assert len(runs) > 8
+        assert runs[0] == ("size,delta,schema,shard,workers,stage,shuffle_bytes,"
+                           "cross_worker_bytes,map_ms,shuffle_ms,reduce_ms,scalar_ops,"
+                           "elapsed_ms,nnz_a,nnz_b,nnz_c")
+        # 2 sizes x 2 shards x 2 worker counts, each cell two stage rows and a
+        # total row, which sums them and alone has an elapsed_ms
+        assert len(runs) == 1 + 2 * 2 * 2 * 3
+        for at in range(1, len(runs), 3):
+            stages = [row.split(",") for row in runs[at:at + 2]]
+            total = runs[at + 2].split(",")
+            assert [r[5] for r in stages] == ["partition", "summation"] and total[5] == "total"
+            for col in (6, 7, 11):  # shuffle_bytes, cross_worker_bytes, scalar_ops
+                assert int(total[col]) == sum(int(r[col]) for r in stages)
+            assert [r[12] for r in stages] == ["", ""] and float(total[12]) > 0
         fits = (out / "fits.csv").read_text().splitlines()
         assert any(line.startswith("slope_scalar_ops_vs_m") for line in fits)
         assert any(line.startswith("speedup_") for line in fits)
@@ -762,6 +799,69 @@ class TestErrorLinesNotTracebacks:
                        "--out-prefix", tmp_path / "pr_") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("pr_*"))
+
+
+    def test_map_failure_is_one_bounded_line(self, tmp_path, capsys, monkeypatch):
+        # a block product that runs out of memory fails the summation map on
+        # a worker's whole input record, whose repr runs past a megabyte
+        def refuse(blk, accumulate):
+            raise MemoryError("no room for the block product")
+
+        monkeypatch.setattr("mrmul.multiply._sparse_product", refuse)
+        A = random_sparse(300, 300, 0.05, seed=51)
+        B = random_sparse(300, 300, 0.05, seed=52)
+        with pytest.raises(JobError) as exc:
+            partition_multiply(A, B, PartitionSchema(20, 6, 20), "rand", 2)
+        assert exc.value.stage == "summation/map" and len(repr(exc.value.key)) > 1 << 20
+        af, bf, out = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        write_matrix(A, af)
+        write_matrix(B, bf)
+        assert run_cli("multiply", "--a", af, "--b", bf, "--schema", "20x6x20",
+                       "--shard", "rand", "--workers", 2, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: summation/map failed on key (")
+        assert err.endswith(": MemoryError('no room for the block product')\n")
+        assert err.count("\n") == 1 and len(err) <= 1024
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["multiply", "svm-predict", "pagerank"])
+    def test_command_refusal_is_one_line(self, tmp_path, capsys, command):
+        # checks a command makes on its own inputs end as every error does
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_matrix(random_sparse(4, 5, 0.5, seed=5), a)
+        write_matrix(random_sparse(4, 5, 0.5, seed=6), b)
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.5\n")
+        edges = tmp_path / "e.txt"
+        edges.write_text("\n")
+        argv, message = {
+            "multiply": (["--a", a, "--b", b, "--out", tmp_path / "out"],
+                         f"cannot multiply {a} (4x5) by {b} (4x5): inner dimensions differ"),
+            "svm-predict": (["--data", IRIS, "--alpha", alpha, "--query", IRIS,
+                             "--out", tmp_path / "out"],
+                            f"{alpha} has 1 values for 150 examples in {IRIS}"),
+            "pagerank": (["--edges", edges, "--out-prefix", tmp_path / "out"],
+                         "empty graph and no --nodes given"),
+        }[command]
+        assert run_cli(command, *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestParserBuiltForOneCommand:
+    """main gives arguments only to the subparser it runs, which reads as the
+    one of the whole parser."""
+
+    @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+    def test_help_same_as_full_parser(self, capsys, command):
+        texts = []
+        for parse in (build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse([command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: mrmul {command} [-h] [--config CONFIG]")
 
 
 # Runs one command in a fresh interpreter and prints, as JSON, its exit code

@@ -297,16 +297,6 @@ class TestBroadcastStore:
             store.get("missing")
 
 
-class TestMetricsCsv:
-    def test_csv_row_shape(self):
-        _, metrics = run_job(word_count_spec(2), ["a", "b"])
-        row = metrics.to_csv_row()
-        parts = row.split(",")
-        assert parts[0] == "wordcount"
-        assert parts[-1] == "2"
-        assert len(parts) == 7
-
-
 class TestRunJobProperty:
     """run_job against the sequential reference: map every record, group by
     key, keys ascending, each group's values in serialized order, reduce."""

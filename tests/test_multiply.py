@@ -178,6 +178,34 @@ class TestPartitionMultiply:
         with pytest.raises(ValueError, match="out of bounds"):
             partition_multiply(A, B, PartitionSchema(5, 1, 1))
 
+    # An 8x2 A with an entry in every row, against a 2 x width B with two
+    # entries, (0, 3) and (1, width - 1). A cell of C is keyed row * B.cols +
+    # col in int64, so a B 2^60 wide is refused; one 2^59 wide gives blocks
+    # whose dense-path sizes (rows x inner x width) pass 2^63, and at 2x1x32
+    # a column's block, col * 32 // width, would wrap.
+    @staticmethod
+    def _wide_operands(width):
+        A = SparseMatrix(8, 2, np.arange(9), np.arange(8) % 2, np.arange(1.0, 9.0))
+        B = SparseMatrix(2, width, [0, 1, 2], [3, width - 1], [0.5, -3.0])
+        return A, B
+
+    def test_wide_product_past_int64_refused(self):
+        A, B = self._wide_operands(2 ** 60)
+        with pytest.raises(ValueError, match=r"^cannot multiply 8x2 by 2x1152921504606846976: "):
+            partition_multiply(A, B, PartitionSchema(1, 1, 1), "rand", 2)
+
+    @pytest.mark.parametrize("schema", ["1x1x1", "2x2x2", "2x1x32"])
+    @pytest.mark.parametrize("width", [2 ** 59, 2 ** 40])
+    def test_wide_product_matches_dense_oracle(self, width, schema):
+        A, B = self._wide_operands(width)
+        C, _ = partition_multiply(A, B, PartitionSchema(*map(int, schema.split("x"))), "rand", 2)
+        # the dense oracle on B's two non-empty columns, the only ones C may hold
+        cols = np.array([3, width - 1])
+        expected = A.to_dense() @ np.array([[0.5, 0.0], [0.0, -3.0]])
+        assert C.indptr.tolist() == list(range(9))
+        assert C.indices.tolist() == cols[np.arange(8) % 2].tolist()
+        assert C.values.tolist() == expected[np.arange(8), np.arange(8) % 2].tolist()
+
     def test_partition_ships_one_record_per_sub_block(self):
         A = random_sparse(60, 50, 0.15, seed=81)
         B = random_sparse(50, 70, 0.15, seed=82)
