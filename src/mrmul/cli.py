@@ -73,16 +73,33 @@ def _list_of(parse):
     return parse_list
 
 
-def _write_column(path, values, index=None, header=None):
-    """Write one float per line, as its repr, each after "i," when index
-    gives the i's, under a header line when one is given."""
+def _column(values, index=None, header=None):
+    """One float per line, as its repr, each after "i," when index gives the
+    i's, under a header line when one is given."""
     values = np.asarray(values, dtype=np.float64).tolist()
     if index is None:
         lines = [f"{v!r}\n" for v in values]
     else:
         lines = [f"{i},{v!r}\n" for i, v in zip(np.asarray(index).tolist(), values)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join([header + "\n"] + lines if header else lines))
+    return "".join([header + "\n"] + lines if header else lines)
+
+
+def _write_files(files):
+    """Write each (path, content) in turn: a SparseMatrix by write_matrix,
+    text as it is. When a write raises, the files that the earlier ones
+    wrote are removed, so a command that fails leaves none of its files."""
+    written = []
+    try:
+        for path, content in files:
+            if isinstance(content, str):
+                Path(path).write_text(content, encoding="ascii")
+            else:
+                mio.write_matrix(content, path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _require_finite(outputs):
@@ -108,13 +125,13 @@ def cmd_multiply(args):
                          f"{args.b} ({B.rows}x{B.cols}): inner dimensions differ")
     C, metrics = partition_multiply(A, B, args.schema, args.shard, args.workers)
     _require_finite([(args.out, C.values)])
-    mio.write_matrix(C, args.out)
+    files = [(args.out, C)]
     if args.metrics:
         run = [str(args.workers), str(args.schema), args.shard]
         lines = [[*JOB_COLUMNS, "workers", "schema", "shard"]]
         lines += [job_fields(m) + run for m in metrics]
-        with open(args.metrics, "w", encoding="ascii") as fh:
-            fh.write("".join(",".join(line) + "\n" for line in lines))
+        files.append((args.metrics, "".join(",".join(line) + "\n" for line in lines)))
+    _write_files(files)
     print(f"wrote {args.out}: nnz={C.nnz}")
     return 0
 
@@ -126,14 +143,13 @@ def cmd_nmf(args):
     prefix, history = args.out_prefix, state.divergence_history
     _require_finite([(f"{prefix}W.txt", state.W.values), (f"{prefix}H.txt", state.H.values),
                      (f"{prefix}divergence.csv", history)])
-    mio.write_matrix(SparseMatrix.from_dense(state.W.values), f"{prefix}W.txt")
-    mio.write_matrix(SparseMatrix.from_dense(state.H.values), f"{prefix}H.txt")
-    _write_column(f"{prefix}divergence.csv", history, range(len(history)), "iter,value")
-    with open(f"{prefix}timings.csv", "w", encoding="ascii") as fh:
-        fh.write("iter,component,ms\n")
-        per_iter = 3
-        for j, (component, ms) in enumerate(timings):
-            fh.write(f"{j // per_iter},{component},{ms:.3f}\n")
+    per_iter = 3
+    timing_lines = [f"{j // per_iter},{component},{ms:.3f}\n"
+                    for j, (component, ms) in enumerate(timings)]
+    _write_files([(f"{prefix}W.txt", SparseMatrix.from_dense(state.W.values)),
+                  (f"{prefix}H.txt", SparseMatrix.from_dense(state.H.values)),
+                  (f"{prefix}divergence.csv", _column(history, range(len(history)), "iter,value")),
+                  (f"{prefix}timings.csv", "".join(["iter,component,ms\n"] + timing_lines))])
     print(f"final divergence {float(history[-1])!r} after {args.iters} iterations")
     return 0
 
@@ -145,9 +161,9 @@ def cmd_svm_train(args):
     prefix, history = args.out_prefix, state.objective_history
     _require_finite([(f"{prefix}alpha.txt", state.alpha.values),
                      (f"{prefix}objective.csv", history)])
-    _write_column(f"{prefix}alpha.txt", state.alpha.values)
-    _write_column(f"{prefix}objective.csv", history, range(len(history)), "iter,value")
     scores = svm_predict(state, prob, T, args.workers)
+    _write_files([(f"{prefix}alpha.txt", _column(state.alpha.values)),
+                  (f"{prefix}objective.csv", _column(history, range(len(history)), "iter,value"))])
     acc = accuracy(scores, y)
     print(f"training accuracy {acc:.4f} over {T.rows} examples")
     # projected ascent with a small enough step never lowers the dual objective
@@ -181,7 +197,7 @@ def cmd_svm_predict(args):
     Q, _ = read_svm_file(args.query, cols=T.cols)
     scores = svm_predict(state, prob, Q, args.workers)
     _require_finite([(args.out, scores.values)])
-    _write_column(args.out, scores.values)
+    _write_files([(args.out, _column(scores.values))])
     print(f"wrote {args.out}: {len(scores)} scores")
     return 0
 
@@ -197,10 +213,11 @@ def cmd_pagerank(args):
     residuals = []
     pi, iters = pagerank(prob, args.tol, args.max_iters, args.workers, residual_sink=residuals)
     prefix = args.out_prefix
-    _write_column(f"{prefix}pi.csv", pi.values, range(n))
     order = np.lexsort((np.arange(n), -pi.values))
-    _write_column(f"{prefix}ranks.csv", pi.values[order], order)
-    _write_column(f"{prefix}residuals.csv", residuals, range(len(residuals)), "iter,value")
+    _write_files([(f"{prefix}pi.csv", _column(pi.values, range(n))),
+                  (f"{prefix}ranks.csv", _column(pi.values[order], order)),
+                  (f"{prefix}residuals.csv",
+                   _column(residuals, range(len(residuals)), "iter,value"))])
     print(f"converged={residuals[-1] < args.tol if residuals else False} "
           f"iterations={iters} sum={float(pi.values.sum())!r}")
     return 0

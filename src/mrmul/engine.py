@@ -11,21 +11,24 @@ order column) before reduction.
 A mapper emits its records in one of two forms. (key, value) pairs are
 pickled one by one (protocol 5), and each key group is reduced by its own
 reducer call. A RecordBatch holds many records as columns: int64 keys, an
-int64 order column and payload arrays. A batch job's records are placed by
-one vectorised shard_fn call over the key columns, sorted by (key, order)
-with one stable sort, and each worker's records are reduced by one reducer
-call, in key order. A repeated (key, order) is refused, so no value order
-comes from arrival order.
+int64 order column, and the start and count of each record's payload in
+shared payload arrays, so records may share entries. A batch job's records
+are placed by one vectorised shard_fn call over the key columns, sorted by
+(key, order) with one stable sort, and each worker's records are reduced by
+one reducer call, in key order; the sort and placement move keys, order,
+starts and counts, never an entry. A repeated (key, order) is refused, so no
+value order comes from arrival order.
 
 Both paths stay because each is the faster one for its jobs. A job of a few
 records pays a batch's fixed cost in array set-up and sorting: the broadcast
-multiply's job, rewritten as a batch job of one record per block, took 2.5
-times as long as on pairs, 233 against 94 us a call (a 500x300 sparse by
-300x1 product on 2 workers, best of 40 runs of 200 calls, 2-core Xeon). A
-job of many small records pays pickling and a reducer call per key on
-pairs: the summation job of the partition-summation product, moved to
-batches, cut the multiply-sparse benchmark's wall time from 0.352 to
-0.212 s.
+multiply's job, the pair path's one user in mrmul, rewritten as a batch job
+of one record per block, took 2.2 to 2.5 times as long as on pairs, 198
+against 80 to 90 us a call (a 500x300 sparse by 300x1 product on 2 workers,
+best of 40 runs of 200 calls, 2-core Xeon). A job of many small records pays
+pickling and a reducer call per key on pairs: both jobs of the
+partition-summation product run as batch jobs, the partition job's records
+sharing each sub-block's entries, and its partition stage fell from about
+20 to 4 ms on the multiply-sparse benchmark's operands.
 
 Map tasks run on a thread pool, at most one thread per core, and each task
 still runs as its worker, when the job asks for it (JobSpec.parallel); else
@@ -36,7 +39,8 @@ failing key in key order at any worker count.
 
 Shuffle volume is measured on the bytes that really travel: a pair's pickled
 form, or a batch record's key and order int64s plus its slice of every
-payload column. So byte counts are comparable across shard strategies.
+payload column, counted once per record even where records share entries.
+So byte counts are comparable across shard strategies.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
+
+from .sparse import csr_indptr, csr_spans
 
 __all__ = [
     "KeyedRecord",
@@ -77,13 +83,21 @@ class KeyedRecord(NamedTuple):
 
 class RecordBatch(NamedTuple):
     """Records as columns. Record r has the key keys[r], an int64 row of
-    the key width, and the value-order order[r]; its payload is counts[r]
-    entries of each column, those after the entries of records 0..r-1."""
+    the key width, and the value-order order[r]; its payload is entries
+    starts[r] up to starts[r] + counts[r] of each column. Records may share
+    entries, and the engine's sort and placement move only keys, order,
+    starts and counts."""
 
     keys: np.ndarray      # (n, w) int64
     order: np.ndarray     # (n,) int64
+    starts: np.ndarray    # (n,) int64
     counts: np.ndarray    # (n,) int64
-    columns: tuple        # 1-D arrays, each counts.sum() long
+    columns: tuple        # 1-D arrays of one length
+
+    def entries(self):
+        """Each column's payload entries of the records, record after record."""
+        at = csr_spans(self.starts, self.counts)
+        return tuple(c[at] for c in self.columns)
 
 
 # A map failure's "key" is its input record, which may be a worker's whole
@@ -94,10 +108,11 @@ _KEY_REPR_CAP = 200
 
 class JobError(RuntimeError):
     """A user function raised; carries the stage and the failing key/record.
-    The message abridges the key and keeps the cause's own text."""
+    The message abridges the key onto one line and keeps the cause's own
+    text."""
 
     def __init__(self, stage, key, cause):
-        shown = reprlib.repr(key)
+        shown = " ".join(reprlib.repr(key).split())  # numpy splits an array's repr over lines
         if len(shown) > _KEY_REPR_CAP:
             shown = shown[:_KEY_REPR_CAP - 3] + "..."
         super().__init__(f"{stage} failed on key {shown}: {cause!r}")
@@ -163,8 +178,10 @@ class JobSpec:
     shard_fn(key_columns) takes the tuple of the key columns of all records
     and returns the worker of every record as an int array, and
     reducer(batch) is called once per worker that holds records, with those
-    records sorted by (key, order), and returns a RecordBatch. The job's
-    output is the reducers' batches merged into one, sorted by (key, order).
+    records sorted by (key, order), and returns a RecordBatch, whose records
+    may share the entries of its input's. The job's output is the reducers'
+    batches merged into one, sorted by (key, order), or [] when it has no
+    records; read its entries side by side through RecordBatch.entries().
 
     map_affinity optionally pins input records to the worker where they
     already reside (modeling data locality from a previous stage); by
@@ -385,33 +402,29 @@ def _runs(rows):
 
 
 def _concat(batches):
+    """One batch of the records of batches, in turn; batches is emptied.
+    Batches that share a columns tuple share its entries, so each distinct
+    tuple is joined once, and each column's pieces are freed once joined."""
     if len(batches) == 1:
-        return batches[0]
-    return RecordBatch(np.concatenate([b.keys for b in batches]),
-                       np.concatenate([b.order for b in batches]),
-                       np.concatenate([b.counts for b in batches]),
-                       tuple(map(np.concatenate, zip(*[b.columns for b in batches]))))
+        return batches.pop()
+    pieces = {id(b.columns): list(b.columns) for b in batches}
+    base = dict(zip(pieces, csr_indptr([len(p[0]) if p else 0 for p in pieces.values()])))
+    meta = [np.concatenate([b.keys for b in batches]), np.concatenate([b.order for b in batches]),
+            np.concatenate([b.starts + base[id(b.columns)] for b in batches]),
+            np.concatenate([b.counts for b in batches])]
+    batches.clear()
+    first, *rest = pieces.values()
+    for f in range(len(first) if rest else 0):
+        first[f] = np.concatenate([first[f]] + [p[f] for p in rest])
+        for p in rest:
+            p[f] = None
+    return RecordBatch(*meta, tuple(first))
 
 
-def _ends(batch):
-    return np.concatenate(([0], np.cumsum(batch.counts)))
-
-
-def _take(batch, perm):
-    """The records perm of batch, in that order, with their entries."""
-    counts = batch.counts[perm]
-    # entry t of the result is entry t - moved + first of its record
-    first, moved = _ends(batch)[perm], np.cumsum(counts) - counts
-    at = np.repeat(first - moved, counts) + np.arange(counts.sum())
-    return RecordBatch(batch.keys[perm], batch.order[perm], counts,
-                       tuple(c[at] for c in batch.columns))
-
-
-def _records(batch, lo, hi, ends):
-    """A view of records [lo, hi) of batch; ends[r] is the entries of the
-    records before r."""
-    return RecordBatch(batch.keys[lo:hi], batch.order[lo:hi], batch.counts[lo:hi],
-                       tuple(c[ends[lo]:ends[hi]] for c in batch.columns))
+def _take(batch, at):
+    """The records `at` (indices or a slice) of batch, sharing its entries."""
+    return RecordBatch(batch.keys[at], batch.order[at], batch.starts[at], batch.counts[at],
+                       batch.columns)
 
 
 def _key_order(batch, stage):
@@ -436,11 +449,11 @@ def _shuffle_batches(spec, map_out):
     if any(pairs for _, pairs, _ in map_out):
         raise JobError(f"{spec.name}/map", None,
                        TypeError("mappers returned both pairs and RecordBatches"))
-    pieces = [(w, batch) for w, _, batches in map_out for batch in batches]
-    whole = _concat([batch for _, batch in pieces])
-    src = np.repeat([w for w, _ in pieces], [batch.counts.size for _, batch in pieces])
-    del pieces
-    map_out.clear()  # the mappers' batches are freed once joined
+    src = np.repeat([w for w, _, batches in map_out for _ in batches],
+                    [b.counts.size for _, _, batches in map_out for b in batches])
+    batches = [b for _, _, out in map_out for b in out]
+    map_out.clear()  # so the mappers' columns are freed as they are joined
+    whole = _concat(batches)
     perm = _key_order(whole, stage)
     keys = whole.keys[perm]
     dest = np.asarray(spec.shard_fn(tuple(keys.T)), dtype=np.int64)
@@ -456,25 +469,23 @@ def _shuffle_batches(spec, map_out):
 
 def _reduce_batches(spec, plan):
     """One reducer call per worker that holds records, in worker order, on
-    views of the sorted records; the outputs merged in (key, order)."""
+    a slice of the sorted records; the outputs merged in (key, order)."""
     whole, workers = plan
-    ends = _ends(whole)
     bounds = _runs(workers[:, None])
     outs = []
     try:
         for lo, hi in zip(bounds, bounds[1:]):
             _worker_ctx.worker = int(workers[lo])
-            part = _records(whole, lo, hi, ends)
+            part = _take(whole, slice(lo, hi))
             try:
                 outs.append(spec.reducer(part))
             except Exception as exc:
                 _raise_first_failure(spec, whole, workers, part, exc)
     finally:
         _worker_ctx.worker = None
-    if not outs:
+    merged = _concat(outs) if outs else None
+    if merged is None or merged.counts.size == 0:
         return []
-    merged = _concat(outs)
-    outs.clear()  # freed before the sorted copy is made
     return _take(merged, _key_order(merged, f"{spec.name}/reduce"))
 
 
@@ -486,12 +497,11 @@ def _raise_first_failure(spec, whole, workers, failed, exc):
     stage = f"{spec.name}/reduce"
     perm = np.lexsort(whole.keys.T[::-1])  # stable: a key's records stay in order
     whole, workers = _take(whole, perm), workers[perm]
-    ends = _ends(whole)
     bounds = _runs(whole.keys)
     for lo, hi in zip(bounds, bounds[1:]):
         _worker_ctx.worker = int(workers[lo])
         try:
-            spec.reducer(_records(whole, lo, hi, ends))
+            spec.reducer(_take(whole, slice(lo, hi)))
         except Exception as key_exc:
             raise JobError(stage, _key_of(whole.keys, lo), key_exc) from key_exc
     raise JobError(stage, _key_of(failed.keys, 0), exc) from exc

@@ -5,12 +5,15 @@ one splits both operands into block groups keyed by (alpha, beta, gamma) and
 ships each group to the worker chosen by the shard function; stage two
 multiplies the paired sub-blocks where they landed and sums partial rows per
 output row, ascending gamma, so results are bit-identical for any worker
-count and shard choice. Stage one's reducer pairs each key's A and B
-sub-blocks, rows sent as row counts, without decoding them, so stage two's
-input is one record per worker holding the byte strings of all of its block
-pairs. Its mapper decodes them a bounded batch at a time, with one join per
-array, straight into one stacked CSR whose product is one vectorised pass;
-a dense-path block is multiplied alone by BLAS. A sparse-path block sums its
+count and shard choice. Both stages are batch jobs. Stage one's mappers cut
+each row block into COO sub-blocks (rows, block-local columns, values), each
+stored once and shipped as one record per block it pairs with, all sharing
+its entries; its reducer keeps each key that holds both an A and a B
+sub-block without moving an entry. Stage two's input is one record per
+worker: stage one's output and the blocks placed there. Its mapper gathers
+a worker's blocks once, in the order of their batches, and stacks each
+bounded batch into one CSR whose product is one vectorised pass; a
+dense-path block is multiplied alone by BLAS. A sparse-path block sums its
 products in a dense accumulator when it has few output cells per product,
 else by a sort; the choice is the block's own, so no sum depends on the
 batching. Every block still emits one record per non-empty output row:
@@ -18,7 +21,7 @@ a worker emits them as one RecordBatch, keyed (alpha, i), ordered by
 gamma * k + beta, its payload the rows' columns and values. The engine sorts
 them by (key, order), and each worker's reducer sums all of its rows in one
 segmented pass, a stable sort by cell and one bincount; C is built straight
-from the output batch's row counts and columns.
+from the output batch's row counts and its entries, gathered once.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import Accumulator, BroadcastStore, JobSpec, RecordBatch, run_job
-from .sparse import DenseMatrix, SparseMatrix, csr_indptr, csr_rows
+from .sparse import DenseMatrix, SparseMatrix, csr_indptr, csr_rows, csr_spans
 
 __all__ = [
     "SHARD_KINDS",
@@ -171,10 +174,6 @@ class _Block(NamedTuple):
     beta_width: int
 
 
-# A paired sub-block travels between the two jobs as the byte strings of
-# _Block's arrays in field order, each indptr as its row counts, of these dtypes.
-_PAYLOAD_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.int64, np.float64)
-
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
@@ -297,15 +296,6 @@ def _dense_product(blk: _Block):
     return np.bincount(rr, minlength=nr), cc.astype(np.int64), Cd[rr, cc]
 
 
-def _product_counts(a_cols, b_counts, na, gw):
-    """The product count (a[i,k]*b[k,j] terms) of every block of a worker, in
-    one pass over the A columns and the B row counts of all of its blocks,
-    each joined end to end; na and gw are the blocks' A entries and gamma
-    widths."""
-    len_k = b_counts[a_cols + np.repeat(csr_indptr(gw)[:-1], na)]
-    return np.add.reduceat(len_k, csr_indptr(na)[:-1])  # every block has A entries
-
-
 def _summation_batches(tot, nr, gw, bw, size):
     """Cut a worker's blocks into (block indices, path) batches, from the
     arrays of each block's product count, rows, gamma and beta widths and
@@ -328,21 +318,30 @@ def _summation_batches(tot, nr, gw, bw, size):
             yield at[lo:hi], path
 
 
-def _decode_stack(fields, at, na, gw, bw):
-    """The _Block whose product is that of blocks `at` side by side, decoded
-    from their payload fields with one join per field; na, gw and bw are the
-    blocks' A entries, gamma widths and beta widths.
+def _row_starts(rows, counts):
+    """Whether each entry starts a row of its block, for blocks of counts
+    entries each, one after another, whose entries are in row order."""
+    new_row = np.empty(rows.size, dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+    new_row[csr_indptr(counts)[:-1]] = True
+    return new_row
 
-    The blocks' A rows follow one another, and so do their B rows, so each
-    indptr is that of the joined row counts. Each A entry points into its
-    own block's B rows. B's columns stay block-local, so the stack is as
-    wide as its widest block."""
-    sel = at.tolist()
-    row_ids, a_counts, a_cols, a_vals, b_counts, b_cols, b_vals = (
-        np.frombuffer(b"".join([f[i] for i in sel]), dtype=t)
-        for f, t in zip(fields, _PAYLOAD_DTYPES))
-    return _Block(row_ids, csr_indptr(a_counts), a_cols + np.repeat(csr_indptr(gw)[:-1], na),
-                  a_vals, csr_indptr(b_counts), b_cols, b_vals, int(bw.max()))
+
+def _stack(a, b, na, nb, gw, width):
+    """The _Block whose product is that of COO blocks side by side: a and b
+    hold the (rows, block-local columns, values) of their A and B entries,
+    block after block, and na, nb and gw the blocks' A and B entry counts
+    and gamma widths; width is that of the widest block.
+
+    The blocks' A rows follow one another, and so do their B rows. Each A
+    entry points into its own block's B rows. B's columns stay block-local,
+    so the stack is as wide as its widest block."""
+    (a_rows, a_cols, a_vals), (b_rows, b_cols, b_vals) = a, b
+    gamma_row = csr_indptr(gw)[:-1]  # each block's first row in the stack's B rows
+    first = np.flatnonzero(_row_starts(a_rows, na))
+    b_counts = np.bincount(b_rows + np.repeat(gamma_row, nb), minlength=int(gw.sum()))
+    return _Block(a_rows[first], np.append(first, a_rows.size), a_cols + np.repeat(gamma_row, na),
+                  a_vals, csr_indptr(b_counts), b_cols, b_vals, width)
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -356,20 +355,6 @@ def _row_sums(vals, cols, starts, rhs):
     per entry of starts, the ascending first entries of non-empty rows, the
     first of them 0. Each row's products are added in column order."""
     return np.add.reduceat(vals[:, None] * rhs.take(cols, axis=0), starts, axis=0)
-
-
-def _cut_columns(indptr, cols, vals, split: _Splitter):
-    """Cut a CSR row block at the column bounds of `split`. Yields
-    (column block, local row per entry, block-local cols, vals) for each
-    column block holding an entry, entries in row-major order."""
-    if cols.size == 0:
-        return
-    rows = csr_rows(indptr)
-    part = split.block_of(cols)
-    order = np.argsort(part, kind="stable")
-    for sel in np.split(order, np.flatnonzero(np.diff(part[order])) + 1):
-        b = int(part[sel[0]])
-        yield b, rows[sel], cols[sel] - split.starts[b], vals[sel]
 
 
 def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema,
@@ -393,62 +378,88 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     csplit = _Splitter(B.cols, k)
     ops = Accumulator()
 
-    # Input records are row blocks: A cut by alpha, B by gamma. Each emits one
-    # CSR sub-block per non-empty column block, duplicated once per block it
-    # pairs with. Keys are plain (alpha, beta, gamma) tuples: alpha is the
-    # output block-row, beta the output block-column, gamma the inner block.
+    # Input records are row blocks: A cut by alpha, B by gamma. Each cuts its
+    # entries at the column-block bounds into COO sub-blocks (rows, block-local
+    # columns, values, row-major), stored once, and ships each sub-block as one
+    # record per block it pairs with, all sharing its entries: an A sub-block
+    # at order 0 for every beta, a B sub-block at order 1 for every alpha.
+    # Keys are (alpha, beta, gamma): alpha is the output block-row, beta the
+    # output block-column, gamma the inner block. A's rows are rows of A, B's
+    # rows those of its gamma row block.
     def partition_mapper(rec):
         tag, blk, indptr, cols, vals, first_row = rec
-        out = []
+        split, fan = (isplit, k) if tag == "A" else (csplit, m)
+        part = split.block_of(cols)
+        by_part = np.argsort(part, kind="stable")
+        part = part[by_part]
+        sizes = np.bincount(part, minlength=split.parts)
+        held = np.flatnonzero(sizes)  # the column blocks holding an entry
+        piece = np.repeat(np.arange(held.size), fan)  # the sub-block of each record
+        pair = np.tile(np.arange(fan), held.size)     # the block it pairs with
+        mine = np.full(piece.size, blk)
+        keys = (mine, pair, held[piece]) if tag == "A" else (pair, held[piece], mine)
+        rows = csr_rows(indptr)[by_part]
         if tag == "A":
-            for gamma, rows, lcols, lvals in _cut_columns(indptr, cols, vals, isplit):
-                row_ids, counts = np.unique(rows, return_counts=True)
-                payload = ("A", (row_ids + first_row).tobytes(), counts.tobytes(),
-                           lcols.tobytes(), lvals.tobytes())
-                out += [((blk, beta, gamma), payload) for beta in range(k)]
-            ops.add(cols.size * k)
-        else:
-            gw = indptr.size - 1
-            for beta, rows, lcols, lvals in _cut_columns(indptr, cols, vals, csplit):
-                counts = np.bincount(rows, minlength=gw)
-                payload = ("B", counts.tobytes(), lcols.tobytes(), lvals.tobytes())
-                out += [((alpha, beta, blk), payload) for alpha in range(m)]
-            ops.add(cols.size * m)
-        return out
+            rows += first_row
+        ops.add(cols.size * fan)
+        return RecordBatch(np.column_stack(keys), np.full(piece.size, int(tag == "B")),
+                           csr_indptr(sizes[held])[piece], sizes[held][piece],
+                           (rows, cols[by_part] - split.starts[part], vals[by_part]))
 
-    # A key receives at most one A and one B sub-block; both arrive with
-    # block-local column indices. A paired key ships their byte strings as
-    # they came, as one payload in _Block's field order; the summation mapper
-    # decodes them a batch at a time.
-    def partition_reducer(key, pieces):
-        ops.add(sum([len(p[-2]) for p in pieces]) >> 3)  # column entries received
-        if len(pieces) < 2:
-            return []
-        a, b = pieces if pieces[0][0] == "A" else pieces[::-1]
-        return [(key, a[1:] + b[1:])]
+    # A key receives at most one A sub-block, at order 0, and one B, at order
+    # 1. A paired key keeps both records, which still share the mappers'
+    # entries; the summation mapper gathers them a worker at a time.
+    def partition_reducer(batch):
+        ops.add(int(batch.counts.sum()))  # column entries received
+        paired = np.flatnonzero((batch.keys[1:] == batch.keys[:-1]).all(axis=1))
+        at = (paired[:, None] + (0, 1)).ravel()
+        return RecordBatch(batch.keys[at], batch.order[at], batch.starts[at], batch.counts[at],
+                           batch.columns)
 
     col_start = csplit.starts
     col_width = np.diff(col_start)
+    gamma_width = np.diff(isplit.starts)
 
-    # The input is one record per worker: the (key, payload) pairs the
-    # partition job placed there. Each batch's payloads are decoded straight
-    # into one stack, and every non-empty output row of a block is one
-    # record of the worker's one RecordBatch: key (alpha, i), order
-    # gamma * k + beta, and its columns and values as payload.
+    # The input is one record per worker: the partition job's output and the
+    # indices of the blocks placed there. A worker's blocks are read once to
+    # find each one's products and rows, then gathered once in the order of
+    # their batches, so that each batch's entries are slices. Every
+    # non-empty output row of a block is one record of the worker's one
+    # RecordBatch: key (alpha, i), order gamma * k + beta, and its columns
+    # and values as payload.
     def summation_mapper(rec):
-        _, placed = rec
-        keys, payloads = zip(*placed)
-        fields = tuple(zip(*payloads))
-        nr, na, gw, nb = (np.fromiter(map(len, fields[f]), np.int64, len(keys)) >> 3
-                          for f in (0, 2, 4, 5))
-        tot = _product_counts(np.frombuffer(b"".join(fields[2]), dtype=np.int64),
-                              np.frombuffer(b"".join(fields[4]), dtype=np.int64), na, gw)
+        _, pairs, placed = rec
+        blocks = 2 * placed  # each block's A record in pairs; its B record follows
+        block_keys = pairs.keys[blocks]
+        gw, bw = gamma_width[block_keys[:, 2]], col_width[block_keys[:, 1]]
+        col_off = col_start[block_keys[:, 1]]
+        na, nb = pairs.counts[blocks], pairs.counts[blocks + 1]
+        e_rows, e_cols, e_vals = pairs.columns
+        a_at = csr_spans(pairs.starts[blocks], na)
+        b_at = csr_spans(pairs.starts[blocks + 1], nb)
+        # each block's products and rows, in key order, give its path and batch
+        gamma_row = csr_indptr(gw)[:-1]
+        b_counts = np.bincount(e_rows[b_at] + np.repeat(gamma_row, nb), minlength=int(gw.sum()))
+        first_a = csr_indptr(na)[:-1]
+        tot = np.add.reduceat(b_counts[e_cols[a_at] + np.repeat(gamma_row, na)], first_a)
+        nr = np.add.reduceat(_row_starts(e_rows[a_at], na), first_a)
         ops.add(int(tot.sum()))
-        block_keys = np.array(keys, dtype=np.int64)  # (alpha, beta, gamma) per block
-        bw, col_off = col_width[block_keys[:, 1]], col_start[block_keys[:, 1]]
+        batches = list(_summation_batches(tot, nr, gw, bw, na + nb + gw))
+        if not batches:
+            return []
+        seq = np.concatenate([at for at, _ in batches])
+        a_at = csr_spans(pairs.starts[blocks[seq]], na[seq])
+        b_at = csr_spans(pairs.starts[blocks[seq] + 1], nb[seq])
+        a = (e_rows[a_at], e_cols[a_at], e_vals[a_at])
+        b = (e_rows[b_at], e_cols[b_at], e_vals[b_at])
+        a_end, b_end = csr_indptr(na[seq]), csr_indptr(nb[seq])
         row_block, row_ids, row_counts, cols, vals = [], [], [], [], []
-        for at, path in _summation_batches(tot, nr, gw, bw, na + nb + gw):
-            blk = _decode_stack(fields, at, na[at], gw[at], bw[at])
+        lo = 0
+        for at, path in batches:
+            hi = lo + at.size
+            blk = _stack([x[a_end[lo]:a_end[hi]] for x in a], [x[b_end[lo]:b_end[hi]] for x in b],
+                         na[at], nb[at], gw[at], int(bw[at].max()))
+            lo = hi
             if path == _DENSE:
                 counts, c, v = _dense_product(blk)
             else:
@@ -461,11 +472,10 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
             c += np.repeat(col_off[on_row], counts)
             cols.append(c)
             vals.append(v)
-        if not cols:
-            return []
         alpha, beta, gamma = block_keys[np.concatenate(row_block)].T
+        row_counts = np.concatenate(row_counts)
         return RecordBatch(np.column_stack((alpha, np.concatenate(row_ids))), gamma * k + beta,
-                           np.concatenate(row_counts),
+                           csr_indptr(row_counts)[:-1], row_counts,
                            (np.concatenate(cols), np.concatenate(vals)))
 
     # A row's partials each hold distinct columns, and a column comes from one
@@ -474,7 +484,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     # column, keeps that order within each cell, and bincount adds each
     # cell's addends in it.
     def summation_reducer(batch):
-        keys, _, counts, (cols, vals) = batch
+        keys, counts = batch.keys, batch.counts
+        cols, vals = batch.entries()
         ops.add(vals.size)
         new_key = np.empty(keys.shape[0], dtype=bool)
         new_key[0] = True
@@ -490,48 +501,48 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
         cell = cell[first]
         out_keys = keys[new_key]
+        out_counts = np.bincount(cell // B.cols, minlength=out_keys.shape[0])
         return RecordBatch(out_keys, np.zeros(out_keys.shape[0], dtype=np.int64),
-                           np.bincount(cell // B.cols, minlength=out_keys.shape[0]),
-                           (cell % B.cols, sums))
+                           csr_indptr(out_counts)[:-1], out_counts, (cell % B.cols, sums))
 
     records = [("A", alpha, *_row_block(A, *asplit.range(alpha))) for alpha in range(m)]
     records += [("B", gamma, *_row_block(B, *isplit.range(gamma))) for gamma in range(n)]
 
-    # Partition tasks are a few row-block cuts plus record serialization,
-    # mostly Python-level, so threads would only add GIL handoffs. Summation
-    # map tasks run in parallel when the per-block multiply work is chunky
-    # enough to profit.
+    # Partition tasks are a few vectorised row-block cuts, too short for
+    # threads to repay their GIL handoffs. Summation map tasks run in
+    # parallel when the per-block multiply work is chunky enough to profit.
     total_products = int(np.diff(B.indptr)[A.indices].sum()) if A.nnz else 0
     blocks = m * n * k
     if total_products * _DENSE_WORK_FACTOR >= A.rows * A.cols * B.cols:
         per_block_work = A.rows * A.cols * B.cols // blocks
     else:
         per_block_work = total_products // blocks
-    # Placements are tabled once per call: block_place[alpha][beta][gamma],
-    # and the array row_place, whose entry i places output row i of block-row
-    # alpha; one lookup of a batch's i column places all of its records.
-    block_place = shard.block_table(m, k, n).tolist()
+    # Placements are tabled once per call: block_place[alpha, beta, gamma],
+    # and row_place, whose entry i places output row i of block-row alpha;
+    # one lookup of a batch's key columns places all of its records.
+    block_place = shard.block_table(m, k, n)
     row_place = shard.row_table(asplit.block_of(np.arange(A.rows)))
-    job1 = JobSpec(partition_mapper, partition_reducer,
-                   shard_fn=lambda key: block_place[key[0]][key[1]][key[2]],
+    job1 = JobSpec(partition_mapper, partition_reducer, shard_fn=block_place.__getitem__,
                    workers=workers, name="partition", ops=ops, parallel=False)
-    grouped, m1 = run_job(job1, records)
+    pairs, m1 = run_job(job1, records)
 
-    on_worker = {}
-    for rec in grouped:
-        alpha, beta, gamma = rec.key
-        on_worker.setdefault(block_place[alpha][beta][gamma], []).append(rec)
+    per_worker = []
+    if pairs:  # a RecordBatch, or [] when no block has both sub-blocks
+        place = block_place[tuple(pairs.keys[::2].T)]
+        by_worker = np.argsort(place, kind="stable")  # each worker's blocks in key order
+        per_worker = [(int(place[at[0]]), pairs, at)
+                      for at in np.split(by_worker, np.flatnonzero(np.diff(place[by_worker])) + 1)]
     job2 = JobSpec(summation_mapper, summation_reducer,
                    shard_fn=lambda key: row_place[key[1]],
                    workers=workers, name="summation", ops=ops, map_affinity=itemgetter(0),
                    parallel=per_block_work >= _PARALLEL_MIN_BLOCK_WORK)
-    summed, m2 = run_job(job2, sorted(on_worker.items()))
+    summed, m2 = run_job(job2, per_worker)
 
     counts = np.zeros(A.rows, dtype=np.int64)
     indices = values = ()
     if summed:  # a RecordBatch, or [] when no block pair has a product
         counts[summed.keys[:, 1]] = summed.counts
-        indices, values = summed.columns
+        indices, values = summed.entries()
     return SparseMatrix(A.rows, B.cols, csr_indptr(counts), indices, values), [m1, m2]
 
 

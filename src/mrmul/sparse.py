@@ -8,7 +8,8 @@ assembly) goes through it: it copies the arrays it is given into arrays of
 its own, validates them, drops explicit zeros and makes them read-only, so
 instances are immutable and safe to share across workers. csr_indptr and
 csr_rows are the format's two index idioms, row pointers from row counts and
-the row of each stored entry, for every module that works on the arrays.
+the row of each stored entry, for every module that works on the arrays;
+csr_spans gathers rows, or any spans of entries, that need not be adjacent.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "GeneratorParams",
     "csr_indptr",
     "csr_rows",
+    "csr_spans",
     "transpose",
     "elementwise_update",
     "generate_random",
@@ -41,6 +43,13 @@ def csr_indptr(counts):
 def csr_rows(indptr):
     """The row index of every stored entry, from the row pointers."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+
+
+def csr_spans(starts, counts):
+    """The index of every entry of the spans [starts[i], starts[i] +
+    counts[i]), span after span."""
+    # entry t of the result, in span i, is starts[i] + t - (entries before span i)
+    return np.repeat(starts - csr_indptr(counts)[:-1], counts) + np.arange(np.sum(counts))
 
 
 class SparseMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -803,7 +804,8 @@ class TestErrorLinesNotTracebacks:
 
     def test_map_failure_is_one_bounded_line(self, tmp_path, capsys, monkeypatch):
         # a block product that runs out of memory fails the summation map on
-        # a worker's whole input record, whose repr runs past a megabyte
+        # a worker's whole input record; a record whose repr runs past a
+        # megabyte is tested in test_engine
         def refuse(blk, accumulate):
             raise MemoryError("no room for the block product")
 
@@ -812,7 +814,7 @@ class TestErrorLinesNotTracebacks:
         B = random_sparse(300, 300, 0.05, seed=52)
         with pytest.raises(JobError) as exc:
             partition_multiply(A, B, PartitionSchema(20, 6, 20), "rand", 2)
-        assert exc.value.stage == "summation/map" and len(repr(exc.value.key)) > 1 << 20
+        assert exc.value.stage == "summation/map"
         af, bf, out = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
         write_matrix(A, af)
         write_matrix(B, bf)
@@ -846,6 +848,97 @@ class TestErrorLinesNotTracebacks:
         assert run_cli(command, *argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("out*"))
+
+
+class TestFailedCommandLeavesNoFile:
+    """A command whose later write fails removes the files it wrote before,
+    so exit 1 leaves none of its result files."""
+
+    def _fails_cleanly(self, capsys, argv, out_dir, kept=()):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(kept)
+
+    def test_multiply_metrics_in_missing_dir(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        write_matrix(random_sparse(30, 30, 0.3, seed=3), a)
+        out = tmp_path / "out"
+        out.mkdir()
+        self._fails_cleanly(capsys, ["multiply", "--a", a, "--b", a, "--schema", "2x2x2",
+                                     "--out", out / "c.txt",
+                                     "--metrics", out / "missing" / "m.csv"], out)
+
+    def test_nmf_timings_path_is_a_directory(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        write_matrix(random_sparse(8, 6, 0.5, seed=4), a)
+        out = tmp_path / "out"
+        (out / "nmf_timings.csv").mkdir(parents=True)
+        self._fails_cleanly(capsys, ["nmf", "--input", a, "--k", 2, "--iters", 2,
+                                     "--out-prefix", out / "nmf_"], out, ["nmf_timings.csv"])
+
+    def test_pagerank_ranks_path_is_a_directory(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t2\n2\t0\n")
+        out = tmp_path / "out"
+        (out / "pr_ranks.csv").mkdir(parents=True)
+        self._fails_cleanly(capsys, ["pagerank", "--edges", edges, "--out-prefix", out / "pr_"],
+                            out, ["pr_ranks.csv"])
+
+
+class TestFailureInEveryJob:
+    """A mapper or reducer that raises, in any job of any command, ends the
+    command with one bounded error line naming the job's stage, and no file."""
+
+    @pytest.mark.parametrize("exc_type", [MemoryError, ValueError])
+    @pytest.mark.parametrize("command, stage, phase", [
+        ("multiply", "partition", "map"), ("multiply", "partition", "reduce"),
+        ("multiply", "summation", "map"), ("multiply", "summation", "reduce"),
+        *[(command, "broadcast-multiply", phase)
+          for command in ("nmf", "svm-train", "svm-predict", "pagerank")
+          for phase in ("map", "reduce")],
+    ])
+    def test_one_bounded_line_and_no_file(self, tmp_path, capsys, monkeypatch, command, stage,
+                                          phase, exc_type):
+        import mrmul.multiply as mm
+        real_run_job = mm.run_job
+
+        def fail(*args):
+            raise exc_type(f"injected into {stage}/{phase}")
+
+        role = {"map": "mapper", "reduce": "reducer"}[phase]
+
+        def run_job(spec, records):
+            if spec.name == stage:
+                spec = dataclasses.replace(spec, **{role: fail})
+            return real_run_job(spec, records)
+
+        a = tmp_path / "a.txt"
+        write_matrix(random_sparse(12, 12, 0.4, seed=7), a)
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.5\n" * 150)
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n1\t2\n2\t0\n3\t2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "multiply": ["--a", a, "--b", a, "--schema", "2x2x2", "--shard", "rand",
+                         "--workers", 2, "--out", out / "c.txt", "--metrics", out / "m.csv"],
+            "nmf": ["--input", a, "--k", 2, "--iters", 2, "--workers", 2,
+                    "--out-prefix", out / "nmf_"],
+            "svm-train": ["--data", IRIS, "--iters", 2, "--workers", 2,
+                          "--out-prefix", out / "svm_"],
+            "svm-predict": ["--data", IRIS, "--alpha", alpha, "--query", IRIS, "--workers", 2,
+                            "--out", out / "scores.txt"],
+            "pagerank": ["--edges", edges, "--workers", 2, "--out-prefix", out / "pr_"],
+        }[command]
+        monkeypatch.setattr(mm, "run_job", run_job)
+        assert run_cli(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage}/{phase} failed on key ")
+        assert err.endswith(f": {exc_type.__name__}('injected into {stage}/{phase}')\n")
+        assert err.count("\n") == 1 and len(err) <= 1024
+        assert list(out.iterdir()) == []
 
 
 class TestParserBuiltForOneCommand:

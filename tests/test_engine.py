@@ -143,6 +143,23 @@ class TestRunJob:
             run_job(spec, ["ok", "boom"])
         assert exc.value.key == "boom"
 
+    def test_mapper_failure_message_bounded(self):
+        # the failing record's repr passes a megabyte; the message abridges
+        # it and keeps the cause's own text, while the error holds it whole
+        record = list(range(200_000))
+
+        def mapper(rec):
+            raise MemoryError("no room for the record")
+
+        spec = JobSpec(mapper, lambda k, v: [(k, v)], lambda k: 0, workers=2, name="big")
+        with pytest.raises(JobError) as exc:
+            run_job(spec, [record])
+        assert len(repr(record)) > 1 << 20 and exc.value.key is record
+        message = str(exc.value)
+        assert message.startswith("big/map failed on key [0, 1, 2, ")
+        assert message.endswith(": MemoryError('no room for the record')")
+        assert len(message) <= 1024
+
     def test_reducer_failure_attaches_key(self):
         def reducer(key, values):
             if key == "b":
@@ -386,9 +403,9 @@ class TestCallerContext:
         assert [v for _, v in out] == [np.inf] * 3
 
 
-def _batch(keys, order, counts, ints, floats):
+def _batch(keys, order, starts, counts, ints, floats):
     return RecordBatch(np.array(keys, dtype=np.int64).reshape(-1, 2), np.array(order, dtype=np.int64),
-                       np.array(counts, dtype=np.int64),
+                       np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64),
                        (np.array(ints, dtype=np.int32), np.array(floats, dtype=np.float64)))
 
 
@@ -403,9 +420,9 @@ class TestBatchJobs:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=30),
            workers=st.integers(1, 8), fanout=st.integers(0, 3), parallel=st.booleans(),
-           pinned=st.booleans())
+           pinned=st.booleans(), shared=st.booleans())
     def test_matches_sequential_reference(self, data, records, workers, fanout, parallel,
-                                          pinned):
+                                          pinned, shared):
         table = np.array(data.draw(st.lists(st.integers(0, workers - 1), min_size=12,
                                             max_size=12))).reshape(3, 4)
         place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
@@ -413,17 +430,22 @@ class TestBatchJobs:
 
         def emitted(rec):
             # record j of input record (i, v): key (v % 3, (v + j) % 4), an
-            # order unique to it, and v % 3 + j entries
+            # order unique to it, and v % 3 + j entries, or v % 3 when shared
             i, v = rec
-            return [((v % 3, (v + j) % 4), 4 * i + j, list(range(v % 3 + j)),
-                     [v * 0.5 + e for e in range(v % 3 + j)]) for j in range(v % (fanout + 1))]
+            size = [v % 3 + (0 if shared else j) for j in range(v % (fanout + 1))]
+            return [((v % 3, (v + j) % 4), 4 * i + j, list(range(size[j])),
+                     [v * 0.5 + e for e in range(size[j])]) for j in range(len(size))]
 
         def mapper(rec):
             out = emitted(rec)
             if not out:
                 return []
             keys, order, ints, floats = zip(*out)
-            return _batch(keys, order, [len(e) for e in ints], sum(ints, []), sum(floats, []))
+            counts = np.array([len(e) for e in ints])
+            if shared:  # the records repeat one payload, stored once
+                return _batch(keys, order, [0] * len(out), counts, ints[0], floats[0])
+            return _batch(keys, order, np.cumsum(counts) - counts, counts, sum(ints, []),
+                          sum(floats, []))
 
         def reducer(batch):
             calls.append(current_worker())
@@ -449,8 +471,9 @@ class TestBatchJobs:
             assert [tuple(k) for k in out.keys.tolist()] == [r[0] for r in reference]
             assert out.order.tolist() == [r[1] for r in reference]
             assert out.counts.tolist() == [len(r[2]) for r in reference]
-            assert out.columns[0].tolist() == sum((r[2] for r in reference), [])
-            assert out.columns[1].tolist() == sum((r[3] for r in reference), [])
+            ints, floats = out.entries()
+            assert ints.tolist() == sum((r[2] for r in reference), [])
+            assert floats.tolist() == sum((r[3] for r in reference), [])
             # one reducer call per worker that holds records, in worker order
             assert calls == sorted({int(table[r[0]]) for r in reference})
         per_worker = [0] * workers
@@ -464,7 +487,8 @@ class TestBatchJobs:
 
     def test_repeated_order_rejected(self):
         def mapper(rec):
-            return _batch([(1, 2), (0, 5), (1, 2)], [7, 3, 7], [1, 1, 1], [1, 2, 3], [0.5] * 3)
+            return _batch([(1, 2), (0, 5), (1, 2)], [7, 3, 7], [0, 1, 2], [1, 1, 1], [1, 2, 3],
+                          [0.5] * 3)
 
         spec = JobSpec(mapper, _identity_reducer, lambda cols: cols[0] * 0, name="dup")
         with pytest.raises(JobError) as exc:
@@ -475,7 +499,7 @@ class TestBatchJobs:
         # keys (0, 9) and (0, 5) are both placed out of range, (0, 9) mapped
         # first: the error names the smaller key at every worker count
         def mapper(rec):
-            return _batch([(0, rec)], [0], [1], [rec], [0.0])
+            return _batch([(0, rec)], [0], [0], [1], [rec], [0.0])
 
         for workers in (1, 2, 3, 8):
             spec = JobSpec(mapper, _identity_reducer,
@@ -490,7 +514,7 @@ class TestBatchJobs:
         # worker 0, whose call fails first, and (0, 2) on the last worker; the
         # keys are rerun one at a time in key order, so (0, 2) is named
         def mapper(rec):
-            return _batch([(0, rec)], [0], [1], [rec], [0.0])
+            return _batch([(0, rec)], [0], [0], [1], [rec], [0.0])
 
         def reducer(batch):
             bad = np.isin(batch.keys[:, 1], (2, 4))
@@ -510,7 +534,7 @@ class TestBatchJobs:
         seen = []
 
         def mapper(rec):
-            return _batch([(rec % 2, rec)], [0], [1], [rec], [0.0])
+            return _batch([(rec % 2, rec)], [0], [0], [1], [rec], [0.0])
 
         def reducer(batch):
             seen.append((current_worker(), (batch.keys[:, 1] % 4).tolist()))
@@ -520,9 +544,25 @@ class TestBatchJobs:
         run_job(spec, list(range(10)))
         assert seen == [(w, [w] * len(range(w, 10, 4))) for w in range(4)]
 
+    @pytest.mark.parametrize("workers", [1, 3, 64])
+    def test_returned_input_joined_once(self, workers):
+        # every reducer returns its input's records, which share the joined
+        # columns of the shuffle: the output joins them once, not per worker
+        def mapper(rec):
+            return _batch([(rec % 7, rec)], [0], [0], [3], [rec] * 3, [rec * 0.5] * 3)
+
+        spec = JobSpec(mapper, _identity_reducer, lambda cols: cols[1] % workers,
+                       workers=workers)
+        out, _ = run_job(spec, list(range(200)))
+        assert all(c.size <= 3 * 200 for c in out.columns)
+        ints, floats = out.entries()
+        expected = sorted(range(200), key=lambda v: (v % 7, v))
+        assert ints.tolist() == [v for v in expected for _ in range(3)]
+        assert floats.tolist() == [v * 0.5 for v in expected for _ in range(3)]
+
     def test_pairs_and_batches_not_mixed(self):
         def mapper(rec):
-            return [(rec, 1)] if rec else _batch([(0, 0)], [0], [1], [0], [0.0])
+            return [(rec, 1)] if rec else _batch([(0, 0)], [0], [0], [1], [0], [0.0])
 
         spec = JobSpec(mapper, _identity_reducer, lambda cols: 0, workers=2, name="mixed")
         with pytest.raises(JobError) as exc:

@@ -442,11 +442,11 @@ class TestBatchedSummation:
         partition_multiply(A, B, PartitionSchema(5, 3, 4), "rand", 3)
         m = jobs[0]
         assert m.stage == "partition"
-        # one record per shipped sub-block; each carries its rows as row
-        # counts, one int64 per A row or per gamma row of B
+        # one record per shipped sub-block; each counts its key and order
+        # int64s and its COO entries, a row, a column and a value each
         assert m.records_per_worker == [26, 38, 56]
-        assert m.shuffle_bytes == 93332
-        assert m.cross_worker_bytes == 54057
+        assert m.shuffle_bytes == 107520
+        assert m.cross_worker_bytes == 61648
 
     def test_memory_bounded(self):
         A = random_sparse(1000, 1000, 2.0 ** -7, seed=91)
