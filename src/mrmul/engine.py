@@ -24,11 +24,15 @@ records pays a batch's fixed cost in array set-up and sorting: the broadcast
 multiply's job, the pair path's one user in mrmul, rewritten as a batch job
 of one record per block, took 2.2 to 2.5 times as long as on pairs, 198
 against 80 to 90 us a call (a 500x300 sparse by 300x1 product on 2 workers,
-best of 40 runs of 200 calls, 2-core Xeon). A job of many small records pays
-pickling and a reducer call per key on pairs: both jobs of the
-partition-summation product run as batch jobs, the partition job's records
-sharing each sub-block's entries, and its partition stage fell from about
-20 to 4 ms on the multiply-sparse benchmark's operands.
+best of 40 runs of 200 calls, 2-core Xeon), each call cutting the operand
+anew. Cut once into row blocks, as the solvers now cut their fixed operand,
+the call on pairs takes 50 to 58 us on the same measure, against 77 to 85
+us with the cut made on every call, so a batch job's fixed cost would weigh
+more still. A job of many small records pays pickling and a reducer call
+per key on pairs: both jobs of the partition-summation product run as batch
+jobs, the partition job's records sharing each sub-block's entries, and its
+partition stage fell from about 20 to 4 ms on the multiply-sparse
+benchmark's operands.
 
 Map tasks run on a thread pool, at most one thread per core, and each task
 still runs as its worker, when the job asks for it (JobSpec.parallel); else

@@ -25,12 +25,13 @@ from the output batch's row counts and its entries, gathered once.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
-operand is cut into one contiguous row block per worker; each block's product
-is one segmented sum over its rows (a DenseMatrix block is cut the same way
-and multiplied by one row-independent einsum), shipped as one record, its
-raw float64 bytes, to the worker that computed it; the result is the
-blocks' bytes joined once. Each row is still formed from that row alone, and
-the result is a DenseMatrix whatever the large operand's type.
+operand is cut into one contiguous row block per worker, a RowBlocks, which
+an iterative solver cuts once per solve and passes to every product; each
+block's product is one segmented sum over its rows (a DenseMatrix block is
+cut the same way and multiplied by one row-independent einsum), shipped as
+one record, its raw float64 bytes, to the worker that computed it; the
+result is the blocks' bytes joined once. Each row is still formed from that
+row alone, and the result is a DenseMatrix whatever the large operand's type.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "ShardFunction",
     "partition_multiply",
     "broadcast_multiply",
+    "RowBlocks",
     "suggest_schema",
 ]
 
@@ -546,40 +548,74 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     return SparseMatrix(A.rows, B.cols, csr_indptr(counts), indices, values), [m1, m2]
 
 
-def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
+class RowBlocks:
+    """A large operand of broadcast_multiply cut into the map input records of
+    `workers`: one contiguous row block per worker (one per row when A has
+    fewer rows), each one record. A sparse block holds its indptr rebased to
+    0, its non-empty rows, their first entries, its column indices and its
+    values; a dense block holds its rows. An iterative solver cuts its fixed
+    operand once and passes the blocks to every product, so they stay on
+    their workers across iterations; the blocks carry A's rows, cols and
+    nnz, and serve only the worker count they were cut for."""
+
+    __slots__ = ("matrix", "rows", "cols", "workers", "records")
+
+    def __init__(self, A: SparseMatrix | DenseMatrix, workers: int):
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.matrix, self.rows, self.cols, self.workers = A, A.rows, A.cols, workers
+        split = _Splitter(A.rows, min(workers, A.rows))
+        self.records = [(b, *self._cut(*split.range(b))) for b in range(split.parts)]
+
+    @property
+    def nnz(self):
+        return self.matrix.nnz
+
+    @property
+    def dense(self):
+        return isinstance(self.matrix, DenseMatrix)
+
+    def _cut(self, lo, hi):
+        if self.dense:
+            return (self.matrix.values[lo:hi],)
+        indptr, cols, vals, _ = _row_block(self.matrix, lo, hi)
+        rows = np.flatnonzero(np.diff(indptr))
+        return indptr, rows, indptr[rows], cols, vals  # starts[0] is 0, as indptr[0] is
+
+
+def broadcast_multiply(A: SparseMatrix | DenseMatrix | RowBlocks, B_small: DenseMatrix,
                        workers: int = 1) -> DenseMatrix:
     """Row-wise product: row i of the result is row i of A times B_small.
 
-    A is cut into one contiguous row block per worker, and each block is one
-    input record; B_small is broadcast once per call and never shuffled. A
-    block's map task ships one record, its dense product as raw float64
-    bytes, to its own worker. The result is a DenseMatrix for either type
-    of A.
+    A is cut into one contiguous row block per worker, each block one input
+    record pinned to its worker; A given as RowBlocks was cut once before,
+    for this worker count, and is not cut again. B_small is broadcast once
+    per call and never shuffled. A block's map task ships one record, its
+    dense product as raw float64 bytes, to its own worker. The result is a
+    DenseMatrix for either type of A.
     """
     if A.cols != B_small.rows:
         raise ValueError(
             f"shape mismatch: {A.rows}x{A.cols} times {B_small.rows}x{B_small.cols}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    blocks = A if isinstance(A, RowBlocks) else RowBlocks(A, workers)
+    if blocks.workers != workers:
+        raise ValueError(f"row blocks cut for {blocks.workers} workers used with {workers}")
     store = BroadcastStore()
     store.put("rhs", B_small.values)
-    split = _Splitter(A.rows, min(workers, A.rows))
-    dense = isinstance(A, DenseMatrix)
+    dense = blocks.dense
 
     # Each row is formed from that row and rhs alone, so its bits depend on
     # neither the row blocking nor the worker count: a dense block is one
     # einsum (a BLAS matmul may regroup a row's sum by the block's shape), a
     # sparse one a segmented sum per batch of non-empty rows, in column order.
     def mapper(rec):
-        b, *block = rec
         rhs = store.get("rhs")
         if dense:
-            return [(b, np.einsum("ij,jk->ik", block[0], rhs).tobytes())]
-        indptr, cols, vals, _ = block
+            b, values = rec
+            return [(b, np.einsum("ij,jk->ik", values, rhs).tobytes())]
+        b, indptr, rows, starts, cols, vals = rec
         width = rhs.shape[1]
         out = np.zeros((indptr.size - 1, width))
-        rows = np.flatnonzero(np.diff(indptr))
-        starts = indptr[rows]  # starts[0] is 0, as the block's indptr is
         if cols.size * width <= _SPARSE_BATCH_PRODUCTS:  # one batch
             out[rows] = _row_sums(vals, cols, starts, rhs)
         else:
@@ -592,13 +628,12 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
     def reducer(key, values):
         return [(key, values[0])]
 
-    cut = (lambda M, lo, hi: (M.values[lo:hi],)) if dense else _row_block
     # A block's product is one numpy pass over a few rows, too short for
     # threads to repay their GIL handoffs, so map tasks run on this thread.
     spec = JobSpec(mapper, reducer, shard_fn=lambda b: b,
                    workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
                    parallel=False)
-    out, _ = run_job(spec, [(b, *cut(A, *split.range(b))) for b in range(split.parts)])
+    out, _ = run_job(spec, blocks.records)
     product = np.frombuffer(b"".join([block for _, block in out]), dtype=np.float64)
     return DenseMatrix(product.reshape(A.rows, B_small.cols))
 

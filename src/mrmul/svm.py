@@ -9,9 +9,12 @@ no equality constraint applies. The kernel is linear, K = T Tt, and training
 never forms it: each ascent step's one product K q, with q = y .* alpha, runs
 as T (Tt q), two broadcast_multiply calls with the small vector broadcast to
 all workers, in O(nnz(T)) time and memory, never O(examples^2). The problem
-transposes T once, on first use, and prediction's w = Tt q reuses that Tt. The
-product also gives the objective value before the step. svm_build_kernel still
-forms K (a partition multiply) for callers that want it; nothing here reads it.
+transposes T once, on first use, and prediction's w = Tt q reuses that Tt.
+It also cuts T and Tt into row blocks once per worker count, so every step
+of a solve multiplies the same resident blocks and only q and w move. The
+product also gives the objective value before the step. svm_build_kernel
+still forms K (a partition multiply) for callers that want it; nothing here
+reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .io import read_svm_file
-from .multiply import PartitionSchema, broadcast_multiply, partition_multiply
+from .multiply import PartitionSchema, RowBlocks, broadcast_multiply, partition_multiply
 from .sparse import DenseMatrix, DenseVector, SparseMatrix, transpose
 
 __all__ = ["SvmProblem", "SvmState", "svm_build_kernel", "svm_gradient",
@@ -38,6 +41,7 @@ class SvmProblem:
     y: DenseVector
     C: float = 1.0
     eta: float = 0.001
+    _row_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.y) != self.T.rows:
@@ -54,6 +58,13 @@ class SvmProblem:
         """transpose(T), formed once per problem and shared by training and
         prediction."""
         return transpose(self.T)
+
+    def row_blocks(self, workers: int) -> tuple[RowBlocks, RowBlocks]:
+        """T and Tt cut into row blocks for `workers`, once per worker count,
+        so every product of a solve reuses them."""
+        if workers not in self._row_blocks:
+            self._row_blocks[workers] = (RowBlocks(self.T, workers), RowBlocks(self.Tt, workers))
+        return self._row_blocks[workers]
 
 
 @dataclass
@@ -81,14 +92,14 @@ def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> DenseMatrix:
 def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVector:
     """Ascent direction g_i = eta * (1 - y_i * sum_j y_j alpha_j K_ij), with
     K q computed as T (Tt q); a state.K is not read."""
-    kq = broadcast_multiply(prob.T, _weights(state, prob, workers), workers)
+    kq = broadcast_multiply(prob.row_blocks(workers)[0], _weights(state, prob, workers), workers)
     return DenseVector(prob.eta * (1.0 - prob.y.values * kq.values[:, 0]))
 
 
 def _weights(state: SvmState, prob: SvmProblem, workers: int) -> DenseMatrix:
     """The primal weights w = Tt (y .* alpha), a features x 1 column."""
     q = prob.y.values * state.alpha.values
-    return broadcast_multiply(prob.Tt, DenseMatrix(q.reshape(-1, 1)), workers)
+    return broadcast_multiply(prob.row_blocks(workers)[1], DenseMatrix(q.reshape(-1, 1)), workers)
 
 
 def svm_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:

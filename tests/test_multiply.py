@@ -12,6 +12,7 @@ from scipy import stats
 from mrmul.engine import serialize_record
 from mrmul.multiply import (
     PartitionSchema,
+    RowBlocks,
     ShardFunction,
     _mix_array,
     _splitmix64_array,
@@ -549,6 +550,75 @@ class TestBroadcastMultiply:
         A = random_sparse(4, 5, 0.5, seed=1)
         with pytest.raises(ValueError, match="shape mismatch"):
             broadcast_multiply(A, DenseMatrix(np.eye(4)), 1)
+
+
+class TestRowBlocks:
+    """A large operand cut once into RowBlocks gives every product the bytes
+    of the plain matrix, however often the blocks are reused."""
+
+    @staticmethod
+    def operands():
+        holes = random_sparse(33, 9, 0.4, seed=80).to_dense()
+        holes[[0, 7, 8, 20, 31, 32]] = 0.0  # empty rows, the last two trailing
+        return {"sparse": random_sparse(33, 9, 0.4, seed=81),
+                "empty-rows": SparseMatrix.from_dense(holes),
+                "dense": DenseMatrix(random_sparse(33, 9, 0.6, seed=82).to_dense()),
+                "few-rows": random_sparse(3, 9, 0.6, seed=83)}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("kind", ["sparse", "empty-rows", "dense", "few-rows"])
+    def test_byte_identical_to_plain_matrix(self, kind, workers):
+        A = self.operands()[kind]
+        blocks = RowBlocks(A, workers)
+        assert (blocks.rows, blocks.cols, blocks.nnz) == (A.rows, A.cols, A.nnz)
+        assert len(blocks.records) == min(workers, A.rows)
+        rng = np.random.default_rng(84)
+        for width in (1, 8, 1):  # the same blocks serve every product
+            B = DenseMatrix(rng.uniform(-1.0, 1.0, (9, width)))
+            assert _csr_bytes(broadcast_multiply(blocks, B, workers)) == \
+                _csr_bytes(broadcast_multiply(A, B, workers))
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_row_batches_byte_identical(self, monkeypatch, width):
+        import mrmul.multiply as mm
+        dense = random_sparse(40, 40, 0.2, seed=85).to_dense()
+        dense[[0, 17, -2, -1]] = 0.0
+        A = SparseMatrix.from_dense(dense)
+        B = DenseMatrix(np.random.default_rng(86).random((40, width)))
+        whole = broadcast_multiply(A, B, 3)
+        blocks = RowBlocks(A, 3)
+        real_batches, batches = mm._bounded_batches, []
+
+        def recording_batches(end, bound):
+            for span in real_batches(end, bound):
+                batches.append(span)
+                yield span
+
+        monkeypatch.setattr(mm, "_SPARSE_BATCH_PRODUCTS", 32)
+        monkeypatch.setattr(mm, "_bounded_batches", recording_batches)
+        assert _csr_bytes(broadcast_multiply(blocks, B, 3)) == _csr_bytes(whole)
+        assert len(batches) > 3 * 2  # each of the 3 blocks is cut into several
+
+    def test_other_worker_count_refused(self):
+        A = random_sparse(12, 6, 0.5, seed=87)
+        blocks = RowBlocks(A, 2)
+        for workers in (1, 3):
+            with pytest.raises(ValueError, match="row blocks cut for 2 workers used with "):
+                broadcast_multiply(blocks, DenseMatrix(np.eye(6)), workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            RowBlocks(A, 0)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_shape_mismatch_as_plain_matrix(self, dense):
+        A = random_sparse(4, 5, 0.5, seed=1)
+        if dense:
+            A = DenseMatrix(A.to_dense())
+        B = DenseMatrix(np.eye(4))
+        with pytest.raises(ValueError, match="shape mismatch") as plain:
+            broadcast_multiply(A, B, 2)
+        with pytest.raises(ValueError) as prepared:
+            broadcast_multiply(RowBlocks(A, 2), B, 2)
+        assert str(prepared.value) == str(plain.value) == "shape mismatch: 4x5 times 4x4"
 
 
 def _csr_bytes(M):

@@ -197,6 +197,22 @@ class TestTrain:
         # K q = T (Tt q), two broadcasts per step plus two for W(alpha_25)
         assert stages == ["broadcast-multiply"] * 52
 
+    @pytest.mark.parametrize("iters", [0, 1, 25])
+    def test_examples_cut_once_per_solve(self, monkeypatch, iters):
+        import mrmul.multiply as mm
+        real_init, cut = mm.RowBlocks.__init__, []
+
+        def recording_init(self, A, workers):
+            cut.append((A, workers))
+            real_init(self, A, workers)
+
+        monkeypatch.setattr(mm.RowBlocks, "__init__", recording_init)
+        prob = random_problem(20, l=14)
+        svm_train(prob, iters, workers=3)
+        assert len(cut) == 2
+        assert cut[0][0] is prob.T and cut[1][0] is prob.Tt
+        assert [w for _, w in cut] == [3, 3]
+
 
 class TestPredict:
     def test_zero_alpha_zero_scores(self):
