@@ -11,17 +11,19 @@ stored once and shipped as one record per block it pairs with, all sharing
 its entries; its reducer keeps each key that holds both an A and a B
 sub-block without moving an entry. Stage two's input is one record per
 worker: stage one's output and the blocks placed there. Its mapper gathers
-a worker's blocks once, in the order of their batches, and stacks each
-bounded batch into one CSR whose product is one vectorised pass; a
-dense-path block is multiplied alone by BLAS. A sparse-path block sums its
-products in a dense accumulator when it has few output cells per product,
-else by a sort; the choice is the block's own, so no sum depends on the
-batching. Every block still emits one record per non-empty output row:
-a worker emits them as one RecordBatch, keyed (alpha, i), ordered by
-gamma * k + beta, its payload the rows' columns and values. The engine sorts
-them by (key, order), and each worker's reducer sums all of its rows in one
-segmented pass, a stable sort by cell and one bincount; C is built straight
-from the output batch's row counts and its entries, gathered once.
+a worker's A and B entries once, in key order, and indexes them once: row
+pointers over the worker's B rows and a product count per A entry. Each
+bounded batch of blocks copies its A entries by index and reads B's rows
+where they lie, its product one vectorised pass; a dense-path block is
+multiplied alone by BLAS. A sparse-path block sums its products in a dense
+accumulator when it has few output cells per product, else by a sort; the
+choice is the block's own, so no sum depends on the batching. Every block
+still emits one record per non-empty output row: a worker emits them as
+one RecordBatch, keyed (alpha, i), ordered by gamma * k + beta, its payload
+the rows' columns and values. The engine sorts them by (key, order), and
+each worker's reducer sums all of its rows in one segmented pass, a stable
+sort by cell and one bincount; C is built straight from the output batch's
+row counts and its entries, gathered once.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -162,15 +164,18 @@ class _Splitter:
 
 
 class _Block(NamedTuple):
-    """CSR operands of one product, a sub-block pair or a stack of them: A's
-    rows, whose column indices point at B's rows, against B's rows, whose
-    block-local columns run over [0, beta_width)."""
+    """CSR operands of one product, a block or a batch of a worker's blocks:
+    A's rows, whose column indices point at B's rows, against B's rows, whose
+    block-local columns run over [0, beta_width). B's rows are all of the
+    worker's, each block's gamma width of them in turn, so a batch holds
+    copies of its A entries only."""
 
     row_ids: np.ndarray     # output row of each of A's rows
     a_indptr: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    b_indptr: np.ndarray    # over the gamma width rows of B
+    a_products: np.ndarray  # products of each A entry: the length of its B row
+    b_indptr: np.ndarray    # over the worker's B rows
     b_cols: np.ndarray
     b_vals: np.ndarray
     beta_width: int
@@ -188,8 +193,9 @@ _DENSE_BYTES_CAP = 48 << 20
 # independent, so results are unchanged).
 _SPARSE_BATCH_PRODUCTS = 2 << 20
 # Summation map tasks multiply their small blocks in batches of this summed
-# size (A entries + B entries + gamma width), which bounds a batch's scratch;
-# a block this large is multiplied alone.
+# size (A entries + B entries + gamma width), which bounds the A entries a
+# batch copies and the per-row arrays of its product; a block this large is
+# multiplied alone.
 _SUMMATION_BATCH = 1 << 13
 # A summation task must be at least this chunky (products per block) before
 # real thread parallelism pays for the GIL handoffs it causes.
@@ -213,12 +219,11 @@ def _bounded_batches(end, bound):
         lo = hi
 
 
-def _expand_rows(blk, len_k, cum, lo_row, hi_row, accumulate):
+def _expand_rows(blk, cum, lo_row, hi_row, accumulate):
     """Sparse-path product of local rows [lo_row, hi_row): expand every
     a[i,k]*b[k,j] product, then sum them by cell, key row*width + col.
     Returns the keys of the cells holding a product, ascending, and their
-    sums. len_k[e] is the product count of A entry e, the length of the B
-    row it meets, and cum[e] the products of the A entries before e.
+    sums. cum[e] is the products of the A entries before e.
 
     The dense accumulator adds each cell's products into 0.0 left to right,
     in A-entry order. The sort (stable, so that order holds) leaves them to
@@ -230,7 +235,7 @@ def _expand_rows(blk, len_k, cum, lo_row, hi_row, accumulate):
     tot = int(cum[p_hi] - cum[p_lo])
     if tot == 0:
         return _EMPTY_I64, _EMPTY_F64
-    len_k = len_k[p_lo:p_hi]
+    len_k = blk.a_products[p_lo:p_hi]
     # product t of A entry e reads B entry b_indptr[a_cols[e]] + t - (cum[e] - cum[p_lo])
     src = np.repeat(blk.b_indptr[blk.a_cols[p_lo:p_hi]] - (cum[p_lo:p_hi] - cum[p_lo]), len_k)
     src += np.arange(tot, dtype=np.int64)
@@ -260,12 +265,11 @@ def _sparse_product(blk, accumulate):
     products and, for the accumulator, the output cells, is cut into row
     batches within _SPARSE_BATCH_PRODUCTS."""
     width = blk.beta_width
-    len_k = np.diff(blk.b_indptr)[blk.a_cols]
-    cum = csr_indptr(len_k)
+    cum = csr_indptr(blk.a_products)
     row_end = cum[blk.a_indptr[1:]]  # products through the end of each local row
     if accumulate:
         row_end += width * np.arange(1, row_end.size + 1)
-    parts = [_expand_rows(blk, len_k, cum, lo, hi, accumulate)
+    parts = [_expand_rows(blk, cum, lo, hi, accumulate)
              for lo, hi in _bounded_batches(row_end, _SPARSE_BATCH_PRODUCTS)]
     if len(parts) == 1:
         (uniq, sums), = parts
@@ -285,14 +289,17 @@ def _takes_dense_path(tot, nr, gw, bw):
     return (tot * _DENSE_WORK_FACTOR >= nr * gw * bw) & (dense_bytes <= _DENSE_BYTES_CAP)
 
 
-def _dense_product(blk: _Block):
+def _dense_product(blk: _Block, b_lo, gw):
     """BLAS product of one dense-path block as (row counts, local cols,
-    values), skipping zeros of the result; its bits depend on the block alone."""
-    nr, gw = blk.row_ids.size, blk.b_indptr.size - 1
+    values), skipping zeros of the result; its bits depend on the block alone.
+    The block's B rows are blk's rows [b_lo, b_lo + gw)."""
+    nr = blk.row_ids.size
     Ad = np.zeros((nr, gw))
-    Ad[csr_rows(blk.a_indptr), blk.a_cols] = blk.a_vals
+    Ad[csr_rows(blk.a_indptr), blk.a_cols - b_lo] = blk.a_vals
+    b_indptr = blk.b_indptr[b_lo:b_lo + gw + 1]
+    p_lo, p_hi = b_indptr[0], b_indptr[-1]
     Bd = np.zeros((gw, blk.beta_width))
-    Bd[csr_rows(blk.b_indptr), blk.b_cols] = blk.b_vals
+    Bd[csr_rows(b_indptr), blk.b_cols[p_lo:p_hi]] = blk.b_vals[p_lo:p_hi]
     Cd = Ad @ Bd
     rr, cc = np.nonzero(Cd)
     return np.bincount(rr, minlength=nr), cc.astype(np.int64), Cd[rr, cc]
@@ -327,23 +334,6 @@ def _row_starts(rows, counts):
     np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
     new_row[csr_indptr(counts)[:-1]] = True
     return new_row
-
-
-def _stack(a, b, na, nb, gw, width):
-    """The _Block whose product is that of COO blocks side by side: a and b
-    hold the (rows, block-local columns, values) of their A and B entries,
-    block after block, and na, nb and gw the blocks' A and B entry counts
-    and gamma widths; width is that of the widest block.
-
-    The blocks' A rows follow one another, and so do their B rows. Each A
-    entry points into its own block's B rows. B's columns stay block-local,
-    so the stack is as wide as its widest block."""
-    (a_rows, a_cols, a_vals), (b_rows, b_cols, b_vals) = a, b
-    gamma_row = csr_indptr(gw)[:-1]  # each block's first row in the stack's B rows
-    first = np.flatnonzero(_row_starts(a_rows, na))
-    b_counts = np.bincount(b_rows + np.repeat(gamma_row, nb), minlength=int(gw.sum()))
-    return _Block(a_rows[first], np.append(first, a_rows.size), a_cols + np.repeat(gamma_row, na),
-                  a_vals, csr_indptr(b_counts), b_cols, b_vals, width)
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -423,9 +413,11 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     gamma_width = np.diff(isplit.starts)
 
     # The input is one record per worker: the partition job's output and the
-    # indices of the blocks placed there. A worker's blocks are read once to
-    # find each one's products and rows, then gathered once in the order of
-    # their batches, so that each batch's entries are slices. Every
+    # indices of the blocks placed there. A worker's A and B entries are
+    # gathered once, in key order. Its B rows, each block's gamma width of
+    # them in turn, get row pointers once, and each A entry its product count
+    # once; those counts give each block its path and batch. A batch copies
+    # its A entries by index and reads the B rows where they lie. Every
     # non-empty output row of a block is one record of the worker's one
     # RecordBatch: key (alpha, i), order gamma * k + beta, and its columns
     # and values as payload.
@@ -437,36 +429,32 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
         col_off = col_start[block_keys[:, 1]]
         na, nb = pairs.counts[blocks], pairs.counts[blocks + 1]
         e_rows, e_cols, e_vals = pairs.columns
-        a_at = csr_spans(pairs.starts[blocks], na)
-        b_at = csr_spans(pairs.starts[blocks + 1], nb)
-        # each block's products and rows, in key order, give its path and batch
-        gamma_row = csr_indptr(gw)[:-1]
-        b_counts = np.bincount(e_rows[b_at] + np.repeat(gamma_row, nb), minlength=int(gw.sum()))
+        b_lo = csr_indptr(gw)[:-1]  # each block's first row in the worker's B rows
+        at = csr_spans(pairs.starts[blocks + 1], nb)
+        b_indptr = csr_indptr(np.bincount(e_rows[at] + np.repeat(b_lo, nb),
+                                          minlength=int(gw.sum())))
+        b_cols, b_vals = e_cols[at], e_vals[at]
+        at = csr_spans(pairs.starts[blocks], na)
+        a_rows, a_cols, a_vals = e_rows[at], e_cols[at] + np.repeat(b_lo, na), e_vals[at]
+        del at  # an index as long as the worker's A entries; no batch reads it
+        a_products = b_indptr[a_cols + 1] - b_indptr[a_cols]
         first_a = csr_indptr(na)[:-1]
-        tot = np.add.reduceat(b_counts[e_cols[a_at] + np.repeat(gamma_row, na)], first_a)
-        nr = np.add.reduceat(_row_starts(e_rows[a_at], na), first_a)
+        new_row = _row_starts(a_rows, na)
+        tot = np.add.reduceat(a_products, first_a)
+        nr = np.add.reduceat(new_row, first_a)
         ops.add(int(tot.sum()))
-        batches = list(_summation_batches(tot, nr, gw, bw, na + nb + gw))
-        if not batches:
-            return []
-        seq = np.concatenate([at for at, _ in batches])
-        a_at = csr_spans(pairs.starts[blocks[seq]], na[seq])
-        b_at = csr_spans(pairs.starts[blocks[seq] + 1], nb[seq])
-        a = (e_rows[a_at], e_cols[a_at], e_vals[a_at])
-        b = (e_rows[b_at], e_cols[b_at], e_vals[b_at])
-        a_end, b_end = csr_indptr(na[seq]), csr_indptr(nb[seq])
         row_block, row_ids, row_counts, cols, vals = [], [], [], [], []
-        lo = 0
-        for at, path in batches:
-            hi = lo + at.size
-            blk = _stack([x[a_end[lo]:a_end[hi]] for x in a], [x[b_end[lo]:b_end[hi]] for x in b],
-                         na[at], nb[at], gw[at], int(bw[at].max()))
-            lo = hi
+        for at, path in _summation_batches(tot, nr, gw, bw, na + nb + gw):
+            a_at = csr_spans(first_a[at], na[at])
+            first = np.flatnonzero(new_row[a_at])
+            blk = _Block(a_rows[a_at[first]], np.append(first, a_at.size), a_cols[a_at],
+                         a_vals[a_at], a_products[a_at], b_indptr, b_cols, b_vals,
+                         int(bw[at].max()))
             if path == _DENSE:
-                counts, c, v = _dense_product(blk)
+                counts, c, v = _dense_product(blk, b_lo[at[0]], gw[at[0]])
             else:
                 counts, c, v = _sparse_product(blk, path == _ACCUMULATE)
-            on_row = np.repeat(at, nr[at])  # block of each of the stack's rows
+            on_row = np.repeat(at, nr[at])  # block of each of the batch's rows
             rows = np.flatnonzero(counts)
             row_block.append(on_row[rows])
             row_ids.append(blk.row_ids[rows])
@@ -474,6 +462,8 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
             c += np.repeat(col_off[on_row], counts)
             cols.append(c)
             vals.append(v)
+        if not row_block:  # no block has a product
+            return []
         alpha, beta, gamma = block_keys[np.concatenate(row_block)].T
         row_counts = np.concatenate(row_counts)
         return RecordBatch(np.column_stack((alpha, np.concatenate(row_ids))), gamma * k + beta,

@@ -123,10 +123,11 @@ def svm_train(prob: SvmProblem, iters: int, workers: int = 1) -> SvmState:
     return state
 
 
-def svm_predict(state: SvmState, prob: SvmProblem, Q: SparseMatrix,
+def svm_predict(state: SvmState, prob: SvmProblem, Q: SparseMatrix | RowBlocks,
                 workers: int = 1) -> DenseVector:
     """Raw decision scores f(q) = sum_j alpha_j y_j <x_j, q> (bias fixed at 0);
-    classify by sign."""
+    classify by sign. Q may be given as RowBlocks cut for `workers`, such as
+    prob.row_blocks(workers)[0] to score the training set."""
     if Q.cols != prob.T.cols:
         raise ValueError(f"query width {Q.cols} != training width {prob.T.cols}")
     # w = Tt (y .* alpha), then scores = Q w: two row-local products.

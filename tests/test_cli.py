@@ -345,6 +345,20 @@ class TestSvm:
                        "--out-prefix", tmp_path / "svm_") == 0
         assert len(calls) == 1
 
+    def test_train_cuts_examples_once(self, tmp_path, monkeypatch):
+        # the training-accuracy prediction reuses the solve's row blocks of T
+        import mrmul.multiply as mm
+        real_init, cut = mm.RowBlocks.__init__, []
+
+        def recording_init(self, A, workers):
+            cut.append((A.shape, workers))
+            real_init(self, A, workers)
+
+        monkeypatch.setattr(mm.RowBlocks, "__init__", recording_init)
+        assert run_cli("svm-train", "--data", IRIS, "--eta", 1e-4, "--iters", 5,
+                       "--workers", 2, "--out-prefix", tmp_path / "svm_") == 0
+        assert cut == [((150, 4), 2), ((4, 150), 2)]
+
     def test_objective_history_written(self, tmp_path):
         data = tmp_path / "toy.svm"
         data.write_text("+1 0:1.0\n-1 0:-1.0\n")

@@ -394,6 +394,46 @@ class TestBatchedSummation:
                 assert _product_bytes(A, B, schema, shard, workers, batch, factor,
                                       scratch) == reference
 
+    def test_one_worker_holds_every_path(self, monkeypatch):
+        # at 1 x 3 x 3 the naive shard places all nine blocks on worker
+        # alpha mod p = 0, in key order (beta, gamma); gamma bands are 40
+        # inner columns wide and beta blocks 8 output columns
+        import mrmul.multiply as mm
+        rng = np.random.default_rng(7)
+        a_density = np.repeat([0.5, 0.1, 0.5], 40)
+        b_density = np.repeat([1.0, 0.2, 0.02], 8)
+        A = rng.uniform(-1, 1, (16, 120)) * (rng.random((16, 120)) < a_density)
+        B = rng.uniform(-1, 1, (120, 24)) * (rng.random((120, 24)) < b_density)
+        # gamma band 2 of A holds column 80 alone, and beta block 2 of that
+        # band of B lacks row 80, so block (beta 2, gamma 2) has no products
+        A[:, 81:] = 0.0
+        B[80, 16:] = 0.0
+        B[81, 16] = 1.0
+        A, B = SparseMatrix.from_dense(A), SparseMatrix.from_dense(B)
+        schema = PartitionSchema(1, 3, 3)
+        real_batches, seen = mm._summation_batches, []
+
+        def recording_batches(tot, *sizes):
+            batches = list(real_batches(tot, *sizes))
+            seen.append((tot, [(at.tolist(), path) for at, path in batches]))
+            return batches
+
+        with monkeypatch.context() as mp:
+            mp.setattr(mm, "_summation_batches", recording_batches)
+            C, _ = partition_multiply(A, B, schema, "naive", 1)
+        (tot, batches), = seen
+        assert tot[8] == 0
+        # dense blocks 1 (beta 0, gamma 1) and 3 (beta 1, gamma 0) are not the
+        # worker's first, so their B rows start 40 rows into the worker's
+        assert batches == [([0], "dense"), ([1], "dense"), ([3], "dense"),
+                           ([2, 4, 6], "accumulate"), ([5, 7], "sort")]
+        assert np.allclose(C.to_dense(), dense_product_oracle(A, B), rtol=1e-10, atol=1e-12)
+        reference = _product_bytes(A, B, schema, "naive", 1, batch=0)
+        assert (C.indptr.tobytes(), C.indices.tobytes(), C.values.tobytes()) == reference
+        for shard in ("naive", "rand"):
+            for workers in (1, 2, 3, 8):
+                assert _product_bytes(A, B, schema, shard, workers) == reference
+
     def test_summation_job_shape(self, monkeypatch):
         import mrmul.engine as engine
         import mrmul.multiply as mm
