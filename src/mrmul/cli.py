@@ -161,7 +161,7 @@ def cmd_svm_train(args):
     prefix, history = args.out_prefix, state.objective_history
     _require_finite([(f"{prefix}alpha.txt", state.alpha.values),
                      (f"{prefix}objective.csv", history)])
-    scores = svm_predict(state, prob, prob.row_blocks(args.workers)[0], args.workers)
+    scores = svm_predict(state, prob, prob.row_blocks(args.workers), args.workers)
     _write_files([(f"{prefix}alpha.txt", _column(state.alpha.values)),
                   (f"{prefix}objective.csv", _column(history, range(len(history)), "iter,value"))])
     acc = accuracy(scores, y)
@@ -213,9 +213,11 @@ def cmd_pagerank(args):
     residuals = []
     pi, iters = pagerank(prob, args.tol, args.max_iters, args.workers, residual_sink=residuals)
     prefix = args.out_prefix
-    order = np.lexsort((np.arange(n), -pi.values))
-    _write_files([(f"{prefix}pi.csv", _column(pi.values, range(n))),
-                  (f"{prefix}ranks.csv", _column(pi.values[order], order)),
+    pi_csv = _column(pi.values, range(n))
+    lines = pi_csv.splitlines(keepends=True)  # ranks.csv reorders them, formatting none
+    order = np.lexsort((np.arange(n), -pi.values)).tolist()
+    _write_files([(f"{prefix}pi.csv", pi_csv),
+                  (f"{prefix}ranks.csv", "".join([lines[i] for i in order])),
                   (f"{prefix}residuals.csv",
                    _column(residuals, range(len(residuals)), "iter,value"))])
     print(f"converged={residuals[-1] < args.tol if residuals else False} "

@@ -14,7 +14,8 @@ format's rules. The matrix width is the largest index + 1, or the width the
 caller gives (a query file must stay inside its training width).
 
 Edge list: one "src TAB dst" pair of 0-based node ids per line, any
-whitespace between them; blank lines are skipped.
+whitespace between them; blank lines are skipped. A file of digits, newlines,
+spaces, TABs, VTs and FFs alone is parsed in one numpy pass, others line by line.
 
 Every data file is ASCII with no '_', which int() and float() would read as a
 digit separator. The lines of every text input, config files too, are numbered
@@ -195,23 +196,26 @@ def read_svm_file(path, cols=None):
 
 
 # An edge-list file whose every line is blank or `digits WS digits`, WS being
-# any whitespace but the newline: the tokens of such a file are exactly its
-# node ids, in order. The line alternatives are tried most common first.
-_WS = r"[^\S\n]"
+# the whitespace but the newline that numpy's separator also skips (so not
+# \x1c-\x1f): its tokens are exactly its node ids, in order. The line
+# alternatives are tried most common first.
+_WS = r"[ \t\x0b\x0c]"
 _EDGE = rf"[0-9]+{_WS}+[0-9]+{_WS}*"
 _PLAIN_EDGES = re.compile(rf"(?:{_EDGE}\n|{_WS}*\n|{_WS}+{_EDGE}\n)*{_WS}*(?:{_EDGE})?")
 
 
 def read_edges(path) -> np.ndarray:
     """Parse an edge-list file into an int64 array of (src, dst) rows, one per
-    non-blank line in file order."""
+    non-blank line in file order. A plain file (_PLAIN_EDGES) takes one numpy
+    pass unless it is whitespace alone, which numpy reads as one 0. numpy
+    saturates an id past int64 to 2^63-1, so a parse holding 2^63-1 is redone
+    by the line loop, which accepts 2^63-1 and names the line of a larger id."""
     # a bad byte reads as a surrogate, which fails the match: the line loop names it
     data = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    if _PLAIN_EDGES.fullmatch(data):
-        try:
-            return np.array(data.split(), dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # an id past int64: the line loop names it
-            pass
+    if _PLAIN_EDGES.fullmatch(data) and not data.isspace():
+        ids = np.fromstring(data, dtype=np.int64, sep=" ")
+        if ids.max(initial=0) < _MAX_COLS:
+            return ids.reshape(-1, 2)
     return _read_edge_lines(path)
 
 

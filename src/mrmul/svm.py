@@ -10,11 +10,11 @@ never forms it: each ascent step's one product K q, with q = y .* alpha, runs
 as T (Tt q), two broadcast_multiply calls with the small vector broadcast to
 all workers, in O(nnz(T)) time and memory, never O(examples^2). The problem
 transposes T once, on first use, and prediction's w = Tt q reuses that Tt.
-It also cuts T and Tt into row blocks once per worker count, so every step
-of a solve multiplies the same resident blocks and only q and w move. The
-product also gives the objective value before the step. svm_build_kernel
-still forms K (a partition multiply) for callers that want it; nothing here
-reads it.
+It also cuts T and Tt into row blocks once per worker count, each on first
+use, so every step of a solve multiplies the same resident blocks and only q
+and w move. The product also gives the objective value before the step.
+svm_build_kernel still forms K (a partition multiply) for callers that want
+it; nothing here reads it.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ class SvmProblem:
         prediction."""
         return transpose(self.T)
 
-    def row_blocks(self, workers: int) -> tuple[RowBlocks, RowBlocks]:
-        """T and Tt cut into row blocks for `workers`, once per worker count,
-        so every product of a solve reuses them."""
-        if workers not in self._row_blocks:
-            self._row_blocks[workers] = (RowBlocks(self.T, workers), RowBlocks(self.Tt, workers))
-        return self._row_blocks[workers]
+    def row_blocks(self, workers: int, transposed: bool = False) -> RowBlocks:
+        """T, or Tt when `transposed`, cut into row blocks for `workers` once,
+        on first use, so every product of a solve reuses them."""
+        key = (transposed, workers)
+        if key not in self._row_blocks:
+            self._row_blocks[key] = RowBlocks(self.Tt if transposed else self.T, workers)
+        return self._row_blocks[key]
 
 
 @dataclass
@@ -92,14 +93,15 @@ def svm_build_kernel(T: SparseMatrix, workers: int = 1) -> DenseMatrix:
 def svm_gradient(state: SvmState, prob: SvmProblem, workers: int = 1) -> DenseVector:
     """Ascent direction g_i = eta * (1 - y_i * sum_j y_j alpha_j K_ij), with
     K q computed as T (Tt q); a state.K is not read."""
-    kq = broadcast_multiply(prob.row_blocks(workers)[0], _weights(state, prob, workers), workers)
+    kq = broadcast_multiply(prob.row_blocks(workers), _weights(state, prob, workers), workers)
     return DenseVector(prob.eta * (1.0 - prob.y.values * kq.values[:, 0]))
 
 
 def _weights(state: SvmState, prob: SvmProblem, workers: int) -> DenseMatrix:
     """The primal weights w = Tt (y .* alpha), a features x 1 column."""
     q = prob.y.values * state.alpha.values
-    return broadcast_multiply(prob.row_blocks(workers)[1], DenseMatrix(q.reshape(-1, 1)), workers)
+    return broadcast_multiply(prob.row_blocks(workers, transposed=True),
+                              DenseMatrix(q.reshape(-1, 1)), workers)
 
 
 def svm_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
@@ -127,7 +129,7 @@ def svm_predict(state: SvmState, prob: SvmProblem, Q: SparseMatrix | RowBlocks,
                 workers: int = 1) -> DenseVector:
     """Raw decision scores f(q) = sum_j alpha_j y_j <x_j, q> (bias fixed at 0);
     classify by sign. Q may be given as RowBlocks cut for `workers`, such as
-    prob.row_blocks(workers)[0] to score the training set."""
+    prob.row_blocks(workers) to score the training set."""
     if Q.cols != prob.T.cols:
         raise ValueError(f"query width {Q.cols} != training width {prob.T.cols}")
     # w = Tt (y .* alpha), then scores = Q w: two row-local products.

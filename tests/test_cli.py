@@ -359,6 +359,22 @@ class TestSvm:
                        "--workers", 2, "--out-prefix", tmp_path / "svm_") == 0
         assert cut == [((150, 4), 2), ((4, 150), 2)]
 
+    def test_predict_cuts_only_multiplied_operands(self, tmp_path, monkeypatch):
+        # prediction multiplies Tt and the query, and never cuts T
+        import mrmul.multiply as mm
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text("0.25\n" * 150)
+        real_init, cut = mm.RowBlocks.__init__, []
+
+        def recording_init(self, A, workers):
+            cut.append((A.shape, workers))
+            real_init(self, A, workers)
+
+        monkeypatch.setattr(mm.RowBlocks, "__init__", recording_init)
+        assert run_cli("svm-predict", "--data", IRIS, "--alpha", alpha, "--query", IRIS,
+                       "--workers", 2, "--out", tmp_path / "scores.txt") == 0
+        assert cut == [((4, 150), 2), ((150, 4), 2)]
+
     def test_objective_history_written(self, tmp_path):
         data = tmp_path / "toy.svm"
         data.write_text("+1 0:1.0\n-1 0:-1.0\n")
@@ -388,6 +404,26 @@ class TestPagerank:
         pi = [float(line.split(",")[1])
               for line in (tmp_path / "p_pi.csv").read_text().splitlines()]
         assert sum(pi) == pytest.approx(1.0, abs=1e-10)
+
+    # 1 and 2 tie, and so do 0 and the dangling node 4
+    TIED_PI = ("0,0.19650005684423968\n1,0.14691753342915873\n2,0.14691753342915873\n"
+               "3,0.31316481945320335\n4,0.19650005684423968\n")
+    TIED_RANKS = ("3,0.31316481945320335\n0,0.19650005684423968\n4,0.19650005684423968\n"
+                  "1,0.14691753342915873\n2,0.14691753342915873\n")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ranks_are_pi_lines_by_rank_then_node(self, tmp_path, workers):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0\t1\n0\t2\n1\t3\n2\t3\n3\t0\n3\t4\n")
+        assert run_cli("pagerank", "--edges", edges, "--workers", workers,
+                       "--out-prefix", tmp_path / "p_") == 0
+        pi = (tmp_path / "p_pi.csv").read_text()
+        ranks = (tmp_path / "p_ranks.csv").read_text()
+        lines = pi.splitlines(keepends=True)
+        by_rank = sorted(lines, key=lambda line: (-float(line.split(",")[1]),
+                                                  int(line.split(",")[0])))
+        assert ranks == "".join(by_rank)
+        assert (pi, ranks) == (self.TIED_PI, self.TIED_RANKS)
 
     def test_bad_edge_file_errors(self, tmp_path, capsys):
         edges = tmp_path / "e.txt"

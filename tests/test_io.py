@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrmul.cli import main
@@ -372,3 +372,49 @@ class TestReadEdgesFuzz:
         assert fast.dtype == np.int64 and fast.shape == (len(pairs), 2)
         assert fast.tolist() == pairs
         assert np.array_equal(fast, _read_edge_lines(path))
+
+
+# the whitespace numpy's separator skips, and Python whitespace it does not
+edge_ws = st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f")
+edge_seps = st.text(edge_ws, max_size=3)
+wide_ids = st.one_of(st.integers(0, 50), st.integers(10**17, 10**20 - 1),
+                     st.sampled_from([2**63 - 1, 2**63]))
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list text: pairs of ids of up to 20 digits, some with leading
+    zeros, between any whitespace, and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            lines.append(draw(edge_seps))
+            continue
+        src, dst = ("0" * draw(st.integers(0, 3)) + str(draw(wide_ids)) for _ in "sd")
+        gap = draw(st.text(edge_ws, min_size=1, max_size=3))
+        lines.append(f"{draw(edge_seps)}{src}{gap}{dst}{draw(edge_seps)}")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestReadEdgesNumpyPass:
+    @settings(max_examples=300, deadline=None)
+    @given(text=edge_files())
+    @example(text="")
+    @example(text="\n")
+    @example(text=" \n\n")
+    @example(text=f"0\t{2**63 - 1}\n")
+    @example(text=f"0\t{2**63}\n")
+    def test_matches_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "e.txt"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            expected = _read_edge_lines(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_edges(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_edges(path)
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
