@@ -21,7 +21,6 @@ from .multiply import (
     ShardFunction,
     broadcast_multiply,
     partition_multiply,
-    suggest_schema,
 )
 from .nmf import NmfState, nmf_divergence, nmf_init, nmf_step, run_nmf
 from .pagerank import PagerankProblem, pagerank, pagerank_build

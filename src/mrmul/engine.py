@@ -1,38 +1,34 @@
 """Local multi-worker MapReduce runtime.
 
-A job is map -> shuffle -> reduce over in-process workers. The engine
-enforces the MapReduce contract: user functions communicate only through the
-shuffle, the broadcast store, and accumulators; no reducer starts before all
-mappers finish. Output is deterministic for any worker count: map emissions
-are collected in task order, shuffle groups are sorted by key, and values
-within a group are sorted by their serialized form (in a batch job, by their
-order column) before reduction.
+A job is map -> shuffle -> reduce over in-process workers, or map alone.
+The engine enforces the MapReduce contract: user functions communicate only
+through the shuffle, the broadcast store, and accumulators; no reducer
+starts before all mappers finish. Output is deterministic for any worker
+count: map emissions are collected in task order, shuffle groups are sorted
+by key, and values within a group are sorted by their serialized form (in a
+batch job, by their order column) before reduction.
 
-A mapper emits its records in one of two forms. (key, value) pairs are
-pickled one by one (protocol 5), and each key group is reduced by its own
-reducer call. A RecordBatch holds many records as columns: int64 keys, an
-int64 order column, and the start and count of each record's payload in
-shared payload arrays, so records may share entries. A batch job's records
-are placed by one vectorised shard_fn call over the key columns, sorted by
-(key, order) with one stable sort, and each worker's records are reduced by
-one reducer call, in key order; the sort and placement move keys, order,
-starts and counts, never an entry. A repeated (key, order) is refused, so no
-value order comes from arrival order.
+A job takes one of three forms. In a pair job a mapper emits (key, value)
+pairs, pickled one by one (protocol 5), and each key group is reduced by its
+own reducer call. In a batch job a mapper emits a RecordBatch: many records
+as columns (int64 keys, an int64 order column, and the start and count of
+each record's payload in shared payload arrays, so records may share
+entries), placed by one vectorised shard_fn call over the key columns,
+sorted by (key, order) with one stable sort, and reduced by one reducer call
+per worker, in key order; the sort and placement move keys, order, starts
+and counts, never an entry. A repeated (key, order) is refused, so no value
+order comes from arrival order. A map-only job has no reducer: each mapper's
+value stays on the worker that formed it, unserialized, and the output is
+the values in worker order (Hadoop's job with zero reduce tasks).
 
-Both paths stay because each is the faster one for its jobs. A job of a few
-records pays a batch's fixed cost in array set-up and sorting: the broadcast
-multiply's job, the pair path's one user in mrmul, rewritten as a batch job
-of one record per block, took 2.2 to 2.5 times as long as on pairs, 198
-against 80 to 90 us a call (a 500x300 sparse by 300x1 product on 2 workers,
-best of 40 runs of 200 calls, 2-core Xeon), each call cutting the operand
-anew. Cut once into row blocks, as the solvers now cut their fixed operand,
-the call on pairs takes 50 to 58 us on the same measure, against 77 to 85
-us with the cut made on every call, so a batch job's fixed cost would weigh
-more still. A job of many small records pays pickling and a reducer call
-per key on pairs: both jobs of the partition-summation product run as batch
-jobs, the partition job's records sharing each sub-block's entries, and its
-partition stage fell from about 20 to 4 ms on the multiply-sparse
-benchmark's operands.
+The broadcast multiply's job is map-only, as a block's product never leaves
+its worker; on pairs, pickling, grouping and an identity reduce took about
+a third of a product's time (16 of 50 us, a 500x300 sparse by 300x1 product
+on 2 workers, 2-core host). Both jobs of the partition-summation product are
+batch jobs: on pairs each of their many small records pays pickling and a
+reducer call, and as a batch job the partition stage fell from about 20 to
+4 ms on the multiply-sparse benchmark's operands. No mrmul job runs on
+pairs; they are the general form, for keys that are not int64 rows.
 
 Map tasks run on a thread pool, at most one thread per core, and each task
 still runs as its worker, when the job asks for it (JobSpec.parallel); else
@@ -44,7 +40,8 @@ failing key in key order at any worker count.
 Shuffle volume is measured on the bytes that really travel: a pair's pickled
 form, or a batch record's key and order int64s plus its slice of every
 payload column, counted once per record even where records share entries.
-So byte counts are comparable across shard strategies.
+So byte counts are comparable across shard strategies. A map-only job's
+values travel nowhere, and count no bytes.
 """
 
 from __future__ import annotations
@@ -171,7 +168,7 @@ class BroadcastStore:
 
 @dataclass
 class JobSpec:
-    """One map-shuffle-reduce stage, in one of two forms; either way its user
+    """One map-shuffle-reduce stage, in one of three forms; in each its user
     functions must be deterministic and pure.
 
     A pair job: mapper(record) and reducer(key, values) return iterables of
@@ -187,14 +184,18 @@ class JobSpec:
     batches merged into one, sorted by (key, order), or [] when it has no
     records; read its entries side by side through RecordBatch.entries().
 
+    A map-only job: reducer and shard_fn are None, and mapper(record)
+    returns one value, which stays on its worker unserialized; the output is
+    the values in worker order and, within a worker, in input order.
+
     map_affinity optionally pins input records to the worker where they
     already reside (modeling data locality from a previous stage); by
     default input is split into contiguous chunks.
     """
 
     mapper: Callable[[Any], Iterable[tuple] | RecordBatch | None]
-    reducer: Callable[[Any, list], Iterable[tuple]] | Callable[[RecordBatch], RecordBatch]
-    shard_fn: Callable[[Any], int] | Callable[[tuple], np.ndarray]
+    reducer: Callable[[Any, list], Iterable[tuple]] | Callable[[RecordBatch], RecordBatch] | None = None
+    shard_fn: Callable[[Any], int] | Callable[[tuple], np.ndarray] | None = None
     workers: int = 1
     name: str = "job"
     ops: Accumulator | None = None
@@ -236,7 +237,7 @@ def serialize_record(key, value) -> bytes:
     return pickle.dumps((key, value), protocol=5)
 
 
-def _map_task(chunk, mapper, stage, worker):
+def _map_task(chunk, mapper, stage, worker, map_only):
     _worker_ctx.worker = worker
     out, batches = [], []
     append = out.append
@@ -246,7 +247,9 @@ def _map_task(chunk, mapper, stage, worker):
                 emitted = mapper(rec)
             except Exception as exc:
                 raise JobError(f"{stage}/map", rec, exc) from exc
-            if isinstance(emitted, RecordBatch):
+            if map_only:
+                append(emitted)
+            elif isinstance(emitted, RecordBatch):
                 batches.append(emitted)
             elif emitted:
                 for key, value in emitted:
@@ -283,12 +286,13 @@ def _sorted_keys(groups, stage):
         raise JobError(stage, bad, exc) from exc
 
 
-def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch, JobMetrics]:
+def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | list, JobMetrics]:
     """Execute one job; returns key-sorted output and stage metrics.
 
     The output equals the sequential reference semantics (map everything,
     group by key, reduce each group in key order) for every worker count.
-    A batch job's output is one RecordBatch, or [] when it has no records.
+    A batch job's output is one RecordBatch, or [] when it has no records;
+    a map-only job's is the mappers' values in worker order.
     """
     # A job allocates a few tuples per record and frees them by reference
     # counting. Those allocations would start the cyclic collector every few
@@ -303,9 +307,12 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch, Jo
             gc.enable()
 
 
-def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch, JobMetrics]:
+def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | list, JobMetrics]:
     if spec.workers < 1:
         raise ValueError("workers must be >= 1")
+    map_only = spec.reducer is None
+    if not map_only and spec.shard_fn is None:
+        raise ValueError(f"job {spec.name!r} has a reducer but no shard_fn")
     records = records if isinstance(records, list) else list(records)
     nw = spec.workers
     ops_before = spec.ops.value if spec.ops is not None else 0
@@ -320,19 +327,27 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch, JobMe
         if not 0 <= w < nw:
             raise JobError(f"{spec.name}/map", rec, ValueError(f"affinity {w} outside 0..{nw - 1}"))
         chunks.setdefault(w, []).append(rec)
-    map_out = _run_tasks(_map_task, nw, [(chunks[w], spec.mapper, spec.name, w) for w in sorted(chunks)],
-                         spec.parallel)
-    t1 = time.perf_counter()
+    map_out = _run_tasks(_map_task, nw, [(chunks[w], spec.mapper, spec.name, w, map_only)
+                                         for w in sorted(chunks)], spec.parallel)
 
-    if any(batches for _, _, batches in map_out):
-        plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_batches(spec, map_out)
-        t2 = time.perf_counter()
-        output = _reduce_batches(spec, plan)
+    if map_only:  # the values stay where they were formed: no shuffle, no reduce
+        output = [value for _, values, _ in map_out for value in values]
+        shuffle_bytes = cross_worker_bytes = 0
+        records_per_worker = [0] * nw
+        for w, values, _ in map_out:
+            records_per_worker[w] = len(values)
+        t1 = t2 = t3 = time.perf_counter()
     else:
-        plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_pairs(spec, map_out)
-        t2 = time.perf_counter()
-        output = _reduce_pairs(spec, plan)
-    t3 = time.perf_counter()
+        t1 = time.perf_counter()
+        if any(batches for _, _, batches in map_out):
+            plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_batches(spec, map_out)
+            t2 = time.perf_counter()
+            output = _reduce_batches(spec, plan)
+        else:
+            plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_pairs(spec, map_out)
+            t2 = time.perf_counter()
+            output = _reduce_pairs(spec, plan)
+        t3 = time.perf_counter()
 
     metrics = JobMetrics(
         stage=spec.name,

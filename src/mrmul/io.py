@@ -197,22 +197,38 @@ def read_svm_file(path, cols=None):
 
 # An edge-list file whose every line is blank or `digits WS digits`, WS being
 # the whitespace but the newline that numpy's separator also skips (so not
-# \x1c-\x1f): its tokens are exactly its node ids, in order. The line
-# alternatives are tried most common first.
+# \x1c-\x1f): its tokens are exactly its node ids, in order. The pattern
+# defines such a file; _plain_edges decides it without backtracking.
 _WS = r"[ \t\x0b\x0c]"
 _EDGE = rf"[0-9]+{_WS}+[0-9]+{_WS}*"
 _PLAIN_EDGES = re.compile(rf"(?:{_EDGE}\n|{_WS}*\n|{_WS}+{_EDGE}\n)*{_WS}*(?:{_EDGE})?")
 
 
+def _plain_edges(data: str) -> bool:
+    """Whether _PLAIN_EDGES matches all of data: every byte is a digit, a
+    newline or WS, and every line holds two runs of digits or none. In the
+    sequence of the newlines and the runs' first digits, that is when every
+    run has exactly one run beside it."""
+    raw = np.frombuffer(data.encode("ascii", "surrogateescape"), dtype=np.uint8)
+    digit = (raw - 48) < 10  # uint8 arithmetic wraps, so only 0-9 pass
+    if not (digit | ((raw - 9) < 4) | (raw == 32)).all():  # \t \n \x0b \x0c and space
+        return False
+    newline = raw == 10
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    runs = np.concatenate(([False], ~newline[first | newline], [False]))
+    return not (runs[1:-1] & (runs[:-2] == runs[2:])).any()
+
+
 def read_edges(path) -> np.ndarray:
     """Parse an edge-list file into an int64 array of (src, dst) rows, one per
-    non-blank line in file order. A plain file (_PLAIN_EDGES) takes one numpy
+    non-blank line in file order. A plain file (_plain_edges) takes one numpy
     pass unless it is whitespace alone, which numpy reads as one 0. numpy
     saturates an id past int64 to 2^63-1, so a parse holding 2^63-1 is redone
     by the line loop, which accepts 2^63-1 and names the line of a larger id."""
-    # a bad byte reads as a surrogate, which fails the match: the line loop names it
+    # a bad byte reads as a surrogate, which is not plain: the line loop names it
     data = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    if _PLAIN_EDGES.fullmatch(data) and not data.isspace():
+    if _plain_edges(data) and not data.isspace():
         ids = np.fromstring(data, dtype=np.int64, sep=" ")
         if ids.max(initial=0) < _MAX_COLS:
             return ids.reshape(-1, 2)

@@ -30,10 +30,11 @@ operand replicated to every worker through the broadcast store. The large
 operand is cut into one contiguous row block per worker, a RowBlocks, which
 an iterative solver cuts once per solve and passes to every product; each
 block's product is one segmented sum over its rows (a DenseMatrix block is
-cut the same way and multiplied by one row-independent einsum), shipped as
-one record, its raw float64 bytes, to the worker that computed it; the
-result is the blocks' bytes joined once. Each row is still formed from that
-row alone, and the result is a DenseMatrix whatever the large operand's type.
+cut the same way and multiplied by one row-independent einsum). The job is
+map-only: each block's product stays as an array on the worker that formed
+it, and the result is the blocks' products joined once. Each row is still
+formed from that row alone, and the result is a DenseMatrix whatever the
+large operand's type.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "partition_multiply",
     "broadcast_multiply",
     "RowBlocks",
-    "suggest_schema",
 ]
 
 
@@ -580,9 +580,10 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix | RowBlocks, B_small: Dense
     A is cut into one contiguous row block per worker, each block one input
     record pinned to its worker; A given as RowBlocks was cut once before,
     for this worker count, and is not cut again. B_small is broadcast once
-    per call and never shuffled. A block's map task ships one record, its
-    dense product as raw float64 bytes, to its own worker. The result is a
-    DenseMatrix for either type of A.
+    per call and never shuffled. The job is map-only: a block's map task
+    returns its dense product, which stays on its worker, and the products
+    are joined in block order. The result is a DenseMatrix for either type
+    of A.
     """
     if A.cols != B_small.rows:
         raise ValueError(
@@ -601,9 +602,9 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix | RowBlocks, B_small: Dense
     def mapper(rec):
         rhs = store.get("rhs")
         if dense:
-            b, values = rec
-            return [(b, np.einsum("ij,jk->ik", values, rhs).tobytes())]
-        b, indptr, rows, starts, cols, vals = rec
+            _, values = rec
+            return np.einsum("ij,jk->ik", values, rhs)
+        _, indptr, rows, starts, cols, vals = rec
         width = rhs.shape[1]
         out = np.zeros((indptr.size - 1, width))
         if cols.size * width <= _SPARSE_BATCH_PRODUCTS:  # one batch
@@ -613,45 +614,12 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix | RowBlocks, B_small: Dense
                 p_lo, p_hi = starts[lo], indptr[rows[hi - 1] + 1]
                 out[rows[lo:hi]] = _row_sums(vals[p_lo:p_hi], cols[p_lo:p_hi],
                                              starts[lo:hi] - p_lo, rhs)
-        return [(b, out.tobytes())]
-
-    def reducer(key, values):
-        return [(key, values[0])]
+        return out
 
     # A block's product is one numpy pass over a few rows, too short for
     # threads to repay their GIL handoffs, so map tasks run on this thread.
-    spec = JobSpec(mapper, reducer, shard_fn=lambda b: b,
-                   workers=workers, name="broadcast-multiply", map_affinity=itemgetter(0),
-                   parallel=False)
+    spec = JobSpec(mapper, workers=workers, name="broadcast-multiply",
+                   map_affinity=itemgetter(0), parallel=False)
     out, _ = run_job(spec, blocks.records)
-    product = np.frombuffer(b"".join([block for _, block in out]), dtype=np.float64)
-    return DenseMatrix(product.reshape(A.rows, B_small.cols))
+    return DenseMatrix(np.concatenate(out) if len(out) > 1 else out[0])
 
-
-def suggest_schema(rows_a, cols_a, cols_b, nnz_a, nnz_b, workers,
-                   budget_bytes=16 << 20) -> PartitionSchema:
-    """Pick a small schema: m*k covers the workers, n grows only as needed to
-    keep the estimated per-block-pair footprint under the budget, and no
-    dimension splits finer than its length."""
-    if rows_a < 1 or cols_a < 1 or cols_b < 1:
-        raise ValueError("shapes must be positive")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    side = int(np.ceil(np.sqrt(workers)))
-    m = min(side, rows_a)
-    k = min(side, cols_b)
-    while m * k < workers and (m < rows_a or k < cols_b):
-        if m <= k and m < rows_a:
-            m += 1
-        elif k < cols_b:
-            k += 1
-        else:
-            m += 1
-
-    def block_pair_bytes(n):
-        return 16.0 * (nnz_a / (m * n) + nnz_b / (n * k))
-
-    n = 1
-    while n < cols_a and block_pair_bytes(n) > budget_bytes:
-        n += 1
-    return PartitionSchema(m, n, k)

@@ -936,17 +936,19 @@ class TestFailedCommandLeavesNoFile:
                             out, ["pr_ranks.csv"])
 
 
+_BROADCAST_COMMANDS = ("nmf", "svm-train", "svm-predict", "pagerank")
+
+
 class TestFailureInEveryJob:
     """A mapper or reducer that raises, in any job of any command, ends the
-    command with one bounded error line naming the job's stage, and no file."""
+    command with one bounded error line naming the job's stage, and no file.
+    The broadcast jobs are map-only, so they have no reducer to fail."""
 
     @pytest.mark.parametrize("exc_type", [MemoryError, ValueError])
     @pytest.mark.parametrize("command, stage, phase", [
         ("multiply", "partition", "map"), ("multiply", "partition", "reduce"),
         ("multiply", "summation", "map"), ("multiply", "summation", "reduce"),
-        *[(command, "broadcast-multiply", phase)
-          for command in ("nmf", "svm-train", "svm-predict", "pagerank")
-          for phase in ("map", "reduce")],
+        *[(command, "broadcast-multiply", "map") for command in _BROADCAST_COMMANDS],
     ])
     def test_one_bounded_line_and_no_file(self, tmp_path, capsys, monkeypatch, command, stage,
                                           phase, exc_type):
@@ -963,15 +965,41 @@ class TestFailureInEveryJob:
                 spec = dataclasses.replace(spec, **{role: fail})
             return real_run_job(spec, records)
 
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.setattr(mm, "run_job", run_job)
+        assert run_cli(command, *self._argv(tmp_path, command, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage}/{phase} failed on key ")
+        assert err.endswith(f": {exc_type.__name__}('injected into {stage}/{phase}')\n")
+        assert err.count("\n") == 1 and len(err) <= 1024
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", _BROADCAST_COMMANDS)
+    def test_broadcast_jobs_are_map_only(self, tmp_path, monkeypatch, command):
+        import mrmul.multiply as mm
+        real_run_job, broadcast = mm.run_job, []
+
+        def run_job(spec, records):
+            if spec.name == "broadcast-multiply":
+                broadcast.append(spec)
+            return real_run_job(spec, records)
+
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.setattr(mm, "run_job", run_job)
+        assert run_cli(command, *self._argv(tmp_path, command, out)) == 0
+        assert broadcast and all(spec.reducer is None for spec in broadcast)
+
+    @staticmethod
+    def _argv(tmp_path, command, out):
         a = tmp_path / "a.txt"
         write_matrix(random_sparse(12, 12, 0.4, seed=7), a)
         alpha = tmp_path / "alpha.txt"
         alpha.write_text("0.5\n" * 150)
         edges = tmp_path / "e.txt"
         edges.write_text("0\t1\n1\t2\n2\t0\n3\t2\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        argv = {
+        return {
             "multiply": ["--a", a, "--b", a, "--schema", "2x2x2", "--shard", "rand",
                          "--workers", 2, "--out", out / "c.txt", "--metrics", out / "m.csv"],
             "nmf": ["--input", a, "--k", 2, "--iters", 2, "--workers", 2,
@@ -982,13 +1010,6 @@ class TestFailureInEveryJob:
                             "--out", out / "scores.txt"],
             "pagerank": ["--edges", edges, "--workers", 2, "--out-prefix", out / "pr_"],
         }[command]
-        monkeypatch.setattr(mm, "run_job", run_job)
-        assert run_cli(command, *argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {stage}/{phase} failed on key ")
-        assert err.endswith(f": {exc_type.__name__}('injected into {stage}/{phase}')\n")
-        assert err.count("\n") == 1 and len(err) <= 1024
-        assert list(out.iterdir()) == []
 
 
 class TestParserBuiltForOneCommand:

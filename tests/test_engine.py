@@ -568,3 +568,84 @@ class TestBatchJobs:
         with pytest.raises(JobError) as exc:
             run_job(spec, [0, 1])
         assert exc.value.stage == "mixed/map"
+
+
+class TestMapOnlyJobs:
+    """Jobs with no reducer: each mapper's value stays on its worker, and
+    the output is the values in worker order, then input order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=40),
+           workers=st.integers(1, 8), parallel=st.booleans(), pinned=st.booleans())
+    def test_matches_sequential_reference(self, data, records, workers, parallel, pinned):
+        place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
+
+        def mapper(rec):
+            return (rec, current_worker(), [rec * 0.5] * (rec % 3))
+
+        spec = JobSpec(mapper, workers=workers, parallel=parallel,
+                       map_affinity=place.__getitem__ if pinned else None)
+        out, metrics = run_job(spec, records)
+
+        if pinned:
+            source = [place[rec] for rec in records]
+        else:  # contiguous chunks of the input, one per worker
+            bounds = [len(records) * w // workers for w in range(workers + 1)]
+            source = [w for w in range(workers) for _ in range(bounds[w], bounds[w + 1])]
+        by_worker = [[(rec, w, [rec * 0.5] * (rec % 3)) for rec, src in zip(records, source)
+                      if src == w] for w in range(workers)]
+        assert out == [value for values in by_worker for value in values]
+        assert metrics.records_per_worker == [len(values) for values in by_worker]
+        assert sum(metrics.records_per_worker) == len(records)
+        assert metrics.shuffle_bytes == metrics.cross_worker_bytes == 0
+        assert metrics.shuffle_ms == metrics.reduce_ms == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=st.lists(st.integers(0, 30), min_size=1, max_size=40, unique=True),
+           data=st.data(), workers=st.integers(1, 8), parallel=st.booleans())
+    def test_raising_mapper_names_its_record(self, records, data, workers, parallel):
+        bad = data.draw(st.sampled_from(records))
+
+        def mapper(rec):
+            if rec == bad:
+                raise ValueError("bad record")
+            return rec
+
+        with pytest.raises(JobError) as exc:
+            run_job(JobSpec(mapper, workers=workers, parallel=parallel), records)
+        assert exc.value.stage == "job/map"
+        assert exc.value.key == bad
+        assert isinstance(exc.value.cause, ValueError)
+
+    def test_values_are_not_copied(self):
+        arrays = [np.arange(3.0), np.ones((2, 2))]
+        out, _ = run_job(JobSpec(arrays.__getitem__, workers=2), [0, 1])
+        assert out[0] is arrays[0] and out[1] is arrays[1]
+
+    def test_falsy_values_are_kept(self):
+        values = [None, [], 0, np.empty(0)]
+        out, metrics = run_job(JobSpec(values.__getitem__, workers=3), [0, 1, 2, 3])
+        assert len(out) == 4 and out[0] is None and out[1] == [] and out[2] == 0
+        assert out[3] is values[3]
+        assert metrics.records_per_worker == [1, 1, 2]
+
+    def test_empty_input(self):
+        out, metrics = run_job(JobSpec(lambda rec: rec, workers=4), [])
+        assert out == []
+        assert metrics.records_per_worker == [0] * 4
+        assert metrics.shuffle_bytes == metrics.cross_worker_bytes == 0
+
+    def test_scalar_ops_counted(self):
+        ops = Accumulator()
+
+        def mapper(rec):
+            ops.add(rec)
+            return rec
+
+        _, metrics = run_job(JobSpec(mapper, workers=2, ops=ops), [1, 2, 3])
+        assert metrics.scalar_ops == 6
+
+    def test_reducer_without_shard_fn_refused(self):
+        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, sum(v))], workers=2)
+        with pytest.raises(ValueError, match="shard_fn"):
+            run_job(spec, [1, 2])

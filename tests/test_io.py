@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrmul.cli import main
-from mrmul.io import (_PLAIN_EDGES, ParseError, _read_edge_lines, read_edges, read_matrix,
-                      read_svm_file, write_matrix)
+from mrmul.io import (_PLAIN_EDGES, ParseError, _plain_edges, _read_edge_lines, read_edges,
+                      read_matrix, read_svm_file, write_matrix)
 from mrmul.sparse import SparseMatrix
 
 GOOD_LINES = ["+1 0:1.0 2:2.0", "-1 1:1.5"]
@@ -418,3 +418,42 @@ class TestReadEdgesNumpyPass:
         got = read_edges(path)
         assert got.dtype == np.int64 and got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+class TestPlainEdges:
+    """_plain_edges accepts exactly the texts that _PLAIN_EDGES matches whole."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(st.sampled_from("0179 \t\x0b\x0c\n\r\x1c-+_a\udc80"), max_size=30))
+    @example(text="")
+    @example(text="1 2")
+    @example(text="\n1 2\n\t3\x0b4 \n\n")
+    @example(text="1 2 3\n")
+    @example(text="12\n")
+    def test_agrees_with_pattern(self, text):
+        assert _plain_edges(text) == bool(_PLAIN_EDGES.fullmatch(text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.one_of(blanks, st.builds("{}{}{}{}{}".format, blanks, node_ids, gaps,
+                                                      node_ids, blanks)), max_size=8),
+           ending=st.sampled_from(["", "\n"]))
+    def test_accepts_edge_lists(self, lines, ending):
+        text = "\n".join(lines) + ending
+        assert _PLAIN_EDGES.fullmatch(text) and _plain_edges(text)
+
+    def test_long_file(self, tmp_path):
+        """A 20,000-line edge list is plain, and is not once one line holds
+        three ids; read_edges parses either as the line loop does."""
+        edges = np.random.default_rng(3).integers(0, 10**6, size=(20_000, 2))
+        lines = [f"{src}\t{dst}" for src, dst in edges.tolist()]
+        text = "\n".join(lines) + "\n"
+        assert _plain_edges(text) and _PLAIN_EDGES.fullmatch(text)
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        assert np.array_equal(read_edges(path), edges)
+        lines[12_345] += " 7"
+        text = "\n".join(lines) + "\n"
+        assert not _plain_edges(text) and not _PLAIN_EDGES.fullmatch(text)
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:12346: expected 'src dst'"):
+            read_edges(path)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mrmul.engine import serialize_record
 from mrmul.multiply import (
     PartitionSchema,
     RowBlocks,
@@ -19,7 +18,6 @@ from mrmul.multiply import (
     _Splitter,
     broadcast_multiply,
     partition_multiply,
-    suggest_schema,
 )
 from mrmul.sparse import DenseMatrix, SparseMatrix
 
@@ -537,8 +535,14 @@ class TestBroadcastMultiply:
         [(33, 1, False), (33, 2, False), (33, 8, False), (3, 8, False), (33, 2, True), (3, 8, True)],
         ids=["33-1", "33-2", "33-8", "3-8", "33-2-dense", "3-8-dense"])
     def test_ships_one_record_per_row_block(self, monkeypatch, rows, workers, dense):
+        import mrmul.engine as engine
         import mrmul.multiply as mm
         real_run_job, metrics = mm.run_job, []
+        real_serialize, serialized = engine.serialize_record, []
+
+        def counting_serialize(key, value):
+            serialized.append(key)
+            return real_serialize(key, value)
 
         def recording_run_job(spec, records):
             out, m = real_run_job(spec, records)
@@ -546,6 +550,7 @@ class TestBroadcastMultiply:
             return out, m
 
         monkeypatch.setattr(mm, "run_job", recording_run_job)
+        monkeypatch.setattr(engine, "serialize_record", counting_serialize)
         A = random_sparse(rows, 9, 0.4, seed=22)
         if dense:
             A = DenseMatrix(A.to_dense())
@@ -555,14 +560,11 @@ class TestBroadcastMultiply:
         (m,) = metrics
         blocks = min(workers, rows)
         assert m.stage == "broadcast-multiply"
-        # one record per block, shuffled to the worker that computed it
+        # one value per block, kept on the worker that computed it: nothing
+        # is serialized or shuffled
         assert m.records_per_worker == [1] * blocks + [0] * (workers - blocks)
-        assert m.cross_worker_bytes == 0
-        # each record is (block, the block's product as float64 bytes)
-        split = _Splitter(rows, blocks)
-        assert m.shuffle_bytes == sum(
-            len(serialize_record(b, bytes(8 * (hi - lo) * B.cols)))
-            for b, (lo, hi) in enumerate(map(split.range, range(blocks))))
+        assert m.shuffle_bytes == m.cross_worker_bytes == 0
+        assert serialized == []
         np.testing.assert_allclose(R.to_dense(), A.to_dense() @ B.values, atol=1e-12)
 
     def test_product_bits_pinned(self):
@@ -731,24 +733,6 @@ class TestBroadcastKernel:
         monkeypatch.setattr(mm, "_bounded_batches", recording_batches)
         assert _csr_bytes(broadcast_multiply(A, B, 2)) == _csr_bytes(whole)
         assert len(batches) > 2 * 2  # each of the 2 blocks is cut into several
-
-
-class TestSuggestSchema:
-    def test_single_worker_tiny(self):
-        assert suggest_schema(3, 3, 3, 5, 5, 1) == PartitionSchema(1, 1, 1)
-
-    def test_covers_workers_with_minimal_inner(self):
-        s = suggest_schema(1000, 1000, 1000, 10**6, 10**6, 4)
-        assert s.m * s.k >= 4
-        assert s.n == 1
-
-    def test_never_splits_finer_than_length(self):
-        s = suggest_schema(2, 5, 2, 10, 10, 64)
-        assert s.m <= 2 and s.n <= 5 and s.k <= 2
-
-    def test_inner_grows_under_budget_pressure(self):
-        s = suggest_schema(100, 100, 100, 10**8, 10**8, 2, budget_bytes=1 << 20)
-        assert s.n > 1 and s.n <= 100
 
 
 class TestSummationPaths:
