@@ -10,14 +10,17 @@ each row block into COO sub-blocks (rows, block-local columns, values), each
 stored once and shipped as one record per block it pairs with, all sharing
 its entries; its reducer keeps each key that holds both an A and a B
 sub-block without moving an entry. Stage two's input is one record per
-worker: stage one's output and the blocks placed there. Its mapper gathers
-a worker's A and B entries once, in key order, and indexes them once: row
-pointers over the worker's B rows and a product count per A entry. Each
-bounded batch of blocks copies its A entries by index and reads B's rows
-where they lie, its product one vectorised pass; a dense-path block is
-multiplied alone by BLAS. A sparse-path block sums its products in a dense
-accumulator when it has few output cells per product, else by a sort; the
-choice is the block's own, so no sum depends on the batching. Every block
+worker: stage one's output and the blocks placed there. Its mapper reads
+each B sub-block where stage one left it, through row pointers formed once
+per distinct sub-block, and takes its blocks a bounded chunk at a time,
+counting each A entry's products once per block; an entry without a
+product meets an empty B row and is dropped before any batch copies it.
+Each batch of blocks, bounded by its scratch (live A entries, products and
+rows), copies its A entries by index, its product one vectorised pass; a
+dense-path block is multiplied alone by BLAS, over all of its rows. A
+sparse-path block sums its products in a dense accumulator when it has few
+output cells per product, else by a sort; the choice is the block's own, so
+no sum depends on the batching. Every block
 still emits one record per non-empty output row: a worker emits them as
 one RecordBatch, keyed (alpha, i), ordered by gamma * k + beta, its payload
 the rows' columns and values. The engine sorts them by (key, order), and
@@ -165,18 +168,21 @@ class _Splitter:
 
 class _Block(NamedTuple):
     """CSR operands of one product, a block or a batch of a worker's blocks:
-    A's rows, whose column indices point at B's rows, against B's rows, whose
-    block-local columns run over [0, beta_width). B's rows are all of the
-    worker's, each block's gamma width of them in turn, so a batch holds
-    copies of its A entries only."""
+    A's rows, whose column indices point at B's row pointers, against B's
+    rows, whose block-local columns run over [0, beta_width). B's row
+    pointers are absolute positions into the partition job's shared columns,
+    gamma width + 1 of them per B sub-block the worker holds, so B's entries
+    are read where they lie. A batch holds copies of its A entries only, and
+    only of those with a product; a row all of whose entries lack one is not
+    among its rows."""
 
     row_ids: np.ndarray     # output row of each of A's rows
     a_indptr: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
     a_products: np.ndarray  # products of each A entry: the length of its B row
-    b_indptr: np.ndarray    # over the worker's B rows
-    b_cols: np.ndarray
+    b_indptr: np.ndarray    # over the worker's B sub-blocks, into b_cols and b_vals
+    b_cols: np.ndarray      # the partition job's shared columns
     b_vals: np.ndarray
     beta_width: int
 
@@ -193,10 +199,15 @@ _DENSE_BYTES_CAP = 48 << 20
 # independent, so results are unchanged).
 _SPARSE_BATCH_PRODUCTS = 2 << 20
 # Summation map tasks multiply their small blocks in batches of this summed
-# size (A entries + B entries + gamma width), which bounds the A entries a
-# batch copies and the per-row arrays of its product; a block this large is
-# multiplied alone.
+# scratch (live A entries + products + live rows): the A entries a batch
+# copies, the products it expands and the per-row arrays of its product. A
+# block this large is multiplied alone.
 _SUMMATION_BATCH = 1 << 13
+# A summation task takes its blocks in chunks holding about this many A
+# entries, one copy per block they are in: it counts their products, drops
+# those without one, and batches and multiplies the chunk's blocks before it
+# takes the next, so entries without a product cost a bounded scratch.
+_COUNT_CHUNK = 1 << 16
 # A summation task must be at least this chunky (products per block) before
 # real thread parallelism pays for the GIL handoffs it causes.
 _PARALLEL_MIN_BLOCK_WORK = 16384
@@ -289,31 +300,34 @@ def _takes_dense_path(tot, nr, gw, bw):
     return (tot * _DENSE_WORK_FACTOR >= nr * gw * bw) & (dense_bytes <= _DENSE_BYTES_CAP)
 
 
-def _dense_product(blk: _Block, b_lo, gw):
+def _dense_product(blk: _Block, b_lo, gw, rows):
     """BLAS product of one dense-path block as (row counts, local cols,
-    values), skipping zeros of the result; its bits depend on the block alone.
-    The block's B rows are blk's rows [b_lo, b_lo + gw)."""
-    nr = blk.row_ids.size
-    Ad = np.zeros((nr, gw))
-    Ad[csr_rows(blk.a_indptr), blk.a_cols - b_lo] = blk.a_vals
+    values) of blk's rows, skipping zeros of the result; its bits depend on
+    the block alone. rows are all of the block's rows, ascending, blk's among
+    them, and the dense A has one for each, so the product's shape does not
+    depend on which entries have products. The block's B rows are blk's row
+    pointers [b_lo, b_lo + gw]."""
+    at = np.searchsorted(rows, blk.row_ids)  # where blk's rows lie among them
+    Ad = np.zeros((rows.size, gw))
+    Ad[at[csr_rows(blk.a_indptr)], blk.a_cols - b_lo] = blk.a_vals
     b_indptr = blk.b_indptr[b_lo:b_lo + gw + 1]
     p_lo, p_hi = b_indptr[0], b_indptr[-1]
     Bd = np.zeros((gw, blk.beta_width))
     Bd[csr_rows(b_indptr), blk.b_cols[p_lo:p_hi]] = blk.b_vals[p_lo:p_hi]
     Cd = Ad @ Bd
-    rr, cc = np.nonzero(Cd)
-    return np.bincount(rr, minlength=nr), cc.astype(np.int64), Cd[rr, cc]
+    rr, cc = np.nonzero(Cd)  # only blk's rows hold a product
+    return np.bincount(rr, minlength=rows.size)[at], cc.astype(np.int64), Cd[rr, cc]
 
 
 def _summation_batches(tot, nr, gw, bw, size):
     """Cut a worker's blocks into (block indices, path) batches, from the
     arrays of each block's product count, rows, gamma and beta widths and
-    summed size (A entries + B entries + gamma width). A dense-path block is
+    scratch (live A entries + products + live rows). A dense-path block is
     a batch of its own. A sparse-path block with at most two output cells
     (rows x beta width) per product sums into a dense accumulator, whose two
     cell-long arrays then stay within the sort's scratch; one with a wider
     output is sorted. Each sparse path gathers its blocks, in order, into
-    batches whose summed size is at most _SUMMATION_BATCH, so a block of
+    batches whose summed scratch is at most _SUMMATION_BATCH, so a block of
     that size or more is alone. Blocks without products are left out."""
     sparse = tot > 0
     dense = sparse & _takes_dense_path(tot, nr, gw, bw)
@@ -329,11 +343,66 @@ def _summation_batches(tot, nr, gw, bw, size):
 
 def _row_starts(rows, counts):
     """Whether each entry starts a row of its block, for blocks of counts
-    entries each, one after another, whose entries are in row order."""
+    entries each (some may hold none), one after another, whose entries are
+    in row order."""
     new_row = np.empty(rows.size, dtype=bool)
     np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
-    new_row[csr_indptr(counts)[:-1]] = True
+    new_row[csr_indptr(counts)[:-1][counts > 0]] = True
     return new_row
+
+
+def _sub_block_rows(rows, starts, counts):
+    """The rows of each block's sub-block, where block i's sub-block holds
+    counts[i] entries from starts[i] in row order, and blocks sharing a
+    sub-block share its start. Returns each block's row count, the rows of
+    the distinct sub-blocks laid end to end, and each block's first row
+    among them."""
+    uniq, first, of = np.unique(starts, return_index=True, return_inverse=True)
+    counts = counts[first]
+    rows = rows[csr_spans(uniq, counts)]
+    new_row = _row_starts(rows, counts)
+    nr = np.add.reduceat(new_row, csr_indptr(counts)[:-1])
+    return nr[of], rows[new_row], csr_indptr(nr)[:-1][of]
+
+
+def _sub_block_pointers(rows, starts, counts, widths):
+    """Row pointers over sub-blocks read in place: block i's sub-block holds
+    counts[i] entries from starts[i], in row order over its widths[i] rows,
+    and blocks sharing a sub-block share its start. Each distinct sub-block
+    gets widths + 1 pointers, absolute positions into the entries' columns,
+    so no entry is copied. Returns the pointers and each block's first."""
+    uniq, first, of = np.unique(starts, return_index=True, return_inverse=True)
+    counts, widths = counts[first], widths[first]
+    row_base = csr_indptr(widths)[:-1]  # each sub-block's first row, its rows laid end to end
+    held = csr_indptr(np.bincount(rows[csr_spans(uniq, counts)] + np.repeat(row_base, counts),
+                                  minlength=int(widths.sum())))
+    # pointer r of sub-block u is its start plus its entries in rows before r
+    indptr = held[csr_spans(row_base, widths + 1)]
+    indptr += np.repeat(uniq - held[row_base], widths + 1)
+    return indptr, (row_base + np.arange(uniq.size))[of]
+
+
+def _live_entries(columns, starts, counts, b_lo, row_len):
+    """The A entries of a chunk of a worker's blocks that have a product.
+    Block i's A sub-block holds counts[i] entries of the shared columns
+    (rows, cols, vals) from starts[i]; its columns point at B's rows from
+    b_lo[i], of row_len entries each. An entry's products are counted once
+    for each block it is in, and an entry without one, which meets an empty
+    B row, is dropped. Returns each block's product count and live entries,
+    and those entries' rows, B-row indices, values and product counts, block
+    after block."""
+    e_rows, e_cols, e_vals = columns
+    at = csr_spans(starts, counts)
+    cols = e_cols[at]
+    cols += np.repeat(b_lo, counts)
+    products = row_len[cols]
+    first = csr_indptr(counts)[:-1]
+    keep = products > 0
+    tot, kept = np.add.reduceat(products, first), np.add.reduceat(keep, first)
+    if not keep.all():  # as a dense operand's entries all have products
+        keep = np.flatnonzero(keep)
+        at, cols, products = at[keep], cols[keep], products[keep]
+    return tot, kept, e_rows[at], cols, e_vals[at], products
 
 
 def _row_block(M: SparseMatrix, lo, hi):
@@ -413,55 +482,61 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     gamma_width = np.diff(isplit.starts)
 
     # The input is one record per worker: the partition job's output and the
-    # indices of the blocks placed there. A worker's A and B entries are
-    # gathered once, in key order. Its B rows, each block's gamma width of
-    # them in turn, get row pointers once, and each A entry its product count
-    # once; those counts give each block its path and batch. A batch copies
-    # its A entries by index and reads the B rows where they lie. Every
-    # non-empty output row of a block is one record of the worker's one
-    # RecordBatch: key (alpha, i), order gamma * k + beta, and its columns
-    # and values as payload.
+    # indices of the blocks placed there. Each B sub-block the worker holds
+    # is read where the partition job left it, through row pointers into the
+    # shared columns formed once per distinct sub-block. The worker takes its
+    # blocks a bounded chunk at a time. Each A entry's products are counted
+    # once per block it is in; their sum over all of a block's entries, with
+    # its rows, gives the block its path. Entries without a product meet an
+    # empty B row and are dropped before any batch copies them. A batch of
+    # the chunk's blocks, bounded by its scratch, copies its live A entries
+    # by index. Every non-empty output row of a block is one record of the
+    # worker's one RecordBatch: key (alpha, i), order gamma * k + beta, and
+    # its columns and values as payload.
     def summation_mapper(rec):
         _, pairs, placed = rec
         blocks = 2 * placed  # each block's A record in pairs; its B record follows
         block_keys = pairs.keys[blocks]
         gw, bw = gamma_width[block_keys[:, 2]], col_width[block_keys[:, 1]]
         col_off = col_start[block_keys[:, 1]]
-        na, nb = pairs.counts[blocks], pairs.counts[blocks + 1]
         e_rows, e_cols, e_vals = pairs.columns
-        b_lo = csr_indptr(gw)[:-1]  # each block's first row in the worker's B rows
-        at = csr_spans(pairs.starts[blocks + 1], nb)
-        b_indptr = csr_indptr(np.bincount(e_rows[at] + np.repeat(b_lo, nb),
-                                          minlength=int(gw.sum())))
-        b_cols, b_vals = e_cols[at], e_vals[at]
-        at = csr_spans(pairs.starts[blocks], na)
-        a_rows, a_cols, a_vals = e_rows[at], e_cols[at] + np.repeat(b_lo, na), e_vals[at]
-        del at  # an index as long as the worker's A entries; no batch reads it
-        a_products = b_indptr[a_cols + 1] - b_indptr[a_cols]
-        first_a = csr_indptr(na)[:-1]
-        new_row = _row_starts(a_rows, na)
-        tot = np.add.reduceat(a_products, first_a)
-        nr = np.add.reduceat(new_row, first_a)
-        ops.add(int(tot.sum()))
+        b_indptr, b_lo = _sub_block_pointers(e_rows, pairs.starts[blocks + 1],
+                                             pairs.counts[blocks + 1], gw)
+        a_start, a_count = pairs.starts[blocks], pairs.counts[blocks]
+        nr, held_rows, first_row = _sub_block_rows(e_rows, a_start, a_count)
+        row_len = np.diff(b_indptr)  # past a sub-block's last row, a length no column reads
         row_block, row_ids, row_counts, cols, vals = [], [], [], [], []
-        for at, path in _summation_batches(tot, nr, gw, bw, na + nb + gw):
-            a_at = csr_spans(first_a[at], na[at])
-            first = np.flatnonzero(new_row[a_at])
-            blk = _Block(a_rows[a_at[first]], np.append(first, a_at.size), a_cols[a_at],
-                         a_vals[a_at], a_products[a_at], b_indptr, b_cols, b_vals,
-                         int(bw[at].max()))
-            if path == _DENSE:
-                counts, c, v = _dense_product(blk, b_lo[at[0]], gw[at[0]])
-            else:
-                counts, c, v = _sparse_product(blk, path == _ACCUMULATE)
-            on_row = np.repeat(at, nr[at])  # block of each of the batch's rows
-            rows = np.flatnonzero(counts)
-            row_block.append(on_row[rows])
-            row_ids.append(blk.row_ids[rows])
-            row_counts.append(counts[rows])
-            c += np.repeat(col_off[on_row], counts)
-            cols.append(c)
-            vals.append(v)
+        for lo, hi in _bounded_batches(np.cumsum(a_count), _COUNT_CHUNK):
+            tot, na, a_rows, a_cols, a_vals, a_products = _live_entries(
+                pairs.columns, a_start[lo:hi], a_count[lo:hi], b_lo[lo:hi], row_len)
+            ops.add(int(tot.sum()))
+            new_row = _row_starts(a_rows, na)
+            live_rows = np.diff(csr_indptr(new_row)[csr_indptr(na)])
+            first_a = csr_indptr(na)[:-1]
+            for at, path in _summation_batches(tot, nr[lo:hi], gw[lo:hi], bw[lo:hi],
+                                               na + tot + live_rows):
+                if path == _DENSE:  # one block, whose live entries lie together
+                    a_at = slice(first_a[at[0]], first_a[at[0]] + na[at[0]])
+                else:
+                    a_at = csr_spans(first_a[at], na[at])
+                first = np.flatnonzero(new_row[a_at])
+                blk = _Block(a_rows[a_at][first], np.append(first, na[at].sum()), a_cols[a_at],
+                             a_vals[a_at], a_products[a_at], b_indptr, e_cols, e_vals,
+                             int(bw[lo + at].max()))
+                on_row = np.repeat(lo + at, live_rows[at])  # block of each of the batch's rows
+                if path == _DENSE:
+                    b = lo + at[0]
+                    counts, c, v = _dense_product(blk, b_lo[b], gw[b],
+                                                  held_rows[first_row[b]:first_row[b] + nr[b]])
+                else:
+                    counts, c, v = _sparse_product(blk, path == _ACCUMULATE)
+                rows = np.flatnonzero(counts)
+                row_block.append(on_row[rows])
+                row_ids.append(blk.row_ids[rows])
+                row_counts.append(counts[rows])
+                c += np.repeat(col_off[on_row], counts)
+                cols.append(c)
+                vals.append(v)
         if not row_block:  # no block has a product
             return []
         alpha, beta, gamma = block_keys[np.concatenate(row_block)].T

@@ -876,3 +876,83 @@ class TestWorkersPlaceWork:
         C, _ = partition_multiply(A, A, schema, "rand", 16)
         assert 1 <= len(thread_starts) <= (os.cpu_count() or 1)
         assert C == partition_multiply(A, A, schema, "rand", 1)[0]
+
+
+class TestSummationReadsLiveEntries:
+    """The summation map reads B's sub-blocks where the partition job left
+    them, and no A entry that meets an empty B row reaches a product."""
+
+    def test_no_dead_a_entry_or_copied_b_entry_reaches_a_product(self, monkeypatch):
+        import mrmul.multiply as mm
+        # B keeps every third row; its column bands are dense, sparse and
+        # very sparse, so a worker holds dense-path and sparse-path blocks
+        rng = np.random.default_rng(23)
+        n = 60
+        kept = np.arange(n) % 3 == 0
+        a = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.4)
+        a[5] *= ~kept  # a row whose entries all meet empty B rows
+        density = np.repeat([0.9, 0.1, 0.02], n // 3)
+        b = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < density) * kept[:, None]
+        A, B = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
+        real_run_job, values = mm.run_job, []
+
+        def recording_run_job(spec, records):
+            out, m = real_run_job(spec, records)
+            if spec.name == "partition":
+                values.append(out.columns[2])
+            return out, m
+
+        blocks = {"sparse": [], "dense": []}
+
+        def spy(path, real):
+            def product(blk, *args):
+                blocks[path].append(blk)
+                return real(blk, *args)
+            return product
+
+        monkeypatch.setattr(mm, "run_job", recording_run_job)
+        monkeypatch.setattr(mm, "_sparse_product", spy("sparse", mm._sparse_product))
+        monkeypatch.setattr(mm, "_dense_product", spy("dense", mm._dense_product))
+        C, _ = partition_multiply(A, B, PartitionSchema(3, 2, 3), "rand", 2)
+        (partition_values,) = values
+        assert blocks["sparse"] and blocks["dense"]
+        for blk in blocks["sparse"] + blocks["dense"]:
+            assert (blk.a_products > 0).all()
+            assert np.shares_memory(blk.b_vals, partition_values)
+        monkeypatch.undo()
+        assert C.indptr[6] == C.indptr[5]  # row 5 has no product
+        assert np.allclose(C.to_dense(), a @ b, rtol=1e-12, atol=1e-12)
+        for workers in (1, 3):
+            assert partition_multiply(A, B, PartitionSchema(3, 2, 3), "rand", workers)[0] == C
+
+    def test_dead_entries_cost_no_scratch(self):
+        # A's even columns meet B's rows; its odd columns meet only empty
+        # ones. Each dead entry lies in a row that holds a live entry in its
+        # gamma band, so no block's rows, and so no block's path, change.
+        rng = np.random.default_rng(5)
+        n, schema = 300, PartitionSchema(10, 2, 20)
+        live = np.arange(n) % 2 == 0
+        a = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.1) * live
+        b = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.05) * live[:, None]
+        dead = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.3) * ~live
+        band = np.arange(n) // (n // schema.n)
+        for g in range(schema.n):
+            held = (a[:, band == g] != 0).any(axis=1)
+            dead[np.ix_(~held, band == g)] = 0.0
+        A, B = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
+        A_dead = SparseMatrix.from_dense(a + dead)
+        added = A_dead.nnz - A.nnz
+        partition_multiply(A, B, schema, "rand", 2)  # numpy's one-time allocations
+        products, peaks = [], []
+        for operand in (A, A_dead):
+            tracemalloc.start()
+            try:
+                products.append(partition_multiply(operand, B, schema, "rand", 2)[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert _csr_bytes(products[1]) == _csr_bytes(products[0])
+        # an added entry is a column index and a value, 16 bytes, stored in A
+        # and cut once by the partition job; gathered once per block it is
+        # in, 20-fold here, it costs over 20 times that
+        assert peaks[1] - peaks[0] <= 8 * 16 * added, (peaks, added)
