@@ -15,18 +15,18 @@ each B sub-block where stage one left it, through row pointers formed once
 per distinct sub-block, and takes its blocks a bounded chunk at a time,
 counting each A entry's products once per block; an entry without a
 product meets an empty B row and is dropped before any batch copies it.
-Each batch of blocks, bounded by its scratch (live A entries, products and
-rows), copies its A entries by index, its product one vectorised pass; a
-dense-path block is multiplied alone by BLAS, over all of its rows. A
-sparse-path block sums its products in a dense accumulator when it has few
-output cells per product, else by a sort; the choice is the block's own, so
-no sum depends on the batching. Every block
-still emits one record per non-empty output row: a worker emits them as
-one RecordBatch, keyed (alpha, i), ordered by gamma * k + beta, its payload
-the rows' columns and values. The engine sorts them by (key, order), and
-each worker's reducer sums all of its rows in one segmented pass, a stable
-sort by cell and one bincount; C is built straight from the output batch's
-row counts and its entries, gathered once.
+The live entries are copied once in batch order, so that each batch of
+blocks, bounded by its scratch (live A entries, products and rows), reads
+its own as one slice, its product one vectorised pass; a dense-path block
+is multiplied alone by BLAS, over all of its rows. A sparse-path block sums
+its products in a dense accumulator when it has few output cells per
+product, else by a sort; the choice is the block's own, so no sum depends
+on the batching. Every block still emits one record per non-empty output
+row: a worker emits them as one RecordBatch, keyed (alpha, i), ordered by
+gamma * k + beta, its payload the rows' columns and values. The engine
+sorts them by (key, order), and each worker's reducer sums all of its rows
+in one segmented pass, a stable sort by cell and one bincount; C is built
+straight from the output batch's row counts and its entries, gathered once.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
@@ -172,9 +172,9 @@ class _Block(NamedTuple):
     rows, whose block-local columns run over [0, beta_width). B's row
     pointers are absolute positions into the partition job's shared columns,
     gamma width + 1 of them per B sub-block the worker holds, so B's entries
-    are read where they lie. A batch holds copies of its A entries only, and
-    only of those with a product; a row all of whose entries lack one is not
-    among its rows."""
+    are read where they lie. A batch's A entries are a slice of its chunk's,
+    copied once in batch order, and only those with a product; a row all of
+    whose entries lack one is not among its rows."""
 
     row_ids: np.ndarray     # output row of each of A's rows
     a_indptr: np.ndarray
@@ -201,12 +201,16 @@ _SPARSE_BATCH_PRODUCTS = 2 << 20
 # Summation map tasks multiply their small blocks in batches of this summed
 # scratch (live A entries + products + live rows): the A entries a batch
 # copies, the products it expands and the per-row arrays of its product. A
-# block this large is multiplied alone.
-_SUMMATION_BATCH = 1 << 13
+# block this large is multiplied alone. A batch costs about 0.1 ms whatever
+# its size: at 8,192 a 200^2 delta 0.1 product's blocks, of about 4,100
+# each, went one at a time, and 16,384 raised a 200^2 delta 0.05 product's
+# tracemalloc peak from 1.24 to 1.45 MB.
+_SUMMATION_BATCH = 3 << 12
 # A summation task takes its blocks in chunks holding about this many A
 # entries, one copy per block they are in: it counts their products, drops
 # those without one, and batches and multiplies the chunk's blocks before it
 # takes the next, so entries without a product cost a bounded scratch.
+# Half or twice this timed the same on a 1000^2 delta 2^-7 product at 20x6x20.
 _COUNT_CHUNK = 1 << 16
 # A summation task must be at least this chunky (products per block) before
 # real thread parallelism pays for the GIL handoffs it causes.
@@ -351,30 +355,36 @@ def _row_starts(rows, counts):
     return new_row
 
 
-def _sub_block_rows(rows, starts, counts):
-    """The rows of each block's sub-block, where block i's sub-block holds
-    counts[i] entries from starts[i] in row order, and blocks sharing a
-    sub-block share its start. Returns each block's row count, the rows of
-    the distinct sub-blocks laid end to end, and each block's first row
-    among them."""
+def _distinct_sub_blocks(rows, starts, counts):
+    """The distinct sub-blocks of a worker's blocks, where block i's
+    sub-block holds counts[i] entries from starts[i] in row order, and
+    blocks sharing a sub-block share its start. Returns their starts, the
+    first block holding each, each block's sub-block, and the sub-blocks'
+    entry counts and rows, laid end to end."""
     uniq, first, of = np.unique(starts, return_index=True, return_inverse=True)
     counts = counts[first]
-    rows = rows[csr_spans(uniq, counts)]
+    return uniq, first, of, counts, rows[csr_spans(uniq, counts)]
+
+
+def _sub_block_rows(rows, starts, counts):
+    """The rows of each block's sub-block (see _distinct_sub_blocks). Returns
+    each block's row count, the rows of the distinct sub-blocks laid end to
+    end, and each block's first row among them."""
+    _, _, of, counts, rows = _distinct_sub_blocks(rows, starts, counts)
     new_row = _row_starts(rows, counts)
     nr = np.add.reduceat(new_row, csr_indptr(counts)[:-1])
     return nr[of], rows[new_row], csr_indptr(nr)[:-1][of]
 
 
 def _sub_block_pointers(rows, starts, counts, widths):
-    """Row pointers over sub-blocks read in place: block i's sub-block holds
-    counts[i] entries from starts[i], in row order over its widths[i] rows,
-    and blocks sharing a sub-block share its start. Each distinct sub-block
-    gets widths + 1 pointers, absolute positions into the entries' columns,
-    so no entry is copied. Returns the pointers and each block's first."""
-    uniq, first, of = np.unique(starts, return_index=True, return_inverse=True)
-    counts, widths = counts[first], widths[first]
+    """Row pointers over sub-blocks read in place (see _distinct_sub_blocks),
+    block i's over its widths[i] rows. Each distinct sub-block gets widths +
+    1 pointers, absolute positions into the entries' columns, so no entry is
+    copied. Returns the pointers and each block's first."""
+    uniq, first, of, counts, rows = _distinct_sub_blocks(rows, starts, counts)
+    widths = widths[first]
     row_base = csr_indptr(widths)[:-1]  # each sub-block's first row, its rows laid end to end
-    held = csr_indptr(np.bincount(rows[csr_spans(uniq, counts)] + np.repeat(row_base, counts),
+    held = csr_indptr(np.bincount(rows + np.repeat(row_base, counts),
                                   minlength=int(widths.sum())))
     # pointer r of sub-block u is its start plus its entries in rows before r
     indptr = held[csr_spans(row_base, widths + 1)]
@@ -488,9 +498,10 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     # blocks a bounded chunk at a time. Each A entry's products are counted
     # once per block it is in; their sum over all of a block's entries, with
     # its rows, gives the block its path. Entries without a product meet an
-    # empty B row and are dropped before any batch copies them. A batch of
-    # the chunk's blocks, bounded by its scratch, copies its live A entries
-    # by index. Every non-empty output row of a block is one record of the
+    # empty B row and are dropped before any batch copies them. The live
+    # entries are copied once more, in batch order, so that a batch of the
+    # chunk's blocks, bounded by its scratch, reads its own as one slice.
+    # Every non-empty output row of a block is one record of the
     # worker's one RecordBatch: key (alpha, i), order gamma * k + beta, and
     # its columns and values as payload.
     def summation_mapper(rec):
@@ -512,15 +523,21 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
             ops.add(int(tot.sum()))
             new_row = _row_starts(a_rows, na)
             live_rows = np.diff(csr_indptr(new_row)[csr_indptr(na)])
-            first_a = csr_indptr(na)[:-1]
-            for at, path in _summation_batches(tot, nr[lo:hi], gw[lo:hi], bw[lo:hi],
-                                               na + tot + live_rows):
-                if path == _DENSE:  # one block, whose live entries lie together
-                    a_at = slice(first_a[at[0]], first_a[at[0]] + na[at[0]])
-                else:
-                    a_at = csr_spans(first_a[at], na[at])
+            batches = list(_summation_batches(tot, nr[lo:hi], gw[lo:hi], bw[lo:hi],
+                                              na + tot + live_rows))
+            if not batches:  # no block of the chunk has a product
+                continue
+            # the live entries in batch order, so that a batch's are one slice
+            seq = np.concatenate([at for at, _ in batches])
+            a_at = csr_spans(csr_indptr(na)[:-1][seq], na[seq])
+            a_rows, a_cols, a_vals = a_rows[a_at], a_cols[a_at], a_vals[a_at]
+            a_products, new_row = a_products[a_at], new_row[a_at]
+            end = 0
+            for at, path in batches:
+                a_at = slice(end, end + int(na[at].sum()))
+                end = a_at.stop
                 first = np.flatnonzero(new_row[a_at])
-                blk = _Block(a_rows[a_at][first], np.append(first, na[at].sum()), a_cols[a_at],
+                blk = _Block(a_rows[a_at][first], np.append(first, end - a_at.start), a_cols[a_at],
                              a_vals[a_at], a_products[a_at], b_indptr, e_cols, e_vals,
                              int(bw[lo + at].max()))
                 on_row = np.repeat(lo + at, live_rows[at])  # block of each of the batch's rows

@@ -432,6 +432,29 @@ class TestBatchedSummation:
             for workers in (1, 2, 3, 8):
                 assert _product_bytes(A, B, schema, shard, workers) == reference
 
+    @settings(max_examples=40, deadline=None)
+    @given(operands=mixed_operands(), data=st.data())
+    def test_count_chunks_leave_bytes_unchanged(self, operands, data):
+        # a count chunk of 1 takes a worker's blocks one at a time and one of
+        # 50 a few at a time, so every block but a worker's first is read at
+        # an offset into its chunk
+        import mrmul.multiply as mm
+        A, B = operands
+        m = data.draw(st.integers(1, A.rows), label="m")
+        n = data.draw(st.integers(1, A.cols), label="n")
+        k = data.draw(st.integers(1, B.cols), label="k")
+        schema = PartitionSchema(m, n, k)
+        factor = data.draw(st.sampled_from([None, 0, 1, 3]), label="dense factor")
+        batch = data.draw(st.sampled_from([None, 40]), label="batch")
+        reference = _product_bytes(A, B, schema, "naive", 1, batch=0, dense_factor=factor)
+        for chunk in (1, 50):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mm, "_COUNT_CHUNK", chunk)
+                for shard in ("naive", "rand"):
+                    for workers in (1, 2, 3, 8):
+                        assert _product_bytes(A, B, schema, shard, workers, batch,
+                                              factor) == reference
+
     def test_summation_job_shape(self, monkeypatch):
         import mrmul.engine as engine
         import mrmul.multiply as mm
