@@ -5,7 +5,9 @@ Row format:
     <row_index>TAB<col>:<value> <col>:<value> ...
 One line per nonempty row, row indices strictly ascending, column indices
 strictly ascending, values finite and nonzero, written in shortest round-trip
-decimal so that read(write(M)) == M bit-exactly.
+decimal so that read(write(M)) == M bit-exactly. The writer builds one `%`
+template from the CSR arrays for each chunk of whole rows, `<col>:%r` per
+entry, and formats the chunk's values by one `%` call: `%r` is float repr.
 
 SVM examples (LIBSVM's layout with 0-based indices):
     <label> <index>:<value> <index>:<value> ...
@@ -75,16 +77,54 @@ def data_lines(path):
         yield lineno, line
 
 
+# write_matrix cuts M into chunks of whole rows, each starting at the row
+# that holds entry 0, _WRITE_CHUNK, 2 * _WRITE_CHUNK, ..., so that a write
+# formats about that many entries at a time whatever M's size.
+_WRITE_CHUNK = 1 << 14
+
+
 def write_matrix(M: SparseMatrix, path) -> None:
-    """Write M in row format. Round-trips bit-exactly through read_matrix."""
+    """Write M in row format. Round-trips bit-exactly through read_matrix.
+
+    Each chunk of rows is formatted by one `%` call over its template
+    (_rows_template), which formats every value as its repr in C. Nothing is
+    built per column of M, nor per empty row beyond a slice of indptr."""
+    indptr = M.indptr
+    firsts = np.searchsorted(indptr, np.arange(0, M.nnz, _WRITE_CHUNK), side="right") - 1
+    starts = firsts[np.diff(firsts, prepend=-1) > 0].tolist()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{M.rows} {M.cols} {M.nnz}\n")
-        for i in range(M.rows):
-            cols, vals = M.row(i)
-            if cols.size == 0:
-                continue
-            pairs = " ".join(f"{c}:{v!r}" for c, v in zip(cols.tolist(), vals.tolist()))
-            fh.write(f"{i}\t{pairs}\n")
+        for r0, r1 in zip(starts, starts[1:] + [M.rows]):
+            lo, hi = int(indptr[r0]), int(indptr[r1])
+            fh.write(_rows_template(M, r0, r1) % tuple(M.values[lo:hi].tolist()))
+
+
+def _rows_template(M: SparseMatrix, r0, r1) -> str:
+    """The row-format lines of rows r0..r1-1 of M, one `%r` for each value:
+    each entry is `<col>:%r ` and a row's last ends in a newline instead,
+    and each nonempty row's first is prefixed with `<row>\t`. Column strings
+    are made once for each column the rows use."""
+    ptr = M.indptr[r0:r1 + 1]
+    lo = ptr[0]
+    # the distinct columns and each entry's place among them: np.unique's
+    # return_inverse, which would also import numpy.ma
+    cols = M.indices[lo:ptr[-1]]
+    order = cols.argsort()
+    used = cols[order]
+    new = np.empty(used.size, dtype=bool)
+    new[0] = True
+    np.not_equal(used[1:], used[:-1], out=new[1:])
+    used = used[new]
+    code = np.empty(cols.size, dtype=np.intp)
+    code[order] = np.cumsum(new) - 1
+    full = np.flatnonzero(np.diff(ptr))  # the nonempty rows, counted from r0
+    code[ptr[full + 1] - 1 - lo] += used.size  # a row's last entry ends its line
+    pieces = np.array([f"{c}:%r{end}" for end in " \n" for c in used.tolist()],
+                      dtype=object).take(code)
+    first = ptr[full] - lo
+    heads = np.array([f"{i}\t" for i in (full + r0).tolist()], dtype=object)
+    pieces[first] = heads + pieces[first]
+    return "".join(pieces.tolist())
 
 
 def _read_entries(tokens, width, indices, values, path, lineno):

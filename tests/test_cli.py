@@ -185,6 +185,24 @@ class TestMultiply:
         assert code != 0
         assert "first.txt" in captured.err and "second.txt" in captured.err
 
+    def test_wide_product_written(self, tmp_path):
+        """An 8x2 by 2x2^40 product (TestPartitionMultiply._wide_operands in
+        test_multiply.py) writes the C of the dense oracle on B's two
+        nonempty columns, the only ones C may hold."""
+        from mrmul.sparse import SparseMatrix
+        width = 2 ** 40
+        A = SparseMatrix(8, 2, np.arange(9), np.arange(8) % 2, np.arange(1.0, 9.0))
+        B = SparseMatrix(2, width, [0, 1, 2], [3, width - 1], [0.5, -3.0])
+        af, bf, out = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        write_matrix(A, af)
+        write_matrix(B, bf)
+        assert run_cli("multiply", "--a", af, "--b", bf, "--schema", "1x1x1",
+                       "--out", out) == 0
+        cols = np.array([3, width - 1])[np.arange(8) % 2]
+        expected = (A.to_dense() @ np.array([[0.5, 0.0], [0.0, -3.0]]))[np.arange(8),
+                                                                         np.arange(8) % 2]
+        assert read_matrix(out) == SparseMatrix(8, width, np.arange(9), cols, expected)
+
     def test_rerun_byte_identical(self, tmp_path):
         A = random_sparse(16, 16, 0.5, seed=7)
         af = tmp_path / "a.txt"

@@ -1,15 +1,19 @@
 """The text readers (row-format matrices, SVM examples, alphas, edge lists
 and config files): bad input rejected at the first offending line in file
 order, and fuzzed valid files that must parse back exactly and, with one
-token corrupted, fail with a ParseError naming that token's line."""
+token corrupted, fail with a ParseError naming that token's line. And the
+row-format writer: the bytes of the per-row writer it replaced, with no
+scratch that grows with the matrix's width."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mrmul.io as mio
 from mrmul.cli import main
 from mrmul.io import (_PLAIN_EDGES, ParseError, _plain_edges, _read_edge_lines, read_edges,
                       read_matrix, read_svm_file, write_matrix)
@@ -295,6 +299,89 @@ class TestReadMatrixFuzz:
         with pytest.raises(ParseError) as exc:
             read_matrix(path)
         assert exc.value.lineno == at + 1
+
+
+def per_row_write(M, path):
+    """The reference writer: one f-string line per nonempty row, each value
+    as its repr, as write_matrix wrote the row format before it formatted a
+    whole chunk of rows by one `%` call."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{M.rows} {M.cols} {M.nnz}\n")
+        for i in range(M.rows):
+            cols, vals = M.row(i)
+            if cols.size == 0:
+                continue
+            pairs = " ".join(f"{c}:{v!r}" for c, v in zip(cols.tolist(), vals.tolist()))
+            fh.write(f"{i}\t{pairs}\n")
+
+
+# the values whose repr is least like the rest: the smallest subnormal, the
+# largest finite floats, integral floats and negatives
+EDGE_VALUES = (5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -1.0, 2.0, 1e16, -3.0)
+
+
+@st.composite
+def csr_matrices(draw):
+    """Up to 12 rows over a width up to 2^63-1, each row empty or holding up
+    to 6 columns, the first and last rows as likely to be empty as any."""
+    width = draw(st.one_of(st.integers(1, 8), st.integers(1, 2 ** 63 - 1),
+                           st.just(2 ** 63 - 1)))
+    row = st.one_of(st.just(set()), st.sets(st.integers(0, width - 1), max_size=6))
+    rows = [sorted(c) for c in draw(st.lists(row, min_size=1, max_size=12))]
+    value = st.one_of(st.sampled_from(EDGE_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    counts = [len(c) for c in rows]
+    values = draw(st.lists(value, min_size=sum(counts), max_size=sum(counts)))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return SparseMatrix(len(rows), width, indptr, [c for r in rows for c in r], values)
+
+
+class TestWriteMatrixBytes:
+    """write_matrix writes the bytes of per_row_write, whatever the size of
+    the chunks whose rows it formats by one `%` call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(M=csr_matrices(), chunk=st.sampled_from([1, 2, 3, 5, mio._WRITE_CHUNK]))
+    @example(M=SparseMatrix(3, 4, [0, 0, 0, 0], [], []), chunk=mio._WRITE_CHUNK)
+    @example(M=SparseMatrix(3, 2 ** 63 - 1, [0, 0, 2, 2], [0, 2 ** 63 - 2], [1.0, -5e-324]),
+             chunk=1)
+    def test_same_bytes_as_per_row_writer(self, tmp_path_factory, M, chunk):
+        d = tmp_path_factory.mktemp("write")
+        per_row_write(M, d / "ref.txt")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mio, "_WRITE_CHUNK", chunk)
+            write_matrix(M, d / "m.txt")
+        assert (d / "m.txt").read_bytes() == (d / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("shape, density", [((300, 300), 0.5), ((2, 40_000), 0.6)])
+    def test_many_chunks_same_bytes(self, tmp_path, shape, density):
+        """At the default chunk: 45,000 entries in rows of about 150, and
+        two rows each longer than a chunk."""
+        rng = np.random.default_rng(11)
+        M = SparseMatrix.from_dense(np.where(rng.random(shape) < density,
+                                             rng.standard_normal(shape), 0.0))
+        assert M.nnz > 2 * mio._WRITE_CHUNK
+        per_row_write(M, tmp_path / "ref.txt")
+        write_matrix(M, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    def test_widest_row_round_trips_without_a_column_table(self, tmp_path):
+        """A 1 x (2^63-1) row round-trips, and the write's peak scratch is far
+        below what any table over the columns would take."""
+        width = 2 ** 63 - 1
+        M = SparseMatrix(1, width, [0, 3], [0, 2 ** 40, width - 1], [1.5, -2.0, 5e-324])
+        path = tmp_path / "wide.txt"
+        tracemalloc.start()
+        try:
+            write_matrix(M, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert path.read_text() == (f"1 {width} 3\n"
+                                    f"0\t0:1.5 1099511627776:-2.0 {width - 1}:5e-324\n")
+        assert read_matrix(path) == M
 
 
 class TestSvmLabels:
