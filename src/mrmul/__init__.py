@@ -9,7 +9,6 @@ from .engine import (
     JobError,
     JobMetrics,
     JobSpec,
-    KeyedRecord,
     RecordBatch,
     current_worker,
     run_job,

@@ -4,16 +4,13 @@ A job is map -> shuffle -> reduce over in-process workers, or map alone.
 The engine enforces the MapReduce contract: user functions communicate only
 through the shuffle, the broadcast store, and accumulators; no reducer
 starts before all mappers finish. Output is deterministic for any worker
-count: map emissions are collected in task order, shuffle groups are sorted
-by key, and values within a group are sorted by their serialized form (in a
-batch job, by their order column) before reduction.
+count: map emissions are collected in task order, and the shuffle sorts
+records by key and, within a key, by their order column before reduction.
 
-A job takes one of three forms. In a pair job a mapper emits (key, value)
-pairs, pickled one by one (protocol 5), and each key group is reduced by its
-own reducer call. In a batch job a mapper emits a RecordBatch: many records
-as columns (int64 keys, an int64 order column, and the start and count of
-each record's payload in shared payload arrays, so records may share
-entries), placed by one vectorised shard_fn call over the key columns,
+A job takes one of two forms. In a batch job a mapper emits a RecordBatch:
+many records as columns (int64 keys, an int64 order column, and the start
+and count of each record's payload in shared payload arrays, so records may
+share entries), placed by one vectorised shard_fn call over the key columns,
 sorted by (key, order) with one stable sort, and reduced by one reducer call
 per worker, in key order; the sort and placement move keys, order, starts
 and counts, never an entry. A repeated (key, order) is refused, so no value
@@ -22,26 +19,26 @@ value stays on the worker that formed it, unserialized, and the output is
 the values in worker order (Hadoop's job with zero reduce tasks).
 
 The broadcast multiply's job is map-only, as a block's product never leaves
-its worker; on pairs, pickling, grouping and an identity reduce took about
-a third of a product's time (16 of 50 us, a 500x300 sparse by 300x1 product
-on 2 workers, 2-core host). Both jobs of the partition-summation product are
-batch jobs: on pairs each of their many small records pays pickling and a
-reducer call, and as a batch job the partition stage fell from about 20 to
-4 ms on the multiply-sparse benchmark's operands. No mrmul job runs on
-pairs; they are the general form, for keys that are not int64 rows.
+its worker; pickling, grouping and an identity reduce per row would take
+about a third of a product's time (16 of 50 us, a 500x300 sparse by 300x1
+product on 2 workers, 2-core host). Both jobs of the partition-summation
+product are batch jobs: pickled one by one, each of their many small records
+would pay pickling and a reducer call, and as a batch job the partition
+stage takes about 4 ms on the multiply-sparse benchmark's operands, against
+about 20 ms pickled.
 
 Map tasks run on a thread pool, at most one thread per core, and each task
 still runs as its worker, when the job asks for it (JobSpec.parallel); else
 one worker after another on the caller's thread. Reducers run on the
-caller's thread, one key or one worker's batch at a time in key order, each
-with its shard-named worker as current_worker(); a failure names the first
-failing key in key order at any worker count.
+caller's thread, one worker's batch at a time in worker order, each with
+that worker as current_worker(); a failure names the first failing key in
+key order at any worker count.
 
-Shuffle volume is measured on the bytes that really travel: a pair's pickled
-form, or a batch record's key and order int64s plus its slice of every
-payload column, counted once per record even where records share entries.
-So byte counts are comparable across shard strategies. A map-only job's
-values travel nowhere, and count no bytes.
+Shuffle volume is measured on the bytes that really travel: a record's key
+and order int64s plus its slice of every payload column, counted once per
+record even where records share entries. So byte counts are comparable
+across shard strategies. A map-only job's values travel nowhere, and count
+no bytes.
 """
 
 from __future__ import annotations
@@ -55,15 +52,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .sparse import csr_indptr, csr_spans
 
 __all__ = [
-    "KeyedRecord",
     "RecordBatch",
     "JobSpec",
     "JobMetrics",
@@ -75,11 +70,6 @@ __all__ = [
     "current_worker",
     "serialize_record",
 ]
-
-
-class KeyedRecord(NamedTuple):
-    key: Any
-    value: Any
 
 
 class RecordBatch(NamedTuple):
@@ -168,21 +158,18 @@ class BroadcastStore:
 
 @dataclass
 class JobSpec:
-    """One map-shuffle-reduce stage, in one of three forms; in each its user
+    """One map-shuffle-reduce stage, in one of two forms; in each its user
     functions must be deterministic and pure.
 
-    A pair job: mapper(record) and reducer(key, values) return iterables of
-    (key, value) pairs, and shard_fn(key) places each key group on a worker
-    in [0, workers).
-
-    A batch job: mapper(record) returns one RecordBatch (or nothing),
-    shard_fn(key_columns) takes the tuple of the key columns of all records
-    and returns the worker of every record as an int array, and
-    reducer(batch) is called once per worker that holds records, with those
-    records sorted by (key, order), and returns a RecordBatch, whose records
-    may share the entries of its input's. The job's output is the reducers'
-    batches merged into one, sorted by (key, order), or [] when it has no
-    records; read its entries side by side through RecordBatch.entries().
+    A batch job: mapper(record) returns one RecordBatch, or None for no
+    records, shard_fn(key_columns) takes the tuple of the key columns of all
+    records and returns the worker in [0, workers) of every record as an int
+    array, and reducer(batch) is called once per worker that holds records,
+    with those records sorted by (key, order), and returns a RecordBatch,
+    whose records may share the entries of its input's, or None for no
+    records. The job's output is the reducers' batches merged into one,
+    sorted by (key, order), or [] when it has no records; read its entries
+    side by side through RecordBatch.entries().
 
     A map-only job: reducer and shard_fn are None, and mapper(record)
     returns one value, which stays on its worker unserialized; the output is
@@ -193,9 +180,9 @@ class JobSpec:
     default input is split into contiguous chunks.
     """
 
-    mapper: Callable[[Any], Iterable[tuple] | RecordBatch | None]
-    reducer: Callable[[Any, list], Iterable[tuple]] | Callable[[RecordBatch], RecordBatch] | None = None
-    shard_fn: Callable[[Any], int] | Callable[[tuple], np.ndarray] | None = None
+    mapper: Callable[[Any], Any]
+    reducer: Callable[[RecordBatch], RecordBatch | None] | None = None
+    shard_fn: Callable[[tuple], np.ndarray] | None = None
     workers: int = 1
     name: str = "job"
     ops: Accumulator | None = None
@@ -233,30 +220,32 @@ def current_worker():
 
 
 def serialize_record(key, value) -> bytes:
-    """The instrumented shuffle serializer; shuffle_bytes sums its output sizes."""
+    """A (key, value) pair pickled with protocol 5. No job calls it: every
+    shuffle moves RecordBatch columns. perfbench/tracer.py still patches it
+    to count serializer calls; ROADMAP item 2 deletes it together with that
+    patch."""
     return pickle.dumps((key, value), protocol=5)
 
 
 def _map_task(chunk, mapper, stage, worker, map_only):
+    """The mapper's values of a map-only job; else its RecordBatches, a
+    None dropped and any other value refused, naming its record."""
     _worker_ctx.worker = worker
-    out, batches = [], []
-    append = out.append
+    out = []
     try:
         for rec in chunk:
             try:
                 emitted = mapper(rec)
             except Exception as exc:
                 raise JobError(f"{stage}/map", rec, exc) from exc
-            if map_only:
-                append(emitted)
-            elif isinstance(emitted, RecordBatch):
-                batches.append(emitted)
-            elif emitted:
-                for key, value in emitted:
-                    append((serialize_record(key, value), key, value))
+            if map_only or isinstance(emitted, RecordBatch):
+                out.append(emitted)
+            elif emitted is not None:
+                raise JobError(f"{stage}/map", rec, TypeError(
+                    f"mapper returned {type(emitted).__name__}, not a RecordBatch or None"))
     finally:
         _worker_ctx.worker = None
-    return worker, out, batches
+    return worker, out
 
 
 def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
@@ -270,34 +259,17 @@ def _run_tasks(task_fn, n_workers, args_per_worker, parallel):
         return [f.result() for f in futures]
 
 
-def _sorted_keys(groups, stage):
-    """The group keys in ascending order. Keys that cannot be ordered against
-    each other raise a JobError naming one of them."""
-    try:
-        return sorted(groups)
-    except TypeError as exc:
-        first = bad = next(iter(groups))
-        for key in groups:
-            try:
-                first < key  # raises for the first key unorderable against the first
-            except TypeError:
-                bad = key
-                break
-        raise JobError(stage, bad, exc) from exc
+def run_job(spec: JobSpec, records) -> tuple[RecordBatch | list, JobMetrics]:
+    """Execute one job; returns its output and stage metrics.
 
-
-def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | list, JobMetrics]:
-    """Execute one job; returns key-sorted output and stage metrics.
-
-    The output equals the sequential reference semantics (map everything,
-    group by key, reduce each group in key order) for every worker count.
-    A batch job's output is one RecordBatch, or [] when it has no records;
-    a map-only job's is the mappers' values in worker order.
+    A batch job's output is one RecordBatch sorted by (key, order), or []
+    when it has no records, the same for every worker count; a map-only
+    job's is the mappers' values in worker order.
     """
-    # A job allocates a few tuples per record and frees them by reference
-    # counting. Those allocations would start the cyclic collector every few
-    # hundred records, only for it to rescan the job's live records, so it
-    # waits until the job ends.
+    # A job allocates tuples and lists as it runs (a map-only job at least
+    # one per record) and frees them by reference counting. Those
+    # allocations would start the cyclic collector, only for it to rescan
+    # the job's live objects, so it waits until the job ends.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -307,7 +279,7 @@ def run_job(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | l
             gc.enable()
 
 
-def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | list, JobMetrics]:
+def _run(spec: JobSpec, records) -> tuple[RecordBatch | list, JobMetrics]:
     if spec.workers < 1:
         raise ValueError("workers must be >= 1")
     map_only = spec.reducer is None
@@ -331,22 +303,21 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | list
                                          for w in sorted(chunks)], spec.parallel)
 
     if map_only:  # the values stay where they were formed: no shuffle, no reduce
-        output = [value for _, values, _ in map_out for value in values]
+        output = [value for _, values in map_out for value in values]
         shuffle_bytes = cross_worker_bytes = 0
         records_per_worker = [0] * nw
-        for w, values, _ in map_out:
+        for w, values in map_out:
             records_per_worker[w] = len(values)
         t1 = t2 = t3 = time.perf_counter()
     else:
         t1 = time.perf_counter()
-        if any(batches for _, _, batches in map_out):
+        if any(batches for _, batches in map_out):
             plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_batches(spec, map_out)
             t2 = time.perf_counter()
             output = _reduce_batches(spec, plan)
-        else:
-            plan, shuffle_bytes, cross_worker_bytes, records_per_worker = _shuffle_pairs(spec, map_out)
+        else:  # the mappers emitted nothing
+            output, shuffle_bytes, cross_worker_bytes, records_per_worker = [], 0, 0, [0] * nw
             t2 = time.perf_counter()
-            output = _reduce_pairs(spec, plan)
         t3 = time.perf_counter()
 
     metrics = JobMetrics(
@@ -361,52 +332,6 @@ def _run(spec: JobSpec, records) -> tuple[list[KeyedRecord] | RecordBatch | list
         scalar_ops=(spec.ops.value - ops_before) if spec.ops is not None else 0,
     )
     return output, metrics
-
-
-def _shuffle_pairs(spec, map_out):
-    """Group the pairs by key. Returns the (key, worker, values) of every
-    group in key order, each group's values in serialized order, with the
-    byte totals and the records per worker."""
-    nw = spec.workers
-    # A key's worker is a pure function of the key, so it is fixed when the
-    # key's group is created; a record's bytes change workers when the worker
-    # that emitted it is not its key's.
-    groups: dict[Any, tuple] = {}
-    shuffle_bytes = cross_worker_bytes = 0
-    for src_worker, out, _ in map_out:
-        for blob, key, value in out:
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = (spec.shard_fn(key), [])
-            group[1].append((blob, value))
-            shuffle_bytes += len(blob)
-            if group[0] != src_worker:
-                cross_worker_bytes += len(blob)
-    plan = []
-    records_per_worker = [0] * nw
-    for key in _sorted_keys(groups, f"{spec.name}/shuffle"):
-        dest, bucket = groups[key]
-        if not 0 <= dest < nw:
-            raise JobError(f"{spec.name}/shuffle", key, ValueError(f"shard {dest} outside 0..{nw - 1}"))
-        records_per_worker[dest] += len(bucket)
-        bucket.sort(key=itemgetter(0))
-        plan.append((key, dest, [value for _, value in bucket]))
-    return plan, shuffle_bytes, cross_worker_bytes, records_per_worker
-
-
-def _reduce_pairs(spec, plan):
-    # Reducers run one key at a time in key order, each on its key's worker,
-    # so a failure names the first failing key whatever the worker count.
-    output = []
-    try:
-        for key, _worker_ctx.worker, values in plan:
-            try:
-                output.extend(KeyedRecord(k, v) for k, v in spec.reducer(key, values))
-            except Exception as exc:
-                raise JobError(f"{spec.name}/reduce", key, exc) from exc
-    finally:
-        _worker_ctx.worker = None
-    return output
 
 
 def _key_of(keys, r):
@@ -465,12 +390,9 @@ def _shuffle_batches(spec, map_out):
     each, with the byte totals and the records per worker."""
     nw = spec.workers
     stage = f"{spec.name}/shuffle"
-    if any(pairs for _, pairs, _ in map_out):
-        raise JobError(f"{spec.name}/map", None,
-                       TypeError("mappers returned both pairs and RecordBatches"))
-    src = np.repeat([w for w, _, batches in map_out for _ in batches],
-                    [b.counts.size for _, _, batches in map_out for b in batches])
-    batches = [b for _, _, out in map_out for b in out]
+    src = np.repeat([w for w, batches in map_out for _ in batches],
+                    [b.counts.size for _, batches in map_out for b in batches])
+    batches = [b for _, out in map_out for b in out]
     map_out.clear()  # so the mappers' columns are freed as they are joined
     whole = _concat(batches)
     perm = _key_order(whole, stage)
@@ -486,6 +408,15 @@ def _shuffle_batches(spec, map_out):
             int(nbytes[dest != src[perm]].sum()), np.bincount(dest, minlength=nw).tolist())
 
 
+def _reduced(reducer, batch):
+    """reducer's RecordBatch for batch, or None when it keeps no record;
+    any other value raises a TypeError."""
+    out = reducer(batch)
+    if out is not None and not isinstance(out, RecordBatch):
+        raise TypeError(f"reducer returned {type(out).__name__}, not a RecordBatch or None")
+    return out
+
+
 def _reduce_batches(spec, plan):
     """One reducer call per worker that holds records, in worker order, on
     a slice of the sorted records; the outputs merged in (key, order)."""
@@ -497,9 +428,11 @@ def _reduce_batches(spec, plan):
             _worker_ctx.worker = int(workers[lo])
             part = _take(whole, slice(lo, hi))
             try:
-                outs.append(spec.reducer(part))
+                out = _reduced(spec.reducer, part)
             except Exception as exc:
                 _raise_first_failure(spec, whole, workers, part, exc)
+            if out is not None:
+                outs.append(out)
     finally:
         _worker_ctx.worker = None
     merged = _concat(outs) if outs else None
@@ -520,7 +453,7 @@ def _raise_first_failure(spec, whole, workers, failed, exc):
     for lo, hi in zip(bounds, bounds[1:]):
         _worker_ctx.worker = int(workers[lo])
         try:
-            spec.reducer(_take(whole, slice(lo, hi)))
+            _reduced(spec.reducer, _take(whole, slice(lo, hi)))
         except Exception as key_exc:
             raise JobError(stage, _key_of(whole.keys, lo), key_exc) from key_exc
     raise JobError(stage, _key_of(failed.keys, 0), exc) from exc

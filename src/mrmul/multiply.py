@@ -555,7 +555,7 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
                 cols.append(c)
                 vals.append(v)
         if not row_block:  # no block has a product
-            return []
+            return None
         alpha, beta, gamma = block_keys[np.concatenate(row_block)].T
         row_counts = np.concatenate(row_counts)
         return RecordBatch(np.column_stack((alpha, np.concatenate(row_ids))), gamma * k + beta,

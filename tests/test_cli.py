@@ -220,11 +220,9 @@ class TestMetricsCsv:
     """Every job row, of runs.csv and of multiply --metrics, is job_fields."""
 
     def test_csv_row_shape(self):
-        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, sum(v))],
-                       lambda k: ord(k) % 2, workers=2, name="wordcount")
-        _, metrics = run_job(spec, ["a", "b"])
+        _, metrics = run_job(JobSpec(str.upper, workers=2, name="upper"), ["a", "b"])
         parts = job_fields(metrics)
-        assert parts[0] == "wordcount"
+        assert parts[0] == "upper"
         assert len(parts) == len(JOB_COLUMNS) == 7
 
 

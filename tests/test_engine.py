@@ -1,4 +1,3 @@
-import pickle
 import threading
 
 import numpy as np
@@ -12,94 +11,105 @@ from mrmul.engine import (
     BroadcastStore,
     JobError,
     JobSpec,
-    KeyedRecord,
     RecordBatch,
     current_worker,
     run_job,
-    serialize_record,
 )
 
 
-def word_count_spec(workers, parallel=True):
-    return JobSpec(
-        mapper=lambda rec: [(rec, 1)],
-        reducer=lambda key, values: [(key, sum(values))],
-        shard_fn=lambda key: sum(key.encode()) % workers,
-        workers=workers,
-        name="wordcount",
-        parallel=parallel,
-    )
+def _record(key, order, value):
+    """One record of key (key,) and order `order`, one payload entry."""
+    return RecordBatch(np.array([[key]], dtype=np.int64), np.array([order], dtype=np.int64),
+                       np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+                       (np.array([value]),))
+
+
+def _key_sums(batch):
+    """One record per key of batch: its entries summed in (key, order)."""
+    (values,) = batch.entries()
+    first = np.flatnonzero(np.r_[True, (batch.keys[1:] != batch.keys[:-1]).any(axis=1)])
+    n = first.size
+    return RecordBatch(batch.keys[first], np.zeros(n, dtype=np.int64), np.arange(n),
+                       np.ones(n, dtype=np.int64), (np.add.reduceat(values, first),))
+
+
+def _sums(out):
+    """A key-sum job's output as a list of (key, sum), in output order."""
+    if not isinstance(out, RecordBatch):
+        return []
+    return list(zip(out.keys[:, 0].tolist(), out.entries()[0].tolist()))
+
+
+def _counted(keys):
+    """Input records (key, order, 1): record i counts one of keys[i]."""
+    return [(key, i, 1) for i, key in enumerate(keys)]
+
+
+def sum_spec(workers, reducer=_key_sums, mapper=None, shard=None, **kw):
+    """A per-key sum: input (key, order, value) is one record, placed by
+    key modulo the worker count unless a shard is given."""
+    return JobSpec(mapper or (lambda rec: _record(*rec)), reducer,
+                   shard or (lambda cols: cols[0] % workers), workers=workers, **kw)
 
 
 class TestRunJob:
     def test_word_count(self):
-        out, metrics = run_job(word_count_spec(1), ["a", "b", "a"])
-        assert out == [KeyedRecord("a", 2), KeyedRecord("b", 1)]
+        out, metrics = run_job(sum_spec(1), _counted(map(ord, "aba")))
+        assert _sums(out) == [(ord("a"), 2), (ord("b"), 1)]
         assert metrics.records_per_worker == [3]
 
     def test_worker_count_invariance(self):
         results = {}
         for w in (1, 2, 4, 8):
-            out, _ = run_job(word_count_spec(w), list("abracadabra"))
-            results[w] = sorted(out)
+            out, _ = run_job(sum_spec(w), _counted(map(ord, "abracadabra")))
+            results[w] = _sums(out)
         assert results[1] == results[2] == results[4] == results[8]
 
     def test_empty_mapper_output(self):
-        spec = JobSpec(lambda rec: [], lambda k, v: [(k, v)], lambda k: 0, workers=2)
+        spec = sum_spec(2, mapper=lambda rec: None)
         out, metrics = run_job(spec, [1, 2, 3])
         assert out == []
-        assert metrics.shuffle_bytes == 0
+        assert metrics.shuffle_bytes == metrics.cross_worker_bytes == 0
+        assert metrics.records_per_worker == [0, 0]
 
     def test_output_is_key_sorted(self):
-        spec = JobSpec(lambda rec: [(rec, rec)], lambda k, v: [(k, v)],
-                       lambda k: k % 3, workers=3)
-        out, _ = run_job(spec, [5, 1, 4, 2, 3])
-        assert [r.key for r in out] == [1, 2, 3, 4, 5]
-
-    def test_shuffle_bytes_match_instrumented_serializer(self):
-        records = ["x", "y", "x", "z"]
-        spec = word_count_spec(2)
-        _, metrics = run_job(spec, records)
-        expected = sum(len(serialize_record(r, 1)) for r in records)
-        assert metrics.shuffle_bytes == expected
+        out, _ = run_job(sum_spec(3), _counted([5, 1, 4, 2, 3]))
+        assert out.keys[:, 0].tolist() == [1, 2, 3, 4, 5]
 
     def test_records_per_worker_sums_to_total(self):
-        spec = word_count_spec(4)
-        _, metrics = run_job(spec, list("mississippi"))
+        _, metrics = run_job(sum_spec(4), _counted(map(ord, "mississippi")))
         assert sum(metrics.records_per_worker) == len("mississippi")
 
     def test_reduce_runs_on_sharded_worker(self):
-        # every key group must be reduced on the worker its shard names
+        # every key must be reduced on the worker its shard names
         seen = {}
 
-        def reducer(key, values):
-            seen[key] = current_worker()
-            return [(key, len(values))]
+        def reducer(batch):
+            for key in batch.keys[:, 0].tolist():
+                seen[key] = current_worker()
+            return _key_sums(batch)
 
-        spec = JobSpec(lambda rec: [(rec, 1)], reducer,
-                       shard_fn=lambda key: key % 4, workers=4)
-        run_job(spec, [0, 1, 2, 3, 4, 5, 6, 7])
+        run_job(sum_spec(4, reducer), _counted(range(8)))
         assert seen == {k: k % 4 for k in range(8)}
 
     def test_map_affinity_pins_input(self):
         placed = {}
 
         def mapper(rec):
-            placed[rec] = current_worker()
-            return [(rec, 1)]
+            placed[rec[0]] = current_worker()
+            return _record(*rec)
 
-        spec = JobSpec(mapper, lambda k, v: [(k, v)], lambda k: 0, workers=3,
-                       map_affinity=lambda rec: rec % 3)
-        run_job(spec, [0, 1, 2, 3, 4, 5])
+        spec = sum_spec(3, mapper=mapper, shard=lambda cols: cols[0] * 0,
+                        map_affinity=lambda rec: rec[0] % 3)
+        run_job(spec, _counted(range(6)))
         assert placed == {r: r % 3 for r in range(6)}
 
     def test_cross_worker_bytes_zero_when_aligned(self):
         # shard destination equals the mapping worker for every record
-        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
-                       shard_fn=lambda key: key % 2, workers=2,
-                       map_affinity=lambda rec: rec % 2)
-        _, metrics = run_job(spec, [0, 1, 2, 3])
+        spec = sum_spec(2, map_affinity=lambda rec: rec[0] % 2)
+        _, metrics = run_job(spec, _counted([0, 1, 2, 3]))
         assert metrics.cross_worker_bytes == 0
+        assert metrics.shuffle_bytes == 4 * (8 + 8 + 8)  # key, order, one int64 entry
 
     def test_barrier_no_reducer_before_all_mappers(self):
         done = []
@@ -108,40 +118,41 @@ class TestRunJob:
         def mapper(rec):
             with lock:
                 done.append(rec)
-            return [(rec % 2, rec)]
+            return _record(*rec)
 
         observed = []
 
-        def reducer(key, values):
+        def reducer(batch):
             observed.append(len(done))
-            return [(key, values)]
+            return batch
 
-        spec = JobSpec(mapper, reducer, lambda k: k % 2, workers=2)
-        run_job(spec, list(range(10)))
-        assert observed and all(n == 10 for n in observed)
+        run_job(sum_spec(2, reducer, mapper), _counted(range(10)))
+        assert len(observed) == 2 and all(n == 10 for n in observed)
 
     def test_reducer_sees_deterministically_ordered_values(self):
-        orders = []
+        # the records of one key arrive from mappers in reverse of their
+        # order column, and reach the reducer in that column's order
+        seen = []
 
-        def reducer(key, values):
-            orders.append(tuple(values))
-            return []
+        def reducer(batch):
+            seen.append((batch.order.tolist(), batch.entries()[0].tolist()))
+            return batch
 
+        values = [3, 1, 4, 1, 5, 9, 2, 6]
         for w in (1, 2, 4):
-            spec = JobSpec(lambda rec: [("k", rec)], reducer, lambda k: 0, workers=w)
-            run_job(spec, [3, 1, 4, 1, 5, 9, 2, 6])
-        assert orders[0] == orders[1] == orders[2]
+            run_job(sum_spec(w, reducer, shard=lambda cols: cols[0] * 0),
+                    [(0, 7 - i, v) for i, v in enumerate(values)])
+        assert seen == [(list(range(8)), values[::-1])] * 3
 
     def test_mapper_failure_attaches_record(self):
         def mapper(rec):
             if rec == "boom":
                 raise RuntimeError("bad record")
-            return [(rec, 1)]
+            return _record(0, 0, 1)
 
-        spec = JobSpec(mapper, lambda k, v: [(k, v)], lambda k: 0, workers=1)
         with pytest.raises(JobError) as exc:
-            run_job(spec, ["ok", "boom"])
-        assert exc.value.key == "boom"
+            run_job(sum_spec(1, mapper=mapper), ["ok", "boom"])
+        assert (exc.value.stage, exc.value.key) == ("job/map", "boom")
 
     def test_mapper_failure_message_bounded(self):
         # the failing record's repr passes a megabyte; the message abridges
@@ -151,9 +162,8 @@ class TestRunJob:
         def mapper(rec):
             raise MemoryError("no room for the record")
 
-        spec = JobSpec(mapper, lambda k, v: [(k, v)], lambda k: 0, workers=2, name="big")
         with pytest.raises(JobError) as exc:
-            run_job(spec, [record])
+            run_job(sum_spec(2, mapper=mapper, name="big"), [record])
         assert len(repr(record)) > 1 << 20 and exc.value.key is record
         message = str(exc.value)
         assert message.startswith("big/map failed on key [0, 1, 2, ")
@@ -161,129 +171,62 @@ class TestRunJob:
         assert len(message) <= 1024
 
     def test_reducer_failure_attaches_key(self):
-        def reducer(key, values):
-            if key == "b":
+        def reducer(batch):
+            if (batch.keys[:, 0] == ord("b")).any():
                 raise ValueError("cannot reduce b")
-            return [(key, 1)]
+            return batch
 
-        spec = JobSpec(lambda rec: [(rec, 1)], reducer, lambda k: 0, workers=2)
         with pytest.raises(JobError) as exc:
-            run_job(spec, ["a", "b"])
-        assert exc.value.key == "b"
+            run_job(sum_spec(2, reducer, shard=lambda cols: cols[0] * 0), _counted(map(ord, "ab")))
+        assert exc.value.key == (ord("b"),)
 
     def test_reducer_failure_names_first_key_for_any_worker_count(self):
-        # keys 1 and 2 both fail; reducers run in key order whatever worker
-        # each key lands on, so the error names key 1 every time
-        def reducer(key, values):
-            if key in (1, 2):
-                raise ValueError(f"cannot reduce {key}")
-            return [(key, len(values))]
+        # keys 1 and 2 both fail; whatever worker each key lands on, the
+        # error names key 1 every time
+        def reducer(batch):
+            bad = np.isin(batch.keys[:, 0], (1, 2))
+            if bad.any():
+                raise ValueError(f"cannot reduce {batch.keys[bad][0]}")
+            return batch
 
         for workers in (1, 2, 3, 8):
-            spec = JobSpec(lambda rec: [(rec, 1)], reducer, lambda k: k % workers,
-                           workers=workers, name="fails")
             with pytest.raises(JobError) as exc:
-                run_job(spec, [0, 1, 2, 3])
-            assert (exc.value.stage, exc.value.key) == ("fails/reduce", 1), workers
+                run_job(sum_spec(workers, reducer, name="fails"), _counted([0, 1, 2, 3]))
+            assert (exc.value.stage, exc.value.key) == ("fails/reduce", (1,)), workers
 
     def test_shard_out_of_range_rejected(self):
-        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
-                       shard_fn=lambda key: 7, workers=2)
-        with pytest.raises(JobError):
-            run_job(spec, [1])
-        # keys 9 and 5 are both out of range, 9 mapped first: the error names
-        # the smaller key at every worker count
-        for workers in (1, 2, 3, 8):
-            spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
-                           shard_fn=lambda key: {9: -1, 5: 100}.get(key, 0),
-                           workers=workers, name="placed")
-            with pytest.raises(JobError) as exc:
-                run_job(spec, [9, 2, 5, 0])
-            assert (exc.value.stage, exc.value.key) == ("placed/shuffle", 5), workers
-
-    def test_unorderable_keys_rejected(self):
-        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, v)],
-                       shard_fn=lambda key: 0, workers=2, name="mixed")
+        spec = sum_spec(2, shard=lambda cols: cols[0] * 0 + 7, name="placed")
         with pytest.raises(JobError) as exc:
-            run_job(spec, [1, "a", 2])
-        assert exc.value.stage == "mixed/shuffle"
-        assert exc.value.key == "a"
-        assert isinstance(exc.value.cause, TypeError)
+            run_job(spec, _counted([1]))
+        assert (exc.value.stage, exc.value.key) == ("placed/shuffle", (1,))
 
     def test_scalar_ops_accumulator(self):
         ops = Accumulator()
 
         def mapper(rec):
-            ops.add(rec)
-            return [(0, rec)]
+            ops.add(rec[0])
+            return _record(*rec)
 
-        spec = JobSpec(mapper, lambda k, v: [(k, sum(v))], lambda k: 0,
-                       workers=2, ops=ops)
-        _, metrics = run_job(spec, [1, 2, 3])
+        _, metrics = run_job(sum_spec(2, mapper=mapper, ops=ops), _counted([1, 2, 3]))
         assert metrics.scalar_ops == 6
 
     @settings(max_examples=30, deadline=None)
     @given(records=st.lists(st.integers(0, 20), max_size=40),
            workers=st.sampled_from([1, 2, 3, 4, 8]))
     def test_sequential_semantics_property(self, records, workers):
-        spec = JobSpec(lambda rec: [(rec % 5, rec)],
-                       lambda k, v: [(k, sum(v))],
-                       lambda k: k % workers, workers=workers)
-        out, _ = run_job(spec, records)
+        out, _ = run_job(sum_spec(workers), [(r % 5, i, r) for i, r in enumerate(records)])
         expected = {}
         for r in records:
             expected[r % 5] = expected.get(r % 5, 0) + r
-        assert dict(out) == expected
-        assert [r.key for r in out] == sorted(expected)
+        assert _sums(out) == sorted(expected.items())
 
     def test_parallel_flags_do_not_change_results(self):
-        records = list("abracadabra")
+        records = _counted(map(ord, "abracadabra"))
         outs = []
         for parallel in (True, False):
-            spec = JobSpec(lambda rec: [(rec, 1)],
-                           lambda k, v: [(k, sum(v))],
-                           lambda k: sum(k.encode()) % 3, workers=3,
-                           parallel=parallel)
-            out, metrics = run_job(spec, records)
-            outs.append((out, metrics.records_per_worker))
+            out, metrics = run_job(sum_spec(3, parallel=parallel), records)
+            outs.append((_sums(out), metrics.records_per_worker))
         assert all(o == outs[0] for o in outs[1:])
-
-
-class TestChain:
-    def test_chained_partition_summation_matches_product_oracle(self):
-        # a hand-built two-job multiply pipeline: job 1 groups (row of A,
-        # col of B) cell pairs, job 2 sums the per-cell products
-        rng = np.random.default_rng(77)
-        A = rng.random((5, 4)) * (rng.random((5, 4)) < 0.7)
-        B = rng.random((4, 6)) * (rng.random((4, 6)) < 0.7)
-
-        def pair_mapper(rec):
-            which, i, j, v = rec
-            if which == "A":
-                return [(((i, jj), j), ("A", v)) for jj in range(B.shape[1])]
-            return [(((ii, j), i), ("B", v)) for ii in range(A.shape[0])]
-
-        def pair_reducer(key, values):
-            tags = dict(values)
-            if len(values) == 2 and len(tags) == 2:
-                return [(key[0], tags["A"] * tags["B"])]
-            return []
-
-        def sum_reducer(key, values):
-            return [(key, sum(sorted(values)))]
-
-        records = [("A", i, j, A[i, j]) for i in range(5) for j in range(4) if A[i, j]]
-        records += [("B", i, j, B[i, j]) for i in range(4) for j in range(6) if B[i, j]]
-        pairs, pair_metrics = run_job(
-            JobSpec(pair_mapper, pair_reducer, lambda k: hash(k) % 3, workers=3), records)
-        out, sum_metrics = run_job(
-            JobSpec(lambda rec: [rec], sum_reducer, lambda k: k[0] % 3, workers=3), pairs)
-        metrics = [pair_metrics, sum_metrics]
-        C = np.zeros((5, 6))
-        for (i, j), v in out:
-            C[i, j] = v
-        np.testing.assert_allclose(C, A @ B, atol=1e-12)
-        assert len(metrics) == 2
 
 
 class TestBroadcastStore:
@@ -291,16 +234,13 @@ class TestBroadcastStore:
         store = BroadcastStore()
         payload = np.arange(9).reshape(3, 3)
         store.put("C", payload)
-        seen = []
 
         def mapper(rec):
-            seen.append(store.get("C"))
-            return [(rec, 1)]
+            return current_worker(), store.get("C")
 
-        run_job(JobSpec(mapper, lambda k, v: [(k, v)], lambda k: 0, workers=4),
-                list(range(4)))
-        assert len(seen) == 4
-        assert all(got is payload for got in seen)
+        out, _ = run_job(JobSpec(mapper, workers=4), list(range(4)))
+        assert [w for w, _ in out] == [0, 1, 2, 3]
+        assert all(got is payload for _, got in out)
 
     def test_rebroadcast_same_epoch_rejected(self):
         store = BroadcastStore()
@@ -314,93 +254,21 @@ class TestBroadcastStore:
             store.get("missing")
 
 
-class TestRunJobProperty:
-    """run_job against the sequential reference: map every record, group by
-    key, keys ascending, each group's values in serialized order, reduce."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=40),
-           workers=st.integers(1, 8), fanout=st.integers(0, 3), keys=st.integers(1, 12),
-           parallel=st.booleans(), pinned=st.booleans())
-    def test_matches_sequential_reference(self, data, records, workers, fanout, keys,
-                                          parallel, pinned):
-        shard = data.draw(st.lists(st.integers(0, workers - 1), min_size=keys, max_size=keys))
-        place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
-
-        def mapper(rec):
-            return [((rec * 7 + j) % keys, (rec, j, -rec * 0.5)) for j in range(rec % (fanout + 1))]
-
-        def reducer(key, values):
-            return [(key, len(values)), (key, tuple(values))]
-
-        spec = JobSpec(mapper, reducer, shard.__getitem__, workers=workers, parallel=parallel,
-                       map_affinity=place.__getitem__ if pinned else None)
-        out, metrics = run_job(spec, records)
-
-        emitted = [kv for rec in records for kv in mapper(rec)]
-        groups = {}
-        for key, value in emitted:
-            groups.setdefault(key, []).append(value)
-        expected = []
-        for key in sorted(groups):
-            ordered = sorted(groups[key], key=lambda v: pickle.dumps((key, v), protocol=5))
-            expected.extend(reducer(key, ordered))
-        assert out == expected
-        assert sum(metrics.records_per_worker) == len(emitted)
-        assert metrics.shuffle_bytes == sum(len(serialize_record(k, v)) for k, v in emitted)
-
-
-class TestCrossWorkerBytes:
-    """cross_worker_bytes against a sequential reference: the summed
-    serialize_record sizes of the emitted records whose source worker (the
-    worker whose map task emitted them) differs from shard_fn(key)."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), records=st.lists(st.integers(0, 30), max_size=40),
-           workers=st.integers(1, 64), fanout=st.integers(0, 3), keys=st.integers(1, 12),
-           parallel=st.booleans(), pinned=st.booleans())
-    def test_matches_sequential_reference(self, data, records, workers, fanout, keys,
-                                          parallel, pinned):
-        shard = data.draw(st.lists(st.integers(0, workers - 1), min_size=keys, max_size=keys))
-        place = data.draw(st.lists(st.integers(0, workers - 1), min_size=31, max_size=31))
-
-        def mapper(rec):
-            return [((rec * 5 + j) % keys, ("v" * (rec % 7), j, rec * 0.25))
-                    for j in range(1 + rec % (fanout + 1))]
-
-        spec = JobSpec(mapper, lambda k, v: [(k, len(v))], shard.__getitem__, workers=workers,
-                       parallel=parallel, map_affinity=place.__getitem__ if pinned else None)
-        _, metrics = run_job(spec, records)
-
-        if pinned:
-            source = [place[rec] for rec in records]
-        else:  # contiguous chunks of the input, one per worker
-            bounds = [len(records) * w // workers for w in range(workers + 1)]
-            source = [w for w in range(workers) for _ in range(bounds[w], bounds[w + 1])]
-        expected = sum(len(serialize_record(key, value))
-                       for rec, src in zip(records, source)
-                       for key, value in mapper(rec) if src != shard[key])
-        assert metrics.cross_worker_bytes == expected
-        assert metrics.shuffle_bytes == sum(len(serialize_record(k, v))
-                                            for rec in records for k, v in mapper(rec))
-
-
 class TestCallerContext:
     def test_errstate_holds_on_pool_threads(self):
         # map tasks on the pool's threads run in a copy of the caller's
         # context, so an errstate set around run_job reaches them
         def mapper(rec):
-            return [(rec, float(np.float64(1e308) * np.float64(rec + 10)))]
+            return float(np.float64(1e308) * np.float64(rec + 10))
 
-        spec = JobSpec(mapper, lambda k, v: [(k, v[0])], lambda k: k % 3, workers=3,
-                       parallel=True)
+        spec = JobSpec(mapper, workers=3, parallel=True)
         with np.errstate(over="raise"):
             with pytest.raises(JobError) as info:
                 run_job(spec, [0, 1, 2])
         assert isinstance(info.value.cause, FloatingPointError)
         with np.errstate(over="ignore"):
             out, _ = run_job(spec, [0, 1, 2])
-        assert [v for _, v in out] == [np.inf] * 3
+        assert out == [np.inf] * 3
 
 
 def _batch(keys, order, starts, counts, ints, floats):
@@ -439,7 +307,7 @@ class TestBatchJobs:
         def mapper(rec):
             out = emitted(rec)
             if not out:
-                return []
+                return None
             keys, order, ints, floats = zip(*out)
             counts = np.array([len(e) for e in ints])
             if shared:  # the records repeat one payload, stored once
@@ -561,13 +429,50 @@ class TestBatchJobs:
         assert floats.tolist() == [v * 0.5 for v in expected for _ in range(3)]
 
     def test_pairs_and_batches_not_mixed(self):
-        def mapper(rec):
-            return [(rec, 1)] if rec else _batch([(0, 0)], [0], [0], [1], [0], [0.0])
+        # a mapper of a job with a reducer returns a RecordBatch or None;
+        # anything else, such as a list of pairs, is refused naming its record
+        for bad in ([(1, 1)], [], 0):
+            def mapper(rec):
+                return bad if rec else _batch([(0, 0)], [0], [0], [1], [0], [0.0])
 
-        spec = JobSpec(mapper, _identity_reducer, lambda cols: 0, workers=2, name="mixed")
+            for workers in (1, 2, 3):
+                spec = JobSpec(mapper, _identity_reducer, lambda cols: cols[0] * 0,
+                               workers=workers, name="mixed")
+                with pytest.raises(JobError) as exc:
+                    run_job(spec, [0, 1])
+                assert (exc.value.stage, exc.value.key) == ("mixed/map", 1), (bad, workers)
+                assert isinstance(exc.value.cause, TypeError)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_reducer_returning_none_keeps_no_record(self, workers):
+        def mapper(rec):
+            return _batch([(0, rec)], [0], [0], [1], [rec], [0.0])
+
+        spec = JobSpec(mapper, lambda batch: None, lambda cols: cols[1] % workers,
+                       workers=workers)
+        out, metrics = run_job(spec, [0, 1, 2])
+        assert out == [] and sum(metrics.records_per_worker) == 3
+        # a worker whose reducer keeps nothing adds nothing to the others'
+        spec.reducer = lambda batch: batch if batch.keys[0, 1] == 0 else None
+        out, _ = run_job(spec, [0, 1, 2])
+        assert out.keys.tolist() == [[0, k] for k in range(3) if k % workers == 0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_reducer_returning_other_value_refused(self, workers):
+        # the reducer of a batch holding key (0, 2) returns a list: the keys
+        # are rerun one at a time, and (0, 2) is named at every worker count
+        def mapper(rec):
+            return _batch([(0, rec)], [0], [0], [1], [rec], [0.0])
+
+        def reducer(batch):
+            return [] if (batch.keys[:, 1] == 2).any() else batch
+
+        spec = JobSpec(mapper, reducer, lambda cols: cols[1] % workers, workers=workers,
+                       name="listed")
         with pytest.raises(JobError) as exc:
-            run_job(spec, [0, 1])
-        assert exc.value.stage == "mixed/map"
+            run_job(spec, [0, 1, 2])
+        assert (exc.value.stage, exc.value.key) == ("listed/reduce", (0, 2))
+        assert isinstance(exc.value.cause, TypeError)
 
 
 class TestMapOnlyJobs:
@@ -646,6 +551,6 @@ class TestMapOnlyJobs:
         assert metrics.scalar_ops == 6
 
     def test_reducer_without_shard_fn_refused(self):
-        spec = JobSpec(lambda rec: [(rec, 1)], lambda k, v: [(k, sum(v))], workers=2)
+        spec = JobSpec(lambda rec: _record(rec, 0, 1), _key_sums, workers=2)
         with pytest.raises(ValueError, match="shard_fn"):
             run_job(spec, [1, 2])
