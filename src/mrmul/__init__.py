@@ -16,7 +16,6 @@ from .engine import (
 from .io import ParseError, read_edges, read_matrix, write_matrix
 from .multiply import (
     PartitionSchema,
-    RowBlocks,
     ShardFunction,
     broadcast_multiply,
     partition_multiply,

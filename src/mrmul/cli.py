@@ -161,7 +161,7 @@ def cmd_svm_train(args):
     prefix, history = args.out_prefix, state.objective_history
     _require_finite([(f"{prefix}alpha.txt", state.alpha.values),
                      (f"{prefix}objective.csv", history)])
-    scores = svm_predict(state, prob, prob.row_blocks(args.workers), args.workers)
+    scores = svm_predict(state, prob, T, args.workers)
     _write_files([(f"{prefix}alpha.txt", _column(state.alpha.values)),
                   (f"{prefix}objective.csv", _column(history, range(len(history)), "iter,value"))])
     acc = accuracy(scores, y)

@@ -30,14 +30,15 @@ straight from the output batch's row counts and its entries, gathered once.
 
 broadcast_multiply: row-wise product c_i = r_i * B with the small right-hand
 operand replicated to every worker through the broadcast store. The large
-operand is cut into one contiguous row block per worker, a RowBlocks, which
-an iterative solver cuts once per solve and passes to every product; each
-block's product is one segmented sum over its rows (a DenseMatrix block is
-cut the same way and multiplied by one row-independent einsum). The job is
-map-only: each block's product stays as an array on the worker that formed
-it, and the result is the blocks' products joined once. Each row is still
-formed from that row alone, and the result is a DenseMatrix whatever the
-large operand's type.
+operand is cut into one contiguous row block per worker, once per matrix
+and worker count: the blocks are kept on the matrix, so an iterative
+solver's fixed operand stays cut across its steps with no solver code;
+each block's product is one segmented sum over its rows (a DenseMatrix
+block is cut the same way and multiplied by one row-independent einsum).
+The job is map-only: each block's product stays as an array on the worker
+that formed it, and the result is the blocks' products joined once. Each
+row is still formed from that row alone, and the result is a DenseMatrix
+whatever the large operand's type.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "ShardFunction",
     "partition_multiply",
     "broadcast_multiply",
-    "RowBlocks",
 ]
 
 
@@ -630,62 +630,49 @@ def partition_multiply(A: SparseMatrix, B: SparseMatrix, schema: PartitionSchema
     return SparseMatrix(A.rows, B.cols, csr_indptr(counts), indices, values), [m1, m2]
 
 
-class RowBlocks:
-    """A large operand of broadcast_multiply cut into the map input records of
-    `workers`: one contiguous row block per worker (one per row when A has
-    fewer rows), each one record. A sparse block holds its indptr rebased to
-    0, its non-empty rows, their first entries, its column indices and its
-    values; a dense block holds its rows. An iterative solver cuts its fixed
-    operand once and passes the blocks to every product, so they stay on
-    their workers across iterations; the blocks carry A's rows, cols and
-    nnz, and serve only the worker count they were cut for."""
-
-    __slots__ = ("matrix", "rows", "cols", "workers", "records")
-
-    def __init__(self, A: SparseMatrix | DenseMatrix, workers: int):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.matrix, self.rows, self.cols, self.workers = A, A.rows, A.cols, workers
-        split = _Splitter(A.rows, min(workers, A.rows))
-        self.records = [(b, *self._cut(*split.range(b))) for b in range(split.parts)]
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
-
-    @property
-    def dense(self):
-        return isinstance(self.matrix, DenseMatrix)
-
-    def _cut(self, lo, hi):
-        if self.dense:
-            return (self.matrix.values[lo:hi],)
-        indptr, cols, vals, _ = _row_block(self.matrix, lo, hi)
+def _cut_row_blocks(A: SparseMatrix | DenseMatrix, workers: int) -> list:
+    """A cut into the map input records of `workers`: one contiguous row
+    block per worker (one per row when A has fewer rows), each one record
+    led by its block index. A sparse block holds its indptr rebased to 0, its
+    non-empty rows, their first entries, its column indices and its values; a
+    dense block holds its rows."""
+    split = _Splitter(A.rows, min(workers, A.rows))
+    if isinstance(A, DenseMatrix):
+        return [(b, A.values[slice(*split.range(b))]) for b in range(split.parts)]
+    records = []
+    for b in range(split.parts):
+        indptr, cols, vals, _ = _row_block(A, *split.range(b))
         rows = np.flatnonzero(np.diff(indptr))
-        return indptr, rows, indptr[rows], cols, vals  # starts[0] is 0, as indptr[0] is
+        # the first start, indptr[rows[0]], is 0: every row before it is empty
+        records.append((b, indptr, rows, indptr[rows], cols, vals))
+    return records
 
 
-def broadcast_multiply(A: SparseMatrix | DenseMatrix | RowBlocks, B_small: DenseMatrix,
+def broadcast_multiply(A: SparseMatrix | DenseMatrix, B_small: DenseMatrix,
                        workers: int = 1) -> DenseMatrix:
     """Row-wise product: row i of the result is row i of A times B_small.
 
     A is cut into one contiguous row block per worker, each block one input
-    record pinned to its worker; A given as RowBlocks was cut once before,
-    for this worker count, and is not cut again. B_small is broadcast once
-    per call and never shuffled. The job is map-only: a block's map task
-    returns its dense product, which stays on its worker, and the products
-    are joined in block order. The result is a DenseMatrix for either type
-    of A.
+    record pinned to its worker. The cut is made once per matrix and worker
+    count and kept on A, so every later product of A on as many workers,
+    such as each step of an iterative solver, reuses the same blocks and only
+    B_small moves; A's immutability keeps the blocks valid. B_small is
+    broadcast once per call and never shuffled. The job is map-only: a
+    block's map task returns its dense product, which stays on its worker,
+    and the products are joined in block order. The result is a DenseMatrix
+    for either type of A.
     """
     if A.cols != B_small.rows:
         raise ValueError(
             f"shape mismatch: {A.rows}x{A.cols} times {B_small.rows}x{B_small.cols}")
-    blocks = A if isinstance(A, RowBlocks) else RowBlocks(A, workers)
-    if blocks.workers != workers:
-        raise ValueError(f"row blocks cut for {blocks.workers} workers used with {workers}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    records = A._row_blocks.get(workers)
+    if records is None:
+        records = A._row_blocks[workers] = _cut_row_blocks(A, workers)
     store = BroadcastStore()
     store.put("rhs", B_small.values)
-    dense = blocks.dense
+    dense = isinstance(A, DenseMatrix)
 
     # Each row is formed from that row and rhs alone, so its bits depend on
     # neither the row blocking nor the worker count: a dense block is one
@@ -712,6 +699,6 @@ def broadcast_multiply(A: SparseMatrix | DenseMatrix | RowBlocks, B_small: Dense
     # threads to repay their GIL handoffs, so map tasks run on this thread.
     spec = JobSpec(mapper, workers=workers, name="broadcast-multiply",
                    map_affinity=itemgetter(0), parallel=False)
-    out, _ = run_job(spec, blocks.records)
+    out, _ = run_job(spec, records)
     return DenseMatrix(np.concatenate(out) if len(out) > 1 else out[0])
 

@@ -10,7 +10,9 @@ product of a step has one thin operand of at most (m + n) k values, the
 paper's large x small case, so all six run through broadcast_multiply with
 that operand broadcast: Wt A as (At W)t, the Grams Wt W and H Ht, the triple
 products as (Wt W) H and W (H Ht), and A Ht. No product forms an m x n array.
-run_nmf transposes the constant A once and hands At to every step.
+run_nmf transposes the constant A once and hands At to every step, so
+broadcast_multiply's row blocks of A and At, kept on the matrices, serve
+every step.
 
 The divergence ||A - W H||^2 is summed one row block Wb of W at a time, with
 H H^T formed once per call. A block of nonnegative factors whose support S in

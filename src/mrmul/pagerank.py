@@ -10,12 +10,14 @@ computes
     pi <- d * (L pi + sum_{j dangling} pi_j / N) + (1 - d)/N
 
 where L pi runs through broadcast_multiply: the current vector is broadcast
-to every worker, each worker forms the dot products of its one contiguous
-block of L's rows, and ships the block's products as one record. L is cut
-into those blocks once per call, and they stay on their workers across
-iterations. The dangling mass is one scalar, summed outside the engine. The
-column-stochastic matrix P with the dangling columns filled in is derived
-from L on request, for oracles and tests; the iteration never forms it.
+to every worker, and each worker forms the dot products of its one
+contiguous block of L's rows, which stay on that worker until the blocks'
+products are joined. broadcast_multiply cuts L into those blocks once per
+worker count and keeps them on L, so they stay on their workers across
+iterations and across calls. The dangling mass is one scalar, summed
+outside the engine. The column-stochastic matrix P with the dangling
+columns filled in is derived from L on request, for oracles and tests; the
+iteration never forms it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiply import RowBlocks, broadcast_multiply
+from .multiply import broadcast_multiply
 from .sparse import DenseMatrix, DenseVector, SparseMatrix, csr_indptr, csr_rows
 
 __all__ = ["PagerankProblem", "PagerankError", "pagerank_build", "pagerank"]
@@ -121,8 +123,8 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
 
     The returned vector is a probability distribution at every iteration, and
     on convergence it is invariant under one more iteration within tol. The
-    links are cut into row blocks for `workers` once, before the first
-    iteration, and every iteration's product reuses them.
+    links are cut into row blocks for `workers` on their first product, and
+    every later product reuses them.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -130,13 +132,12 @@ def pagerank(prob: PagerankProblem, tol: float = 1e-8, max_iters: int = 100,
         raise ValueError("max_iters must be >= 0")
 
     N, d = prob.N, prob.d
-    links = RowBlocks(prob.links, workers)
     dangling = np.flatnonzero(prob.outdeg == 0)
     pi = np.full(N, 1.0 / N)
     teleport = (1.0 - d) / N
     iterations = 0
     for _ in range(max_iters):
-        flow = broadcast_multiply(links, DenseMatrix(pi.reshape(-1, 1)), workers).values[:, 0]
+        flow = broadcast_multiply(prob.links, DenseMatrix(pi.reshape(-1, 1)), workers).values[:, 0]
         pi_next = d * (flow + pi[dangling].sum() / N) + teleport
         iterations += 1
         if abs(pi_next.sum() - 1.0) > _PROBABILITY_TOL:

@@ -10,6 +10,9 @@ instances are immutable and safe to share across workers. csr_indptr and
 csr_rows are the format's two index idioms, row pointers from row counts and
 the row of each stored entry, for every module that works on the arrays;
 csr_spans gathers rows, or any spans of entries, that need not be adjacent.
+Both matrix types also carry one private slot, _row_blocks, in which
+broadcast_multiply keeps the matrix cut into row blocks per worker count,
+filled on first use and valid for the matrix's life because it is immutable.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class SparseMatrix:
     read-only.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "values")
+    __slots__ = ("rows", "cols", "indptr", "indices", "values", "_row_blocks")
 
     def __init__(self, rows, cols, indptr, indices, values):
         rows = int(rows)
@@ -93,6 +96,7 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.values = values
+        self._row_blocks = {}
         for a in (indptr, indices, values):
             a.setflags(write=False)
 
@@ -167,7 +171,7 @@ class SparseMatrix:
 class DenseMatrix:
     """Small dense real matrix, row-major; the broadcast-side operand type."""
 
-    __slots__ = ("rows", "cols", "values")
+    __slots__ = ("rows", "cols", "values", "_row_blocks")
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
@@ -179,6 +183,7 @@ class DenseMatrix:
         arr.setflags(write=False)
         self.rows, self.cols = arr.shape
         self.values = arr
+        self._row_blocks = {}
 
     @property
     def shape(self):
@@ -245,7 +250,9 @@ class GeneratorParams:
 def transpose(M: SparseMatrix) -> SparseMatrix:
     """Transpose; an involution that preserves nnz."""
     row_id = csr_rows(M.indptr)
-    order = np.lexsort((row_id, M.indices))
+    # entries are stored row by row, so a stable sort by column alone leaves
+    # each column's entries in row order
+    order = np.argsort(M.indices, kind="stable")
     indptr = csr_indptr(np.bincount(M.indices, minlength=M.cols))
     return SparseMatrix(M.cols, M.rows, indptr, row_id[order], M.values[order])
 

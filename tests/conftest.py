@@ -43,3 +43,18 @@ def assert_relative_close(actual: np.ndarray, expected: np.ndarray, rtol, label=
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """Every (matrix, workers) that broadcast_multiply cuts into row blocks
+    from here on, in order."""
+    import mrmul.multiply as mm
+    real_cut, cut = mm._cut_row_blocks, []
+
+    def recording_cut(A, workers):
+        cut.append((A, workers))
+        return real_cut(A, workers)
+
+    monkeypatch.setattr(mm, "_cut_row_blocks", recording_cut)
+    return cut

@@ -361,35 +361,20 @@ class TestSvm:
                        "--out-prefix", tmp_path / "svm_") == 0
         assert len(calls) == 1
 
-    def test_train_cuts_examples_once(self, tmp_path, monkeypatch):
+    def test_train_cuts_examples_once(self, tmp_path, cuts):
         # the training-accuracy prediction reuses the solve's row blocks of T
-        import mrmul.multiply as mm
-        real_init, cut = mm.RowBlocks.__init__, []
-
-        def recording_init(self, A, workers):
-            cut.append((A.shape, workers))
-            real_init(self, A, workers)
-
-        monkeypatch.setattr(mm.RowBlocks, "__init__", recording_init)
         assert run_cli("svm-train", "--data", IRIS, "--eta", 1e-4, "--iters", 5,
                        "--workers", 2, "--out-prefix", tmp_path / "svm_") == 0
-        assert cut == [((150, 4), 2), ((4, 150), 2)]
+        # the first step's w = Tt q is formed before T multiplies it
+        assert [(A.shape, w) for A, w in cuts] == [((4, 150), 2), ((150, 4), 2)]
 
-    def test_predict_cuts_only_multiplied_operands(self, tmp_path, monkeypatch):
+    def test_predict_cuts_only_multiplied_operands(self, tmp_path, cuts):
         # prediction multiplies Tt and the query, and never cuts T
-        import mrmul.multiply as mm
         alpha = tmp_path / "alpha.txt"
         alpha.write_text("0.25\n" * 150)
-        real_init, cut = mm.RowBlocks.__init__, []
-
-        def recording_init(self, A, workers):
-            cut.append((A.shape, workers))
-            real_init(self, A, workers)
-
-        monkeypatch.setattr(mm.RowBlocks, "__init__", recording_init)
         assert run_cli("svm-predict", "--data", IRIS, "--alpha", alpha, "--query", IRIS,
                        "--workers", 2, "--out", tmp_path / "scores.txt") == 0
-        assert cut == [((4, 150), 2), ((150, 4), 2)]
+        assert [(A.shape, w) for A, w in cuts] == [((4, 150), 2), ((150, 4), 2)]
 
     def test_objective_history_written(self, tmp_path):
         data = tmp_path / "toy.svm"

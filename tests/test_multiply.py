@@ -11,7 +11,6 @@ from scipy import stats
 
 from mrmul.multiply import (
     PartitionSchema,
-    RowBlocks,
     ShardFunction,
     _mix_array,
     _splitmix64_array,
@@ -618,8 +617,9 @@ class TestBroadcastMultiply:
 
 
 class TestRowBlocks:
-    """A large operand cut once into RowBlocks gives every product the bytes
-    of the plain matrix, however often the blocks are reused."""
+    """broadcast_multiply cuts a large operand into row blocks once per
+    matrix and worker count and keeps them on the matrix: every later
+    product gives the bytes of the same product of a fresh copy."""
 
     @staticmethod
     def operands():
@@ -630,28 +630,33 @@ class TestRowBlocks:
                 "dense": DenseMatrix(random_sparse(33, 9, 0.6, seed=82).to_dense()),
                 "few-rows": random_sparse(3, 9, 0.6, seed=83)}
 
+    @staticmethod
+    def fresh(A):
+        if isinstance(A, DenseMatrix):
+            return DenseMatrix(A.values)
+        return SparseMatrix(A.rows, A.cols, A.indptr, A.indices, A.values)
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("kind", ["sparse", "empty-rows", "dense", "few-rows"])
-    def test_byte_identical_to_plain_matrix(self, kind, workers):
+    def test_byte_identical_to_plain_matrix(self, cuts, kind, workers):
         A = self.operands()[kind]
-        blocks = RowBlocks(A, workers)
-        assert (blocks.rows, blocks.cols, blocks.nnz) == (A.rows, A.cols, A.nnz)
-        assert len(blocks.records) == min(workers, A.rows)
         rng = np.random.default_rng(84)
         for width in (1, 8, 1):  # the same blocks serve every product
             B = DenseMatrix(rng.uniform(-1.0, 1.0, (9, width)))
-            assert _csr_bytes(broadcast_multiply(blocks, B, workers)) == \
-                _csr_bytes(broadcast_multiply(A, B, workers))
+            assert _csr_bytes(broadcast_multiply(A, B, workers)) == \
+                _csr_bytes(broadcast_multiply(self.fresh(A), B, workers))
+        assert [w for M, w in cuts if M is A] == [workers]
+        assert len(A._row_blocks[workers]) == min(workers, A.rows)
 
     @pytest.mark.parametrize("width", [1, 8])
-    def test_row_batches_byte_identical(self, monkeypatch, width):
+    def test_row_batches_byte_identical(self, monkeypatch, cuts, width):
         import mrmul.multiply as mm
         dense = random_sparse(40, 40, 0.2, seed=85).to_dense()
         dense[[0, 17, -2, -1]] = 0.0
         A = SparseMatrix.from_dense(dense)
         B = DenseMatrix(np.random.default_rng(86).random((40, width)))
-        whole = broadcast_multiply(A, B, 3)
-        blocks = RowBlocks(A, 3)
+        whole = broadcast_multiply(self.fresh(A), B, 3)
+        broadcast_multiply(A, B, 3)  # cuts A, unbatched
         real_batches, batches = mm._bounded_batches, []
 
         def recording_batches(end, bound):
@@ -661,17 +666,27 @@ class TestRowBlocks:
 
         monkeypatch.setattr(mm, "_SPARSE_BATCH_PRODUCTS", 32)
         monkeypatch.setattr(mm, "_bounded_batches", recording_batches)
-        assert _csr_bytes(broadcast_multiply(blocks, B, 3)) == _csr_bytes(whole)
+        del cuts[:]
+        assert _csr_bytes(broadcast_multiply(A, B, 3)) == _csr_bytes(whole)
+        assert cuts == []  # the kept blocks, batched
         assert len(batches) > 3 * 2  # each of the 3 blocks is cut into several
 
-    def test_other_worker_count_refused(self):
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cut_once_per_worker_count(self, cuts, dense):
         A = random_sparse(12, 6, 0.5, seed=87)
-        blocks = RowBlocks(A, 2)
-        for workers in (1, 3):
-            with pytest.raises(ValueError, match="row blocks cut for 2 workers used with "):
-                broadcast_multiply(blocks, DenseMatrix(np.eye(6)), workers)
+        if dense:
+            A = DenseMatrix(A.to_dense())
+        B = DenseMatrix(np.arange(12, dtype=float).reshape(6, 2))
+        products = [broadcast_multiply(A, B, workers) for workers in (2, 3, 2)]
+        assert [(M is A, w) for M, w in cuts] == [(True, 2), (True, 3)]
+        assert sorted(A._row_blocks) == [2, 3]
+        assert products[0] == products[1] == products[2] == broadcast_multiply(self.fresh(A), B, 1)
+
+    def test_zero_workers_refused_without_cut(self, cuts):
+        A = random_sparse(12, 6, 0.5, seed=87)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            RowBlocks(A, 0)
+            broadcast_multiply(A, DenseMatrix(np.eye(6)), 0)
+        assert cuts == [] and A._row_blocks == {}
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_shape_mismatch_as_plain_matrix(self, dense):
@@ -681,9 +696,10 @@ class TestRowBlocks:
         B = DenseMatrix(np.eye(4))
         with pytest.raises(ValueError, match="shape mismatch") as plain:
             broadcast_multiply(A, B, 2)
-        with pytest.raises(ValueError) as prepared:
-            broadcast_multiply(RowBlocks(A, 2), B, 2)
-        assert str(prepared.value) == str(plain.value) == "shape mismatch: 4x5 times 4x4"
+        broadcast_multiply(A, DenseMatrix(np.eye(5)), 2)  # cuts A
+        with pytest.raises(ValueError) as kept:
+            broadcast_multiply(A, B, 2)
+        assert str(kept.value) == str(plain.value) == "shape mismatch: 4x5 times 4x4"
 
 
 def _csr_bytes(M):

@@ -318,6 +318,20 @@ class TestRun:
         assert run_nmf(A, 3, iters=4, seed=5) == expected
         assert calls == [A]
 
+    def test_cuts_a_once(self, cuts):
+        # A and At keep their row blocks across steps; only the factors and
+        # the Grams, new each step, are cut again
+        A = random_sparse(15, 12, 0.4, seed=13)
+        same = random_sparse(15, 12, 0.4, seed=13)  # A's equal, cut apart from it
+        expected = nmf_init(same, 3, seed=5)
+        for _ in range(4):
+            expected = nmf_step(same, expected, workers=3)
+        del cuts[:]
+        assert run_nmf(A, 3, iters=4, workers=3, seed=5) == expected
+        sparse_cuts = [M for M, _ in cuts if isinstance(M, SparseMatrix)]
+        assert len(sparse_cuts) == 2
+        assert sparse_cuts[0] == sparse.transpose(A) and sparse_cuts[1] is A
+
     def test_k_bounds_enforced(self):
         A = random_sparse(4, 6, 0.5, seed=1)
         with pytest.raises(ValueError):

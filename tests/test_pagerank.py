@@ -221,20 +221,13 @@ class TestStructure:
         _, iters = pagerank(prob, tol=1e-10, max_iters=50, workers=2)
         assert sizes == [prob.links.nnz] * iters
 
-    def test_links_cut_once_per_call(self, monkeypatch):
-        import mrmul.multiply as mm
-        real_init, cut = mm.RowBlocks.__init__, []
-
-        def recording_init(self, A, workers):
-            cut.append(A)
-            real_init(self, A, workers)
-
-        monkeypatch.setattr(mm.RowBlocks, "__init__", recording_init)
+    def test_links_cut_once_per_call(self, cuts):
+        # the links keep their row blocks, so a second call cuts nothing
         prob = pagerank_build(random_graph(13, 40), 0.85, 40)
-        for calls in (1, 2):
+        for _ in range(2):
             _, iters = pagerank(prob, tol=1e-10, max_iters=50, workers=2)
             assert iters > 1
-            assert len(cut) == calls and cut[-1] is prob.links
+            assert len(cuts) == 1 and cuts[0][0] is prob.links and cuts[0][1] == 2
 
     def test_memory_stays_linear_in_links(self):
         # 1000 dangling columns of 4000 entries would be 4M stored entries
